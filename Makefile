@@ -28,11 +28,15 @@ fmt:
 check: fmt vet build race
 
 # Differential verification: the oracle campaign (zero divergences
-# expected) and the known-bad self-test (a verified minimized
-# divergence expected — proves the harness has teeth).
+# expected) and every campaign kind's teeth check through the one
+# clcheck driver — the known-bad self-test and -crash-break must each
+# produce a verified minimized divergence, -cluster-break must catch
+# its armed recovery bug.
 checkers:
 	$(GO) run ./cmd/clcheck -seeds 64 -j 8
 	$(GO) run ./cmd/clcheck -campaign internal/check/testdata/knownbad.json
+	$(GO) run ./cmd/clcheck -crash-break -seeds 4 -j 8
+	$(GO) run ./cmd/clcheck -cluster-break -seeds 4 -j 8
 
 # The concurrent differential campaign under the race detector: racing
 # submitters through the sharded mcpool engine, every shard journal

@@ -1,8 +1,9 @@
 // Command clcheck drives the differential verification harness: seeded
 // random programs (reads, writes, mode flips, injected faults) are run
 // on every engine variant and checked op-by-op against the reference
-// oracle, with cross-variant differential comparison on top. Diverging
-// seeds are minimized to replayable repro tokens.
+// oracle, with cross-variant differential comparison on top. The same
+// driver runs the concurrent, crash and cluster campaigns. Diverging
+// classic and crash runs are minimized to replayable repro tokens.
 //
 // Usage:
 //
@@ -11,6 +12,7 @@
 //	clcheck -repro Y2xrMQZhZXMxMjgB...
 //	clcheck -seeds 4 -schemes
 //	clcheck -seeds 64 -cipher stdlib  # engines on hardware-class AES, oracle on ref
+//	clcheck -concurrent -seeds 32     # racing submitters through the sharded pool
 //	clcheck -crash -seeds 200         # crash-injection campaign over the NVM engine
 //	clcheck -crash-break -seeds 20    # teeth check: broken recovery must be caught
 //	clcheck -cluster -seeds 20        # cluster chaos campaign: kill/restart a node mid-traffic
@@ -20,8 +22,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"counterlight/internal/check"
@@ -31,337 +36,285 @@ import (
 	"counterlight/internal/obs/flight"
 )
 
+// config is one resolved clcheck invocation.
+type config struct {
+	mode    string // classic, concurrent, crash, cluster or repro
+	spec    check.CampaignSpec
+	kind    check.Kind
+	ring    *flight.Ring
+	jobs    int
+	schemes bool
+
+	repro, cipher, flightPath, metricsPath, tokensPath string
+}
+
+// modeFlags select clcheck's mutually exclusive modes; the -break
+// variants select the same mode as their campaign flag.
+var modeFlags = []struct{ flag, mode string }{
+	{"repro", "repro"},
+	{"concurrent", "concurrent"},
+	{"crash", "crash"}, {"crash-break", "crash"},
+	{"cluster", "cluster"}, {"cluster-break", "cluster"},
+}
+
+// scope lists the modes each mode-specific flag applies to.
+var scope = map[string][]string{
+	"adaptive": {"concurrent"},
+	"nodes":    {"cluster"},
+	"schemes":  {"classic"},
+	"campaign": {"classic"},
+	"flight":   {"concurrent", "crash", "cluster"},
+}
+
+// verdicts are each mode's ok lines: a clean campaign, and a teeth
+// check that caught its armed bug on %d run(s).
+var verdicts = map[string][2]string{
+	"classic":    {"zero divergences", "known-bad campaign diverged on %d run(s), minimized, and verified as expected"},
+	"concurrent": {"zero divergences between concurrent and serialized execution", ""},
+	"crash":      {"every recovery was bit-identical to the never-crashed oracle", "broken recovery caught on %d run(s) and minimized to replayable tokens"},
+	"cluster":    {"every kill/restart replayed bit-identically and no acknowledged write was lost", "broken node recovery caught on %d run(s)"},
+}
+
 func main() {
-	seeds := flag.Int("seeds", 16, "number of generated programs (seed-start, seed-start+1, ...)")
-	seedStart := flag.Int64("seed-start", 1, "first program seed")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent program checks")
-	ops := flag.Int("ops", 0, "ops per generated program (0 = generator default)")
-	blocks := flag.Uint("blocks", 0, "address-space blocks per program (0 = generator default)")
-	faultRate := flag.Float64("fault-rate", 0, "per-op fault injection probability (0 = generator default)")
-	campaignFile := flag.String("campaign", "", "load a campaign spec from this JSON file (overrides the generator flags)")
-	repro := flag.String("repro", "", "replay one repro token instead of running a campaign")
-	concurrent := flag.Bool("concurrent", false, "run the concurrent differential campaign: race each program through the sharded mcpool engine, then verify the applied-op journals against serialized replays")
-	crash := flag.Bool("crash", false, "run the crash-injection campaign: each program runs on the NVM persistence engine, power fails at a seed-derived step, and the recovered state is diffed against a never-crashed oracle")
-	crashBreak := flag.Bool("crash-break", false, "with the crash campaign: arm the intentional recovery bug; the campaign must catch it (teeth check, exit 0 iff divergences were found)")
-	clusterMode := flag.Bool("cluster", false, "run the cluster chaos campaign: each program races through a multi-node cluster while a node is killed and restarted mid-traffic, then the full acknowledged history is verified bit-identical")
-	clusterBreak := flag.Bool("cluster-break", false, "with the cluster campaign: arm the intentional recovery bug on restarts; the campaign must catch it (teeth check, exit 0 iff divergences were found)")
-	nodes := flag.Int("nodes", 2, "with -cluster: controller nodes in the chaos cluster")
-	adaptive := flag.Bool("adaptive", false, "with -concurrent: enable the measurement-driven adaptive watermark so its moves race the replay")
-	flightPath := flag.String("flight", "", "with -concurrent: write the flight recorder dump to this path when a divergence is found")
-	schemes := flag.Bool("schemes", false, "also sweep every registered timing scheme's Result invariants over the seeds")
-	metricsFile := flag.String("metrics", "", "write a Prometheus-text snapshot of the campaign counters to this file")
-	tokensFile := flag.String("tokens", "", "write minimized repro tokens (one per line) to this file on divergence")
-	cipherName := flag.String("cipher", "", "AES backend the engines under test run on: ref | ttable | stdlib (the oracle always recomputes through ref)")
-	flag.Parse()
-
-	if *cipherName != "" {
-		if err := aes.SetDefaultBackend(*cipherName); err != nil {
-			fmt.Fprintf(os.Stderr, "clcheck: %v\n", err)
-			os.Exit(2)
-		}
+	c, err := parse(os.Args[1:])
+	if err == nil && c.cipher != "" {
+		err = aes.SetDefaultBackend(c.cipher)
 	}
-
-	if *repro != "" {
-		os.Exit(replayToken(*repro))
-	}
-	if *concurrent {
-		os.Exit(concurrentCampaign(*seeds, *seedStart, *jobs, *metricsFile, *adaptive, *flightPath))
-	}
-	if *crash || *crashBreak {
-		os.Exit(crashCampaign(*seeds, *seedStart, *jobs, *metricsFile, *crashBreak, *flightPath, *tokensFile))
-	}
-	if *clusterMode || *clusterBreak {
-		os.Exit(clusterCampaign(*seeds, *seedStart, *jobs, *nodes, *metricsFile, *clusterBreak, *flightPath))
-	}
-
-	spec := check.DefaultCampaign(*seeds, *seedStart)
-	if *campaignFile != "" {
-		var err error
-		spec, err = check.LoadCampaign(*campaignFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clcheck: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		if *ops > 0 {
-			spec.Ops = *ops
-		}
-		if *blocks > 0 {
-			spec.Blocks = uint32(*blocks)
-		}
-		if *faultRate > 0 {
-			spec.FaultRate = *faultRate
-		}
-	}
-
-	pool := figures.NewRunner(true)
-	pool.Workers = *jobs
-	reg := obs.NewRegistry()
-
-	report, err := check.RunCampaign(spec, pool, reg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "clcheck: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
+	}
+	if c.mode == "repro" {
+		os.Exit(replayToken(c.repro, os.Stdout))
+	}
+	os.Exit(c.run(os.Stdout))
+}
+
+// parse resolves the command line into one mode and, for campaign
+// modes, the spec and kind to run. Conflicting mode flags, and
+// mode-specific flags given to another mode, are errors.
+func parse(args []string) (config, error) {
+	fs := flag.NewFlagSet("clcheck", flag.ExitOnError)
+	seeds := fs.Int("seeds", 16, "number of generated programs (seed-start, seed-start+1, ...)")
+	seedStart := fs.Int64("seed-start", 1, "first program seed")
+	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent program checks")
+	ops := fs.Int("ops", 0, "ops per generated program (0 = the campaign's generator default)")
+	blocks := fs.Uint("blocks", 0, "address-space blocks per program (0 = the campaign's generator default)")
+	faultRate := fs.Float64("fault-rate", 0, "per-op fault injection probability (0 = the campaign's generator default)")
+	campaignFile := fs.String("campaign", "", "load a classic campaign spec from this JSON file; -seeds, -seed-start, -ops, -blocks and -fault-rate given explicitly override its values")
+	repro := fs.String("repro", "", "replay one repro token instead of running a campaign")
+	concurrent := fs.Bool("concurrent", false, "run the concurrent differential campaign: race each program through the sharded mcpool engine, then verify the applied-op journals against serialized replays")
+	crash := fs.Bool("crash", false, "run the crash-injection campaign: each program runs on the NVM persistence engine, power fails at a seed-derived step, and the recovered state is diffed against a never-crashed oracle")
+	crashBreak := fs.Bool("crash-break", false, "run the crash campaign with the intentional recovery bug armed; it must be caught (teeth check, exit 0 iff a verified minimized divergence was found)")
+	clusterMode := fs.Bool("cluster", false, "run the cluster chaos campaign: each program races through a multi-node cluster while a node is killed and restarted mid-traffic, then the full acknowledged history is verified bit-identical")
+	clusterBreak := fs.Bool("cluster-break", false, "run the cluster campaign with the intentional recovery bug armed on restarts; it must be caught (teeth check, exit 0 iff divergences were found)")
+	nodes := fs.Int("nodes", 2, "with -cluster: controller nodes in the chaos cluster")
+	adaptive := fs.Bool("adaptive", false, "with -concurrent: enable the measurement-driven adaptive watermark so its moves race the replay")
+	flightPath := fs.String("flight", "", "with -concurrent, -crash or -cluster: write the flight recorder dump to this path when a divergence is found")
+	schemes := fs.Bool("schemes", false, "also sweep every registered timing scheme's Result invariants over the seeds")
+	metricsPath := fs.String("metrics", "", "write a Prometheus-text snapshot of the campaign counters to this file")
+	tokensPath := fs.String("tokens", "", "write minimized repro tokens (one per line) to this file on divergence")
+	cipherName := fs.String("cipher", "", "AES backend the engines under test run on: ref | ttable | stdlib (the oracle always recomputes through ref)")
+	fs.Parse(args)
+
+	c := config{mode: "classic", jobs: *jobs, schemes: *schemes, repro: *repro, cipher: *cipherName,
+		flightPath: *flightPath, metricsPath: *metricsPath, tokensPath: *tokensPath}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	on := map[string]bool{"repro": *repro != "", "concurrent": *concurrent, "crash": *crash,
+		"crash-break": *crashBreak, "cluster": *clusterMode, "cluster-break": *clusterBreak}
+	modeFlag := ""
+	for _, m := range modeFlags {
+		switch {
+		case !on[m.flag]:
+		case modeFlag == "":
+			c.mode, modeFlag = m.mode, m.flag
+		case m.mode != c.mode:
+			return c, fmt.Errorf("-%s and -%s are mutually exclusive", modeFlag, m.flag)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(set)) {
+		modes, scoped := scope[name]
+		switch {
+		case c.mode == "repro" && name != "repro" && name != "cipher":
+			return c, fmt.Errorf("-%s cannot be combined with -repro", name)
+		case !scoped || slices.Contains(modes, c.mode):
+		case modeFlag != "":
+			return c, fmt.Errorf("-%s cannot be combined with -%s", name, modeFlag)
+		default:
+			return c, fmt.Errorf("-%s applies only with -%s", name, strings.Join(modes, ", -"))
+		}
+	}
+	if c.mode == "repro" {
+		return c, nil
 	}
 
-	fmt.Printf("campaign %q: %d programs, %d ops, %d injected faults, %d engine DUEs\n",
-		spec.Name, report.Programs, report.Ops, report.Faults, report.EngineDUEs)
+	if c.flightPath != "" {
+		// One shared ring across the campaign: divergences annotate it
+		// and the newest window of activity around the failure is what
+		// gets dumped.
+		c.ring = flight.NewRing(4096)
+	}
+	spec := check.DefaultCampaign(*seeds, *seedStart)
+	switch c.mode {
+	case "classic":
+		c.kind = check.ClassicKind()
+		if *campaignFile != "" {
+			var err error
+			if spec, err = check.LoadCampaign(*campaignFile); err != nil {
+				return c, err
+			}
+			if set["seeds"] {
+				spec.Seeds = *seeds
+			}
+			if set["seed-start"] {
+				spec.SeedStart = *seedStart
+			}
+		}
+	case "concurrent":
+		c.kind = check.ConcurrentKind(check.ConcurrentConfig{AdaptiveWatermark: *adaptive, Flight: c.ring})
+	case "crash":
+		c.kind = check.CrashKind(*crashBreak, c.ring)
+		spec.ExpectDivergence = *crashBreak
+	case "cluster":
+		if *nodes < 2 {
+			return c, fmt.Errorf("-nodes must be at least 2: the chaos campaign kills a node (got %d)", *nodes)
+		}
+		c.kind = check.ClusterKind(check.ClusterConfig{Nodes: *nodes, Chaos: true, BreakRecovery: *clusterBreak, Flight: c.ring})
+		spec.ExpectDivergence = *clusterBreak
+	}
+	if c.mode != "classic" {
+		spec.Name = c.kind.Name
+	}
+	if set["ops"] {
+		spec.Ops = *ops
+	}
+	if set["blocks"] {
+		spec.Blocks = uint32(*blocks)
+	}
+	if set["fault-rate"] {
+		spec.FaultRate = *faultRate
+	}
+	c.spec = spec
+	return c, spec.Validate()
+}
+
+// run executes the campaign, prints its summary, failures and verdict
+// to w, writes the tokens, metrics and flight artifacts, and returns
+// the exit code: 0 when the campaign met its expectation.
+func (c config) run(w io.Writer) int {
+	pool := figures.NewRunner(true)
+	pool.Workers = c.jobs
+	reg := obs.NewRegistry()
+	report, err := check.RunCampaign(c.spec, c.kind, pool, reg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "clcheck: %s: %v\n", c.mode, err)
+		return 1
+	}
+
+	fmt.Fprintf(w, "campaign %q: %d programs, %d ops", c.spec.Name, report.Programs, report.Ops)
+	if s := counts(c.kind, report.Counts); s != "" {
+		fmt.Fprintf(w, ", %s", s)
+	}
+	fmt.Fprintln(w)
 	var tokens []string
 	for _, f := range report.Failures {
-		fmt.Printf("seed %d: DIVERGED at op %d [%s]: %s\n", f.Seed, f.Div.OpIndex, f.Div.Kind, f.Div.Detail)
+		fmt.Fprintf(w, "seed %d [%s]: DIVERGED at op %d [%s]: %s\n", f.Seed, f.Variant, f.Div.OpIndex, f.Div.Kind, f.Div.Detail)
 		if f.Token != "" {
 			state := "UNVERIFIED"
 			if f.Verified {
 				state = "verified"
 			}
-			fmt.Printf("  minimized repro (%s): clcheck -repro %s\n", state, f.Token)
+			fmt.Fprintf(w, "  minimized repro (%s): clcheck -repro %s\n", state, f.Token)
 			tokens = append(tokens, f.Token)
 		}
 	}
-	if *tokensFile != "" && len(tokens) > 0 {
-		if err := os.WriteFile(*tokensFile, []byte(strings.Join(tokens, "\n")+"\n"), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "clcheck: tokens: %v\n", err)
-			os.Exit(1)
-		}
+
+	var errs []error
+	if c.tokensPath != "" && len(tokens) > 0 {
+		errs = append(errs, os.WriteFile(c.tokensPath, []byte(strings.Join(tokens, "\n")+"\n"), 0o644))
 	}
-	if *metricsFile != "" {
-		writeMetrics(*metricsFile, reg)
+	if c.metricsPath != "" {
+		errs = append(errs, writeMetrics(c.metricsPath, reg))
+	}
+	if c.ring != nil && len(report.Failures) > 0 {
+		err := c.ring.DumpFile(c.flightPath)
+		if err == nil {
+			fmt.Fprintf(w, "wrote flight dump (%d events, %d evicted) to %s\n", c.ring.Recorded(), c.ring.Evicted(), c.flightPath)
+		}
+		errs = append(errs, err)
 	}
 
 	exit := 0
-	if !report.OK() {
-		if spec.ExpectDivergence {
-			fmt.Println("FAIL: campaign expected a verified minimized divergence and produced none — the harness has no teeth")
-		} else {
-			fmt.Printf("FAIL: %d diverging seed(s)\n", len(report.Failures))
-		}
+	verdict := verdicts[c.mode]
+	switch {
+	case report.OK() && c.spec.ExpectDivergence:
+		fmt.Fprintf(w, "ok: "+verdict[1]+"\n", len(report.Failures))
+	case report.OK():
+		fmt.Fprintf(w, "ok: %s\n", verdict[0])
+	case c.spec.ExpectDivergence:
+		fmt.Fprintln(w, "FAIL: the campaign's armed bug produced no verified divergence — the harness has no teeth")
 		exit = 1
-	} else if spec.ExpectDivergence {
-		fmt.Println("ok: known-bad campaign diverged, minimized, and verified as expected")
-	} else {
-		fmt.Println("ok: zero divergences")
+	default:
+		fmt.Fprintf(w, "FAIL: %d diverging run(s)\n", len(report.Failures))
+		exit = 1
 	}
-
-	if *schemes {
-		if code := schemeSweep(*seeds, *seedStart, pool); code != 0 {
-			exit = code
+	for _, err := range errs {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "clcheck: %v\n", err)
+			exit = 1
 		}
 	}
-	os.Exit(exit)
+	if c.schemes && schemeSweep(c.spec.Seeds, c.spec.SeedStart, pool, w) != 0 {
+		exit = 1
+	}
+	return exit
 }
 
-// concurrentCampaign runs the concurrent differential mode over the
-// seed range: every program races through a sharded mcpool with
-// multiple submitter goroutines, and each shard's applied-op journal
-// is replayed serially with the oracle in lockstep. Exit 1 on any
-// divergence.
-func concurrentCampaign(seeds int, seedStart int64, jobs int, metricsFile string, adaptive bool, flightPath string) int {
-	pool := figures.NewRunner(true)
-	pool.Workers = jobs
-	reg := obs.NewRegistry()
-	ccfg := check.ConcurrentConfig{AdaptiveWatermark: adaptive}
-	var rec *flight.Ring
-	if flightPath != "" {
-		// One shared ring across the campaign: divergences annotate it
-		// (KindDivergence carries the op index) and the newest window
-		// of pool activity around the failure is what gets dumped.
-		rec = flight.NewRing(4096)
-		ccfg.Flight = rec
+// counts renders a kind's counters as "N desc, N desc".
+func counts(k check.Kind, m map[string]uint64) string {
+	parts := make([]string, len(k.Counters))
+	for i, c := range k.Counters {
+		parts[i] = fmt.Sprintf("%d %s", m[c.Name], c.Desc)
 	}
-	report, err := check.RunConcurrentCampaign(seeds, seedStart, ccfg, pool, reg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clcheck: concurrent: %v\n", err)
-		return 1
-	}
-	fmt.Printf("concurrent campaign: %d programs, %d ops through the sharded pool\n",
-		report.Programs, report.Ops)
-	for _, f := range report.Failures {
-		fmt.Printf("seed %d: DIVERGED at op %d [%s]: %s\n", f.Seed, f.Div.OpIndex, f.Div.Kind, f.Div.Detail)
-	}
-	if metricsFile != "" {
-		writeMetrics(metricsFile, reg)
-	}
-	if !report.OK() {
-		if rec != nil {
-			if err := rec.DumpFile(flightPath); err != nil {
-				fmt.Fprintf(os.Stderr, "clcheck: flight: %v\n", err)
-			} else {
-				fmt.Printf("wrote flight dump (%d events, %d evicted) to %s\n",
-					rec.Recorded(), rec.Evicted(), flightPath)
-			}
-		}
-		fmt.Printf("FAIL: %d diverging seed(s)\n", len(report.Failures))
-		return 1
-	}
-	fmt.Println("ok: zero divergences between concurrent and serialized execution")
-	return 0
+	return strings.Join(parts, ", ")
 }
 
-// clusterCampaign runs the cluster chaos campaign: every seed's
-// program races through a multi-node cluster (journaled + persisted)
-// while the controller kills and restarts one node mid-traffic, then
-// the oracle stack — transport accounting, per-block order, seq
-// continuity, segment bit-identity, read-back — must come up clean.
-// Exit 1 on any divergence, unless breakRecovery turns the run into a
-// teeth check (exit 0 iff the armed bug WAS caught).
-func clusterCampaign(seeds int, seedStart int64, jobs, nodes int, metricsFile string, breakRecovery bool, flightPath string) int {
-	pool := figures.NewRunner(true)
-	pool.Workers = jobs
-	reg := obs.NewRegistry()
-	ccfg := check.ClusterConfig{Nodes: nodes, Chaos: true, BreakRecovery: breakRecovery}
-	var rec *flight.Ring
-	if flightPath != "" {
-		rec = flight.NewRing(4096)
-		ccfg.Flight = rec
-	}
-	report, err := check.RunClusterCampaign(seeds, seedStart, ccfg, pool, reg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clcheck: cluster: %v\n", err)
-		return 1
-	}
-	fmt.Printf("cluster campaign: %d programs, %d ops over %d nodes — %d acked, %d shed in dark windows, %d kills, %d restarts\n",
-		report.Programs, report.Ops, nodes, report.Acked, report.Rejected, report.Kills, report.Restarts)
-	for _, f := range report.Failures {
-		fmt.Printf("seed %d: DIVERGED at op %d [%s]: %s\n", f.Seed, f.Div.OpIndex, f.Div.Kind, f.Div.Detail)
-	}
-	if metricsFile != "" {
-		writeMetrics(metricsFile, reg)
-	}
-	if !report.OK() && rec != nil {
-		if err := rec.DumpFile(flightPath); err != nil {
-			fmt.Fprintf(os.Stderr, "clcheck: flight: %v\n", err)
-		} else {
-			fmt.Printf("wrote flight dump (%d events, %d evicted) to %s\n",
-				rec.Recorded(), rec.Evicted(), flightPath)
-		}
-	}
-	if breakRecovery {
-		if report.OK() {
-			fmt.Println("FAIL: broken node recovery was armed and the campaign caught nothing — the chaos harness has no teeth")
-			return 1
-		}
-		fmt.Printf("ok: broken node recovery caught on %d run(s)\n", len(report.Failures))
-		return 0
-	}
-	if !report.OK() {
-		fmt.Printf("FAIL: %d diverging seed(s)\n", len(report.Failures))
-		return 1
-	}
-	fmt.Println("ok: every kill/restart replayed bit-identically and no acknowledged write was lost")
-	return 0
-}
-
-// crashCampaign runs the crash-injection verification campaign: every
-// seed's program runs through the NVM persistence engine per variant,
-// a seed-derived crash point cuts power, recovery rebuilds the engine,
-// and the recovered state is diffed against a never-crashed oracle of
-// the durable prefix. Exit 1 on any divergence — unless breakRecovery
-// is set, in which case the campaign is a teeth check and exits 0 only
-// if the deliberately broken recovery WAS caught.
-func crashCampaign(seeds int, seedStart int64, jobs int, metricsFile string, breakRecovery bool, flightPath, tokensFile string) int {
-	pool := figures.NewRunner(true)
-	pool.Workers = jobs
-	reg := obs.NewRegistry()
-	ccfg := check.CrashCampaignConfig{BreakRecovery: breakRecovery}
-	var rec *flight.Ring
-	if flightPath != "" {
-		rec = flight.NewRing(4096)
-		ccfg.Flight = rec
-	}
-	report, err := check.RunCrashCampaign(seeds, seedStart, ccfg, pool, reg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clcheck: crash: %v\n", err)
-		return 1
-	}
-	fmt.Printf("crash campaign: %d programs, %d ops, %d crashes fired, %d journal entries replayed\n",
-		report.Programs, report.Ops, report.Crashes, report.Replayed)
-	var tokens []string
-	for _, f := range report.Failures {
-		fmt.Printf("seed %d [%s]: DIVERGED after recovery [%s]: %s\n", f.Seed, f.Variant, f.Div.Kind, f.Div.Detail)
-		if f.Token != "" {
-			fmt.Printf("  minimized repro: clcheck -repro %s\n", f.Token)
-			tokens = append(tokens, f.Token)
-		}
-	}
-	if tokensFile != "" && len(tokens) > 0 {
-		if err := os.WriteFile(tokensFile, []byte(strings.Join(tokens, "\n")+"\n"), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "clcheck: tokens: %v\n", err)
-			return 1
-		}
-	}
-	if metricsFile != "" {
-		writeMetrics(metricsFile, reg)
-	}
-	if !report.OK() && rec != nil {
-		if err := rec.DumpFile(flightPath); err != nil {
-			fmt.Fprintf(os.Stderr, "clcheck: flight: %v\n", err)
-		} else {
-			fmt.Printf("wrote flight dump (%d events, %d evicted) to %s\n",
-				rec.Recorded(), rec.Evicted(), flightPath)
-		}
-	}
-	if breakRecovery {
-		if report.OK() {
-			fmt.Println("FAIL: broken recovery was armed and the campaign caught nothing — the crash harness has no teeth")
-			return 1
-		}
-		fmt.Printf("ok: broken recovery caught on %d run(s) and minimized to replayable tokens\n", len(report.Failures))
-		return 0
-	}
-	if !report.OK() {
-		fmt.Printf("FAIL: %d diverging run(s)\n", len(report.Failures))
-		return 1
-	}
-	fmt.Println("ok: every recovery was bit-identical to the never-crashed oracle")
-	return 0
-}
-
-// replayToken parses and replays one repro token, reporting whether the
-// recorded divergence still reproduces. Exit 1 on divergence (the
-// failure is live), 0 when the program runs clean (fixed). Crash
-// tokens replay through the NVM crash/recover/diff pipeline.
-func replayToken(token string) int {
+// replayToken parses and replays one repro token through check.Recheck
+// (the predicate campaigns shrink and verify against), reporting
+// whether the recorded divergence still reproduces. Exit 1 on
+// divergence (the failure is live), 0 when the program runs clean
+// (fixed), 2 on a bad token.
+func replayToken(token string, w io.Writer) int {
 	r, err := check.ParseToken(token)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "clcheck: bad token: %v\n", err)
 		return 2
 	}
-	if r.Crash {
-		fmt.Printf("replaying crash repro: variant %s, eccOff %v, %d ops, %d blocks, crash step %d, break-recovery %v\n",
-			r.Variant, r.ECCOff, len(r.Program.Ops), r.Program.Blocks, r.CrashStep, r.BreakRecovery)
-		res, err := check.CrashReplay(r, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clcheck: %v\n", err)
-			return 2
-		}
-		if res.Div != nil {
-			fmt.Printf("DIVERGED after recovery (crashed=%v, %d/%d ops applied, %d entries replayed) [%s]: %s\n",
-				res.Crashed, res.Applied, res.Ops, res.Report.Replayed, res.Div.Kind, res.Div.Detail)
-			return 1
-		}
-		fmt.Printf("clean: crashed=%v at step %d, %d/%d ops applied, recovery replayed %d entries — recovery is exact\n",
-			res.Crashed, r.CrashStep, res.Applied, res.Ops, res.Report.Replayed)
-		return 0
-	}
-	fmt.Printf("replaying: variant %s, eccOff %v, seed %d, %d ops, %d blocks\n",
+	kind := check.ClassicKind()
+	fmt.Fprintf(w, "replaying: variant %s, eccOff %v, seed %d, %d ops, %d blocks",
 		r.Variant, r.ECCOff, r.Program.Seed, len(r.Program.Ops), r.Program.Blocks)
-	rr, err := check.Replay(r)
+	if r.Crash {
+		kind = check.CrashKind(r.BreakRecovery, nil)
+		fmt.Fprintf(w, ", crash step %d, break-recovery %v", r.CrashStep, r.BreakRecovery)
+	}
+	fmt.Fprintln(w)
+	out, err := check.Recheck(r)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "clcheck: %v\n", err)
 		return 2
 	}
-	if rr.Div != nil {
-		fmt.Printf("DIVERGED at op %d [%s]: %s\n", rr.Div.OpIndex, rr.Div.Kind, rr.Div.Detail)
+	if out.Div != nil {
+		fmt.Fprintf(w, "DIVERGED at op %d [%s]: %s\n", out.Div.OpIndex, out.Div.Kind, out.Div.Detail)
 		return 1
 	}
-	fmt.Printf("clean: %d writes, %d reads, %d corrected, %d DUEs — divergence no longer reproduces\n",
-		rr.Stats.Writes, rr.Stats.Reads, rr.Stats.Corrections, rr.Stats.DUEs)
+	fmt.Fprintf(w, "clean: %s — divergence no longer reproduces\n", counts(kind, out.Counts))
 	return 0
 }
 
 // schemeSweep runs the timing-scheme invariant checks over the same
 // seed range and reports issues; returns 1 if any were found.
-func schemeSweep(n int, start int64, pool *figures.Runner) int {
+func schemeSweep(n int, start int64, pool *figures.Runner, w io.Writer) int {
 	seeds := make([]int64, n)
 	for i := range seeds {
 		seeds[i] = start + int64(i)
@@ -372,27 +325,25 @@ func schemeSweep(n int, start int64, pool *figures.Runner) int {
 		return 1
 	}
 	if len(issues) == 0 {
-		fmt.Printf("ok: scheme sweep clean over %d seed(s)\n", n)
+		fmt.Fprintf(w, "ok: scheme sweep clean over %d seed(s)\n", n)
 		return 0
 	}
 	for _, iss := range issues {
-		fmt.Printf("scheme %s seed %d: %s\n", iss.Scheme, iss.Seed, iss.Detail)
+		fmt.Fprintf(w, "scheme %s seed %d: %s\n", iss.Scheme, iss.Seed, iss.Detail)
 	}
 	return 1
 }
 
 // writeMetrics writes one Prometheus exposition of the campaign
 // counters.
-func writeMetrics(path string, reg *obs.Registry) {
+func writeMetrics(path string, reg *obs.Registry) error {
 	f, err := os.Create(path)
-	if err == nil {
-		err = reg.Snapshot().WritePrometheus(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clcheck: metrics: %v\n", err)
-		os.Exit(1)
+		return err
 	}
+	err = reg.Snapshot().WritePrometheus(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

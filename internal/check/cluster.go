@@ -3,16 +3,13 @@ package check
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"counterlight/internal/cipher"
 	"counterlight/internal/cluster"
-	"counterlight/internal/figures"
 	"counterlight/internal/mcpool"
-	"counterlight/internal/obs"
 	"counterlight/internal/obs/flight"
 )
 
@@ -339,70 +336,27 @@ func clusterHistoryCheck(cl *cluster.Cluster, ccfg ClusterConfig, prog Program, 
 	return nil
 }
 
-// ClusterFailure is one diverging seed of a cluster campaign.
-type ClusterFailure struct {
-	Seed int64
-	Div  Divergence
-}
-
-// ClusterReport aggregates one cluster chaos campaign.
-type ClusterReport struct {
-	Programs int
-	Ops      int
-	Acked    int
-	Rejected int
-	Kills    int
-	Restarts int
-	Failures []ClusterFailure
-}
-
-// OK reports whether the campaign found no divergences.
-func (r ClusterReport) OK() bool { return len(r.Failures) == 0 }
-
-// RunClusterCampaign generates seeds programs and runs each through
-// ClusterReplay, fanning seeds over the Runner's worker pool.
-// Statistics land in reg under check_cluster_* names; pass nil to
-// skip metrics.
-func RunClusterCampaign(seeds int, seedStart int64, ccfg ClusterConfig, pool *figures.Runner, reg *obs.Registry) (ClusterReport, error) {
-	cfg := ConcurrentGenConfig()
-	report := ClusterReport{}
-	var mu sync.Mutex
-	tasks := make([]func() error, seeds)
-	for i := 0; i < seeds; i++ {
-		seed := seedStart + int64(i)
-		tasks[i] = func() error {
-			prog := Generate(seed, cfg)
-			res, err := ClusterReplay(prog, ccfg)
-			if err != nil {
-				return err
+// ClusterKind is the cluster chaos campaign: every program races
+// through a multi-node cluster shaped by ccfg, whose Variant is the
+// default variant list. Like the concurrent kind, its failures depend
+// on a goroutine schedule and carry their seed only.
+func ClusterKind(ccfg ClusterConfig) Kind {
+	return Kind{
+		Name: "cluster",
+		Counters: []Counter{{"acked", "acked"}, {"rejected", "shed in dark windows"},
+			{"kills", "kills"}, {"restarts", "restarts"}},
+		Gen:      ConcurrentGenConfig(),
+		Variants: []string{ccfg.withDefaults().Variant},
+		Run: func(seed int64, variant string, gen GenConfig, eccOff bool) (Outcome, error) {
+			if eccOff {
+				return Outcome{}, errors.New("check: cluster campaigns run with correction on")
 			}
-			mu.Lock()
-			report.Programs++
-			report.Ops += res.Ops
-			report.Acked += res.Acked
-			report.Rejected += res.Rejected
-			report.Kills += res.Kills
-			report.Restarts += res.Restarts
-			if res.Div != nil {
-				report.Failures = append(report.Failures, ClusterFailure{Seed: seed, Div: *res.Div})
-			}
-			mu.Unlock()
-			return nil
-		}
+			cfg := ccfg
+			cfg.Variant = variant
+			res, err := ClusterReplay(Generate(seed, gen), cfg)
+			return Outcome{Ops: res.Ops, Div: res.Div, Counts: map[string]uint64{
+				"acked": uint64(res.Acked), "rejected": uint64(res.Rejected),
+				"kills": uint64(res.Kills), "restarts": uint64(res.Restarts)}}, err
+		},
 	}
-	if err := pool.Do(tasks...); err != nil {
-		return report, err
-	}
-	sort.Slice(report.Failures, func(i, j int) bool { return report.Failures[i].Seed < report.Failures[j].Seed })
-	if reg != nil {
-		labels := []obs.Label{{Key: "campaign", Value: "cluster"}}
-		reg.Counter("check_cluster_programs_total", labels...).Add(uint64(report.Programs))
-		reg.Counter("check_cluster_ops_total", labels...).Add(uint64(report.Ops))
-		reg.Counter("check_cluster_acked_total", labels...).Add(uint64(report.Acked))
-		reg.Counter("check_cluster_rejected_total", labels...).Add(uint64(report.Rejected))
-		reg.Counter("check_cluster_kills_total", labels...).Add(uint64(report.Kills))
-		reg.Counter("check_cluster_restarts_total", labels...).Add(uint64(report.Restarts))
-		reg.Counter("check_cluster_divergences_total", labels...).Add(uint64(len(report.Failures)))
-	}
-	return report, nil
 }

@@ -82,7 +82,7 @@ func TestRunClusterCampaign(t *testing.T) {
 	runner := figures.NewRunner(true)
 	runner.Workers = 2
 	reg := obs.NewRegistry()
-	report, err := RunClusterCampaign(4, 100, ClusterConfig{Chaos: true}, runner, reg)
+	report, err := RunCampaign(CampaignSpec{Seeds: 4, SeedStart: 100}, ClusterKind(ClusterConfig{Chaos: true}), runner, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunClusterCampaign(t *testing.T) {
 			t.Errorf("seed %d: %s", f.Seed, &f.Div)
 		}
 	}
-	if report.Programs != 4 || report.Kills != 4 || report.Restarts != 4 {
+	if report.Programs != 4 || report.Counts["kills"] != 4 || report.Counts["restarts"] != 4 {
 		t.Fatalf("report %+v", report)
 	}
 	labels := []obs.Label{{Key: "campaign", Value: "cluster"}}

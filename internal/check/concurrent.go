@@ -2,15 +2,12 @@ package check
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"counterlight/internal/core"
 	"counterlight/internal/epoch"
 	"counterlight/internal/fault"
-	"counterlight/internal/figures"
 	"counterlight/internal/mcpool"
-	"counterlight/internal/obs"
 	"counterlight/internal/obs/flight"
 )
 
@@ -329,58 +326,21 @@ func ConcurrentReplay(prog Program, ccfg ConcurrentConfig) (ConcurrentResult, er
 	return res, nil
 }
 
-// ConcurrentFailure is one diverging seed of a concurrent campaign.
-type ConcurrentFailure struct {
-	Seed int64
-	Div  Divergence
-}
-
-// ConcurrentReport aggregates one concurrent campaign.
-type ConcurrentReport struct {
-	Programs int
-	Ops      int
-	Failures []ConcurrentFailure
-}
-
-// OK reports whether the campaign found no divergences.
-func (r ConcurrentReport) OK() bool { return len(r.Failures) == 0 }
-
-// RunConcurrentCampaign generates seeds programs and runs each
-// through ConcurrentReplay, fanning seeds over the Runner's worker
-// pool. Statistics land in reg under check_concurrent_* names; pass
-// nil to skip metrics.
-func RunConcurrentCampaign(seeds int, seedStart int64, ccfg ConcurrentConfig, pool *figures.Runner, reg *obs.Registry) (ConcurrentReport, error) {
-	cfg := ConcurrentGenConfig()
-	report := ConcurrentReport{}
-	var mu sync.Mutex
-	tasks := make([]func() error, seeds)
-	for i := 0; i < seeds; i++ {
-		seed := seedStart + int64(i)
-		tasks[i] = func() error {
-			prog := Generate(seed, cfg)
-			res, err := ConcurrentReplay(prog, ccfg)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			report.Programs++
-			report.Ops += res.Ops
-			if res.Div != nil {
-				report.Failures = append(report.Failures, ConcurrentFailure{Seed: seed, Div: *res.Div})
-			}
-			mu.Unlock()
-			return nil
-		}
+// ConcurrentKind is the concurrent differential campaign: every
+// program races through a sharded pool shaped by ccfg, whose Variant
+// is the default variant list. A divergence depends on the goroutine
+// schedule, which no program token can replay, so failures carry
+// their seed only.
+func ConcurrentKind(ccfg ConcurrentConfig) Kind {
+	return Kind{
+		Name:     "concurrent",
+		Gen:      ConcurrentGenConfig(),
+		Variants: []string{ccfg.withDefaults().Variant},
+		Run: func(seed int64, variant string, gen GenConfig, eccOff bool) (Outcome, error) {
+			cfg := ccfg
+			cfg.Variant, cfg.ECCOff = variant, cfg.ECCOff || eccOff
+			res, err := ConcurrentReplay(Generate(seed, gen), cfg)
+			return Outcome{Ops: res.Ops, Div: res.Div}, err
+		},
 	}
-	if err := pool.Do(tasks...); err != nil {
-		return report, err
-	}
-	sort.Slice(report.Failures, func(i, j int) bool { return report.Failures[i].Seed < report.Failures[j].Seed })
-	if reg != nil {
-		labels := []obs.Label{{Key: "campaign", Value: "concurrent"}}
-		reg.Counter("check_concurrent_programs_total", labels...).Add(uint64(report.Programs))
-		reg.Counter("check_concurrent_ops_total", labels...).Add(uint64(report.Ops))
-		reg.Counter("check_concurrent_divergences_total", labels...).Add(uint64(len(report.Failures)))
-	}
-	return report, nil
 }

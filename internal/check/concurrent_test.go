@@ -22,20 +22,19 @@ func TestConcurrentDifferentialCampaign(t *testing.T) {
 	}
 	runner := figures.NewRunner(true)
 	runner.Workers = runtime.GOMAXPROCS(0)
-	for _, variant := range []string{"aes128", "multi-vm"} {
-		report, err := RunConcurrentCampaign(seeds, 1, ConcurrentConfig{Variant: variant}, runner, nil)
-		if err != nil {
-			t.Fatalf("variant %s: %v", variant, err)
-		}
-		if report.Programs != seeds {
-			t.Fatalf("variant %s: ran %d/%d programs", variant, report.Programs, seeds)
-		}
-		for _, f := range report.Failures {
-			t.Errorf("variant %s seed %d: %s", variant, f.Seed, f.Div.String())
-		}
-		if !report.OK() {
-			t.Fatalf("variant %s: %d/%d seeds diverged", variant, len(report.Failures), seeds)
-		}
+	spec := CampaignSpec{Seeds: seeds, SeedStart: 1, Variants: []string{"aes128", "multi-vm"}}
+	report, err := RunCampaign(spec, ConcurrentKind(ConcurrentConfig{}), runner, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Programs != 2*seeds {
+		t.Fatalf("ran %d/%d programs", report.Programs, 2*seeds)
+	}
+	for _, f := range report.Failures {
+		t.Errorf("variant %s seed %d: %s", f.Variant, f.Seed, f.Div.String())
+	}
+	if !report.OK() {
+		t.Fatalf("%d/%d runs diverged", len(report.Failures), 2*seeds)
 	}
 }
 

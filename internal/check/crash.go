@@ -20,15 +20,11 @@ package check
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"counterlight/internal/core"
 	"counterlight/internal/ecc"
 	"counterlight/internal/fault"
-	"counterlight/internal/figures"
 	"counterlight/internal/nvm"
-	"counterlight/internal/obs"
 	"counterlight/internal/obs/flight"
 )
 
@@ -256,194 +252,40 @@ func GenerateCrashRepro(seed int64, variant string, cfg GenConfig) (Repro, error
 	return r, nil
 }
 
-// ShrinkCrash minimizes a diverging crash repro: ddmin over the op
-// sequence, crash-step halving toward the earliest still-failing
-// step, then payload/pattern canonicalization. Any divergence counts
-// as a failure, so a shrink that surfaces a simpler crash bug wins.
-func ShrinkCrash(r Repro) Repro {
-	fails := func(cand Repro) bool {
-		res, err := CrashReplay(cand, nil)
-		return err == nil && res.Div != nil
-	}
-	if !fails(r) {
-		return r
-	}
-	p := cloneProgram(r.Program)
-	with := func(prog Program) Repro {
-		out := r
-		out.Program = prog
-		return out
-	}
-
-	// ddmin: remove op chunks, halving the chunk size on a pass with
-	// no progress. Removing ops shifts where the fixed crash step
-	// lands; the failure class may change, and that is fine.
-	for chunk := max(1, len(p.Ops)/2); chunk >= 1; {
-		removed := false
-		for start := 0; start < len(p.Ops); {
-			end := start + chunk
-			if end > len(p.Ops) {
-				end = len(p.Ops)
+// CrashKind is the crash-injection campaign: every (seed, variant)
+// program runs on the NVM persistence engine with a seed-derived crash
+// step, and recovery is diffed against a never-crashed oracle.
+// breakRecovery arms the intentional recovery bug on every run (the
+// campaign's teeth check); fl, when non-nil, receives crash, recovery
+// and divergence events. Failures shrink to crash tokens.
+func CrashKind(breakRecovery bool, fl *flight.Ring) Kind {
+	return Kind{
+		Name:     "crash",
+		Counters: []Counter{{"crashes", "crashes fired"}, {"replayed", "journal entries replayed"}},
+		Gen:      CrashGenConfig(),
+		// The base matrix plus the saturation-heavy variant whose
+		// permanent-counterless transitions are the hardest metadata
+		// to recover.
+		Variants: []string{"aes128", "ctr-sat"},
+		Run: func(seed int64, variant string, gen GenConfig, eccOff bool) (Outcome, error) {
+			r, err := GenerateCrashRepro(seed, variant, gen)
+			if err != nil {
+				return Outcome{}, err
 			}
-			cand := p
-			cand.Ops = append(append([]Op(nil), p.Ops[:start]...), p.Ops[end:]...)
-			if len(cand.Ops) > 0 && fails(with(cand)) {
-				p = cand
-				removed = true
-			} else {
-				start = end
-			}
-		}
-		if !removed {
-			if chunk == 1 {
-				break
-			}
-			chunk /= 2
-		}
-		if chunk > len(p.Ops) && len(p.Ops) > 0 {
-			chunk = len(p.Ops)
-		}
+			r.ECCOff, r.BreakRecovery = eccOff, breakRecovery
+			return replayCrash(r, fl)
+		},
+		Shrink: Shrink,
 	}
-
-	// Pull the crash earlier by halving: a smaller durable prefix is a
-	// smaller failure explanation.
-	for r.Crash && r.CrashStep > 1 {
-		cand := with(p)
-		cand.CrashStep = r.CrashStep / 2
-		if !fails(cand) {
-			break
-		}
-		r.CrashStep = cand.CrashStep
-	}
-
-	// Canonicalize payloads and fault patterns, as in Shrink.
-	for i := range p.Ops {
-		op := p.Ops[i]
-		switch op.Kind {
-		case OpWrite:
-			if op.Pay != PayZero || op.PaySeed != 0 {
-				cand := cloneProgram(p)
-				cand.Ops[i].Pay = PayZero
-				cand.Ops[i].PaySeed = 0
-				if fails(with(cand)) {
-					p = cand
-				}
-			}
-		case OpFault:
-			if op.Stuck || op.Pattern != 1 {
-				cand := cloneProgram(p)
-				cand.Ops[i].Stuck = false
-				cand.Ops[i].Pattern = 1
-				if fails(with(cand)) {
-					p = cand
-				}
-			}
-		}
-	}
-	return with(p)
 }
 
-// CrashCampaignConfig shapes a crash-injection campaign.
-type CrashCampaignConfig struct {
-	// Variants to run each seed on; default {"aes128", "ctr-sat"} —
-	// the base matrix plus the saturation-heavy variant whose
-	// permanent-counterless transitions are the hardest metadata to
-	// recover.
-	Variants []string
-	// Gen shapes program generation; the zero value means
-	// CrashGenConfig() (the defaults plus explicit flushes).
-	Gen GenConfig
-	// BreakRecovery arms the intentional recovery bug on every run —
-	// the campaign's own teeth-check.
-	BreakRecovery bool
-	// Flight, when non-nil, receives crash/recovery/divergence events.
-	Flight *flight.Ring
-}
-
-// CrashFailure is one diverging seed of a crash campaign.
-type CrashFailure struct {
-	Seed    int64
-	Variant string
-	Div     Divergence
-	Token   string // shrunk repro token, replayable with clcheck -repro
-}
-
-// CrashReport aggregates one crash campaign.
-type CrashReport struct {
-	Programs int
-	Ops      int
-	Crashes  int // runs whose crash point actually fired
-	Replayed int // journal entries replayed across all recoveries
-	Failures []CrashFailure
-}
-
-// OK reports whether the campaign found no divergences.
-func (r CrashReport) OK() bool { return len(r.Failures) == 0 }
-
-// RunCrashCampaign generates seeds crash repros per variant and runs
-// each through CrashReplay, fanning work over the Runner's pool.
-// Failures are shrunk to tokens. Statistics land in reg under
-// check_crash_* names; pass nil to skip metrics.
-func RunCrashCampaign(seeds int, seedStart int64, ccfg CrashCampaignConfig, pool *figures.Runner, reg *obs.Registry) (CrashReport, error) {
-	if len(ccfg.Variants) == 0 {
-		ccfg.Variants = []string{"aes128", "ctr-sat"}
+// replayCrash is CrashReplay as a campaign Outcome.
+func replayCrash(r Repro, fl *flight.Ring) (Outcome, error) {
+	res, err := CrashReplay(r, fl)
+	var crashed uint64
+	if res.Crashed {
+		crashed = 1
 	}
-	gen := ccfg.Gen
-	if gen.Ops == 0 {
-		gen = CrashGenConfig()
-	}
-	report := CrashReport{}
-	var mu sync.Mutex
-	var tasks []func() error
-	for i := 0; i < seeds; i++ {
-		seed := seedStart + int64(i)
-		for _, variant := range ccfg.Variants {
-			tasks = append(tasks, func() error {
-				r, err := GenerateCrashRepro(seed, variant, gen)
-				if err != nil {
-					return err
-				}
-				r.BreakRecovery = ccfg.BreakRecovery
-				res, err := CrashReplay(r, ccfg.Flight)
-				if err != nil {
-					return err
-				}
-				var fail *CrashFailure
-				if res.Div != nil {
-					shrunk := ShrinkCrash(r)
-					fail = &CrashFailure{Seed: seed, Variant: variant, Div: *res.Div, Token: shrunk.Token()}
-				}
-				mu.Lock()
-				report.Programs++
-				report.Ops += res.Ops
-				if res.Crashed {
-					report.Crashes++
-				}
-				report.Replayed += res.Report.Replayed
-				if fail != nil {
-					report.Failures = append(report.Failures, *fail)
-				}
-				mu.Unlock()
-				return nil
-			})
-		}
-	}
-	if err := pool.Do(tasks...); err != nil {
-		return report, err
-	}
-	sort.Slice(report.Failures, func(i, j int) bool {
-		if report.Failures[i].Seed != report.Failures[j].Seed {
-			return report.Failures[i].Seed < report.Failures[j].Seed
-		}
-		return report.Failures[i].Variant < report.Failures[j].Variant
-	})
-	if reg != nil {
-		labels := []obs.Label{{Key: "campaign", Value: "crash"}}
-		reg.Counter("check_crash_programs_total", labels...).Add(uint64(report.Programs))
-		reg.Counter("check_crash_ops_total", labels...).Add(uint64(report.Ops))
-		reg.Counter("check_crash_crashes_total", labels...).Add(uint64(report.Crashes))
-		reg.Counter("check_crash_replayed_total", labels...).Add(uint64(report.Replayed))
-		reg.Counter("check_crash_divergences_total", labels...).Add(uint64(len(report.Failures)))
-	}
-	return report, nil
+	return Outcome{Ops: res.Ops, Div: res.Div, Repro: r,
+		Counts: map[string]uint64{"crashes": crashed, "replayed": uint64(res.Report.Replayed)}}, err
 }

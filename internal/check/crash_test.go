@@ -114,7 +114,7 @@ func TestBreakRecoveryCaught(t *testing.T) {
 	}
 }
 
-// ShrinkCrash must minimize a diverging repro to something that still
+// Shrink must minimize a diverging repro to something that still
 // fails and round-trips through a token.
 func TestShrinkCrashMinimizes(t *testing.T) {
 	r := brokenRepro()
@@ -132,7 +132,7 @@ func TestShrinkCrashMinimizes(t *testing.T) {
 	noisy.Ops = ops
 	r.Program = noisy
 
-	min := ShrinkCrash(r)
+	min := Shrink(r)
 	if len(min.Program.Ops) >= len(noisy.Ops) {
 		t.Errorf("shrink removed nothing: %d ops in, %d out", len(noisy.Ops), len(min.Program.Ops))
 	}
@@ -250,7 +250,9 @@ func TestCrashGenFlushes(t *testing.T) {
 func TestCrashCampaignSeedsPass(t *testing.T) {
 	pool := figures.NewRunner(true)
 	reg := obs.NewRegistry()
-	report, err := RunCrashCampaign(10, 0, CrashCampaignConfig{Gen: smallCrashGen()}, pool, reg)
+	kind := CrashKind(false, nil)
+	kind.Gen = smallCrashGen()
+	report, err := RunCampaign(CampaignSpec{Seeds: 10}, kind, pool, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,26 +262,35 @@ func TestCrashCampaignSeedsPass(t *testing.T) {
 	if report.Programs != 20 { // 10 seeds × 2 default variants
 		t.Errorf("ran %d programs, want 20", report.Programs)
 	}
-	if report.Crashes == 0 {
+	if report.Counts["crashes"] == 0 {
 		t.Error("no crash point fired across the whole campaign")
 	}
-	if report.Replayed == 0 {
+	if report.Counts["replayed"] == 0 {
 		t.Error("no journal entries were replayed across the whole campaign")
 	}
 }
 
 // With BreakRecovery armed the campaign must catch the bug and shrink
-// it to a token that still reproduces — the end-to-end teeth check.
+// it to a token the campaign itself re-parsed and saw still diverge —
+// the end-to-end teeth check.
 func TestCrashCampaignBreakCaught(t *testing.T) {
 	pool := figures.NewRunner(true)
-	report, err := RunCrashCampaign(10, 0, CrashCampaignConfig{Gen: smallCrashGen(), BreakRecovery: true}, pool, nil)
+	kind := CrashKind(true, nil)
+	kind.Gen = smallCrashGen()
+	report, err := RunCampaign(CampaignSpec{Seeds: 10, ExpectDivergence: true}, kind, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.OK() {
+	if len(report.Failures) == 0 {
 		t.Fatal("broken recovery survived a 10-seed campaign — the crash campaign has no teeth")
 	}
+	if !report.OK() {
+		t.Fatal("broken recovery was caught but no failure carries a verified token")
+	}
 	f := report.Failures[0]
+	if !f.Verified {
+		t.Errorf("lowest failure's token was not verified: %s", f.Token)
+	}
 	rt, err := ParseToken(f.Token)
 	if err != nil {
 		t.Fatalf("failure token does not parse: %v", err)

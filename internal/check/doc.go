@@ -34,9 +34,22 @@
 //     shared seeds on a short Table-I window and cross-checks Result
 //     invariants plus bit-exact determinism.
 //
-//   - Shrink (shrink.go) minimizes a failing program with
-//     delta-debugging and emits a replayable repro token
-//     (`clcheck -repro <token>`).
+//   - RunCampaign (campaign.go) is the one campaign runner. A Kind
+//     hook supplies the check for one (seed, variant) and an optional
+//     shrinker: ClassicKind (the oracle harness above),
+//     ConcurrentKind (racing submitters through the sharded pool,
+//     concurrent.go), CrashKind (NVM power failure and recovery,
+//     crash.go) and ClusterKind (multi-node kill/restart chaos,
+//     cluster.go). The runner fans the runs out, aggregates counts
+//     into check_* metrics, sorts failures by (seed, variant), and
+//     evaluates the teeth check, so reports are identical at any -j.
+//
+//   - Shrink (shrink.go) minimizes the lowest failing classic and
+//     crash runs with delta debugging against Recheck, the same
+//     dispatch `clcheck -repro <token>` replays, and every emitted
+//     token is re-parsed and re-checked before it is reported
+//     verified. Concurrent and cluster divergences depend on a
+//     goroutine schedule no token can replay; they report the seed.
 //
 // The expectations are contract-based, not implementation-based: the
 // oracle always expects chipkill to correct single-chip faults, so

@@ -177,7 +177,7 @@ func TestCampaignDefaultClean(t *testing.T) {
 	if testing.Short() {
 		spec.Seeds = 2
 	}
-	report, err := RunCampaign(spec, pool(4), nil)
+	report, err := RunCampaign(spec, ClassicKind(), pool(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCampaignKnownBad(t *testing.T) {
 	if testing.Short() {
 		spec.Seeds = 2
 	}
-	report, err := RunCampaign(spec, pool(4), nil)
+	report, err := RunCampaign(spec, ClassicKind(), pool(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,42 +1,44 @@
 package check
 
 // Shrink minimizes a failing repro to the smallest program that still
-// diverges, using delta debugging over the op sequence followed by
-// payload/pattern canonicalization and address compaction. The result
-// replays the *same class* of failure (any divergence counts — a
-// minimization that surfaces a simpler bug is a win, not a miss); its
-// Token() is what CI prints and `clcheck -repro` replays.
+// diverges under Recheck — the serial harness, or the NVM
+// crash/recover/diff pipeline for crash repros. It truncates after the
+// first divergence, runs delta debugging over the op sequence, pulls a
+// crash repro's crash step earlier, then canonicalizes payloads and
+// fault patterns and compacts the address space. The result replays
+// the *same class* of failure (any divergence counts — a minimization
+// that surfaces a simpler bug is a win, not a miss); its Token() is
+// what CI prints and `clcheck -repro` replays.
 //
 // Shrinking replays the program once per candidate, so it is O(n log n)
-// engine runs on the already-truncated sequence — cheap at campaign
-// program sizes.
+// runs on the already-truncated sequence — cheap at campaign program
+// sizes.
 func Shrink(r Repro) Repro {
-	fails := func(p Program) bool {
-		rr, err := Replay(Repro{Variant: r.Variant, ECCOff: r.ECCOff, Program: p})
-		return err == nil && rr.Div != nil
-	}
-	rr, err := Replay(r)
-	if err != nil || rr.Div == nil {
+	d := diverges(r)
+	if d == nil {
 		return r // not failing (or unknown variant): nothing to shrink
 	}
-
-	// Everything after the first divergence is dead weight.
-	p := r.Program
-	if n := rr.Div.OpIndex + 1; n < len(p.Ops) {
-		p.Ops = append([]Op(nil), p.Ops[:n]...)
-	} else {
-		p.Ops = append([]Op(nil), p.Ops...)
+	with := func(p Program) Repro {
+		out := r
+		out.Program = p
+		return out
 	}
+	fails := func(p Program) bool { return diverges(with(p)) != nil }
+
+	// Everything after the first divergence is dead weight. A crash
+	// repro's divergence index is the op power failed in, so the
+	// truncated run crashes at the same step.
+	p := r.Program
+	p.Ops = append([]Op(nil), p.Ops[:min(d.OpIndex+1, len(p.Ops))]...)
 
 	// ddmin: remove chunks, halving the chunk size on a full pass with
-	// no progress, down to single ops.
+	// no progress, down to single ops. Removing ops shifts where a
+	// fixed crash step lands; the failure class may change, and that
+	// is fine.
 	for chunk := max(1, len(p.Ops)/2); chunk >= 1; {
 		removed := false
 		for start := 0; start < len(p.Ops); {
-			end := start + chunk
-			if end > len(p.Ops) {
-				end = len(p.Ops)
-			}
+			end := min(start+chunk, len(p.Ops))
 			cand := p
 			cand.Ops = append(append([]Op(nil), p.Ops[:start]...), p.Ops[end:]...)
 			if len(cand.Ops) > 0 && fails(cand) {
@@ -56,6 +58,17 @@ func Shrink(r Repro) Repro {
 		if chunk > len(p.Ops) && len(p.Ops) > 0 {
 			chunk = len(p.Ops)
 		}
+	}
+
+	// Pull the crash earlier by halving: a smaller durable prefix is a
+	// smaller failure explanation.
+	for r.Crash && r.CrashStep > 1 {
+		cand := with(p)
+		cand.CrashStep = r.CrashStep / 2
+		if diverges(cand) == nil {
+			break
+		}
+		r.CrashStep = cand.CrashStep
 	}
 
 	// Canonicalize: zero payloads, single-bit fault patterns. Each
@@ -95,15 +108,11 @@ func Shrink(r Repro) Repro {
 		}
 		cand.Ops[i].Block = n
 	}
-	cand.Blocks = uint32(len(remap))
-	if cand.Blocks == 0 {
-		cand.Blocks = 1
-	}
+	cand.Blocks = max(uint32(len(remap)), 1)
 	if fails(cand) {
 		p = cand
 	}
-
-	return Repro{Variant: r.Variant, ECCOff: r.ECCOff, Program: p}
+	return with(p)
 }
 
 func cloneProgram(p Program) Program {
