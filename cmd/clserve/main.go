@@ -212,15 +212,7 @@ func run(rc runConfig) int {
 	}
 	reg := obs.NewRegistry()
 	rec.RegisterMetrics(reg)
-	latency, err := obs.NewHistogram(
-		1_000, 2_000, 5_000, 10_000, 20_000, 50_000, // ns
-		100_000, 200_000, 500_000, 1_000_000, 2_000_000, 5_000_000, 10_000_000,
-	)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clserve: %v\n", err)
-		return 1
-	}
-	reg.RegisterHistogram("clserve_request_latency_ns", latency)
+	latency := reg.Histogram("clserve_request_latency_ns")
 
 	evaluator := prof.NewEvaluator(prof.SLOConfig{
 		SubmitP99Ns:     rc.sloP99.Nanoseconds(),
@@ -358,7 +350,7 @@ func run(rc runConfig) int {
 		agg.Reads, agg.Writes, agg.CounterModeWrites, agg.CounterlessWrites, degradedPct, watermarks)
 	fmt.Printf("  mode-switches=%d batches=%d contention=%d max-queue-depth=%d\n",
 		agg.ModeSwitches, agg.Batches, agg.Contention, agg.MaxQueueDepth)
-	fmt.Printf("  latency p50≤%s p99≤%s\n", quantileEdge(latency, 0.50), quantileEdge(latency, 0.99))
+	fmt.Printf("  latency p50≤%s p99≤%s\n", time.Duration(latency.Quantile(0.50)), time.Duration(latency.Quantile(0.99)))
 	fmt.Printf("  drain: flush barrier fenced %d shards across %d nodes\n", fenced, cl.Nodes())
 	if total.shed > 0 || agg.Kills > 0 {
 		fmt.Printf("  cluster: shed=%d down-submits=%d kills=%d restarts=%d nodes-up=%d\n",
@@ -503,13 +495,14 @@ func attachProfiles(srv *serve.Server, cl *cluster.Cluster) {
 
 // printAttribution renders the merged per-stage latency breakdown: for
 // each pipeline stage (and the end-to-end total), sample count, mean,
-// and conservative upper-edge percentiles across all live shards.
+// and histogram percentiles (at most 1/16 above the true value)
+// across all live shards.
 func printAttribution(cl *cluster.Cluster) {
 	rows := cl.AttributionSummary()
 	if len(rows) == 0 {
 		return
 	}
-	fmt.Println("  attribution (per-op latency by stage, upper-edge percentiles):")
+	fmt.Println("  attribution (per-op latency by stage, histogram percentiles):")
 	fmt.Printf("    %-10s %10s %12s %12s %12s %12s\n", "stage", "count", "mean", "p50≤", "p95≤", "p99≤")
 	for _, row := range rows {
 		fmt.Printf("    %-10s %10d %12s %12s %12s %12s\n",
@@ -669,29 +662,6 @@ func connection(ctx context.Context, cl *cluster.Cluster, latency *obs.Histogram
 			return st, fmt.Errorf("connection %d: %w", cfg.id, resp.Err)
 		}
 	}
-}
-
-// quantileEdge reports the histogram bin upper edge covering quantile
-// q — a conservative "p50 ≤ X" reading, which is all a fixed-bin
-// histogram can honestly claim.
-func quantileEdge(h *obs.Histogram, q float64) time.Duration {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	var cum uint64
-	edges := h.Edges()
-	for i, c := range h.Bins() {
-		cum += c
-		if cum > target {
-			if i < len(edges) {
-				return time.Duration(edges[i])
-			}
-			return time.Duration(edges[len(edges)-1]) // overflow bin
-		}
-	}
-	return time.Duration(edges[len(edges)-1])
 }
 
 // csvSampler appends one cluster queue-depth sample line every 100ms.

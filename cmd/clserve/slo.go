@@ -31,24 +31,13 @@ func newSLOLoop(e *prof.Evaluator, cl *cluster.Cluster) *sloLoop {
 
 func (l *sloLoop) input() prof.SLOInput {
 	agg := l.cl.Aggregate()
-	in := prof.SLOInput{
+	return prof.SLOInput{
 		// The SLO grades the worst node: a cluster is as slow as the
 		// controller your address happens to stripe onto.
 		SubmitP99Ns:    l.cl.SubmitP99(),
 		Writes:         agg.Writes,
 		DegradedWrites: agg.DegradedWrites,
 	}
-	// Drop fraction covers the profilers' contended-sample losses:
-	// measurement integrity is itself an objective.
-	for _, pf := range l.cl.Profilers() {
-		if pf == nil {
-			continue
-		}
-		sw := pf.SubmitWait.Snapshot()
-		in.Recorded += sw.Sampled
-		in.Dropped += sw.Dropped
-	}
-	return in
 }
 
 func (l *sloLoop) start() {

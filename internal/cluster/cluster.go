@@ -604,15 +604,16 @@ func (c *Cluster) Profilers() []*prof.Profiler {
 	return out
 }
 
-// SubmitP99 returns the worst live node's submit→wait p99 estimate in
-// nanoseconds (0 when unprofiled) — the cluster-level SLO input.
+// SubmitP99 returns the worst live node's submit→wait p99 histogram
+// reading in nanoseconds (0 when unprofiled) — the cluster-level SLO
+// input.
 func (c *Cluster) SubmitP99() int64 {
 	var worst int64
 	for _, pf := range c.Profilers() {
 		if pf == nil {
 			continue
 		}
-		if p99 := int64(pf.SubmitWait.Snapshot().P99); p99 > worst {
+		if p99 := pf.SubmitWait.Snapshot().P99; p99 > worst {
 			worst = p99
 		}
 	}

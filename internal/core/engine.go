@@ -130,7 +130,7 @@ type engineMetrics struct {
 	entropyResolved   obs.Counter
 	dues              obs.Counter
 	macFailures       obs.Counter
-	eccTrials         *obs.Histogram // trials per correction-path read
+	eccTrials         obs.Histogram // trials per correction-path read
 }
 
 // EngineStats counts functional-path events.
@@ -229,13 +229,7 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 	if opts.MemoEntries <= 0 {
 		opts.MemoEntries = 128
 	}
-	// Trials per correction: ~10 per hypothesis, 2 hypotheses.
-	eccTrials, err := obs.NewHistogram(10, 15, 20, 25)
-	if err != nil {
-		return nil, err
-	}
 	return &Engine{
-		m:                    engineMetrics{eccTrials: eccTrials},
 		opts:                 opts,
 		cipherName:           backend,
 		cls:                  cls,
@@ -278,9 +272,7 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.RegisterCounter("engine_entropy_resolved_total", &e.m.entropyResolved, labels...)
 	reg.RegisterCounter("engine_dues_total", &e.m.dues, labels...)
 	reg.RegisterCounter("engine_mac_failures_total", &e.m.macFailures, labels...)
-	if e.m.eccTrials != nil {
-		reg.RegisterHistogram("engine_ecc_trials", e.m.eccTrials, labels...)
-	}
+	reg.RegisterHistogram("engine_ecc_trials", &e.m.eccTrials, labels...)
 }
 
 // SetTracer installs (or clears, with nil) the event tracer. Events

@@ -76,20 +76,23 @@ func TestMetricsMatchLegacyStats(t *testing.T) {
 		t.Errorf("epoch_mid_switches_total = %v, EpochHistory switches = %v", got, histSwitches)
 	}
 
-	// Counter-arrival histogram: registry and Result views of the
-	// same bins.
-	hs, ok := snap.Get("sim_counter_late_ps", lbl)
-	if !ok {
-		t.Fatal("sim_counter_late_ps missing from snapshot")
-	}
-	if hs.Value != float64(res.CounterLateHist.Total()) {
-		t.Errorf("histogram total = %v, Result hist total = %d", hs.Value, res.CounterLateHist.Total())
-	}
+	// Counter-arrival bins: the four registry counters and the Result
+	// histogram are views of the same counts.
 	resBins := res.CounterLateHist.Bins()
-	for i := range resBins {
-		if hs.Counts[i] != resBins[i] {
-			t.Errorf("histogram bin %d = %d, Result bin = %d", i, hs.Counts[i], resBins[i])
+	if len(resBins) != len(counterLateBins) {
+		t.Fatalf("Result histogram has %d bins, want %d", len(resBins), len(counterLateBins))
+	}
+	for i, bin := range counterLateBins {
+		se, ok := snap.Get("sim_counter_late_total", lbl, obs.L("bin", bin))
+		if !ok {
+			t.Fatalf("sim_counter_late_total{bin=%q} missing from snapshot", bin)
 		}
+		if se.Value != float64(resBins[i]) {
+			t.Errorf("bin %s = %v, Result bin = %d", bin, se.Value, resBins[i])
+		}
+	}
+	if res.CounterLateHist.Total() == 0 {
+		t.Error("no counter arrivals recorded; workload too small for the parity check")
 	}
 
 	// The exposition paths must accept a real run's registry.
@@ -251,7 +254,8 @@ func TestEpochSampleMetaTraffic(t *testing.T) {
 
 // TestStartWindowResetsCounterHist is the regression test for the
 // warmup-pollution bug: startWindow reset dram/memo/missLat but left
-// s.ctrHist holding warmup samples, skewing the Fig. 8 histogram.
+// the counter-arrival bins holding warmup samples, skewing the Fig. 8
+// histogram.
 func TestStartWindowResetsCounterHist(t *testing.T) {
 	cfg := fastCfg(CounterMode)
 	s := &simulator{cfg: cfg}
@@ -271,21 +275,20 @@ func TestStartWindowResetsCounterHist(t *testing.T) {
 	if s.ctrC, err = cache.New(4096, 64, 4); err != nil {
 		t.Fatal(err)
 	}
-	if s.ctrHist, err = obs.NewHistogram(0, 5*ns, 10*ns); err != nil {
-		t.Fatal(err)
-	}
 
 	// Warmup-phase samples.
-	s.ctrHist.Add(-2 * ns)
-	s.ctrHist.Add(7 * ns)
-	s.ctrHist.Add(20 * ns)
+	for i := range s.ctrLate {
+		s.ctrLate[i].Inc()
+	}
 	s.instr.Add(5)
 	s.mon.Record(0)
 
 	s.startWindow()
 
-	if got := s.ctrHist.Total(); got != 0 {
-		t.Errorf("counter-arrival histogram kept %d warmup samples across startWindow", got)
+	for i, bin := range counterLateBins {
+		if got := s.ctrLate[i].Value(); got != 0 {
+			t.Errorf("counter-arrival bin %s kept %d warmup samples across startWindow", bin, got)
+		}
 	}
 	if got := s.instr.Value(); got != 0 {
 		t.Errorf("instruction counter kept %d across startWindow", got)

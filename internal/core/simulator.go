@@ -133,7 +133,7 @@ type simulator struct {
 	// Window-scoped counters, registered in the observer's registry
 	// (result() and the legacy accessors are views over them).
 	instr     obs.Counter
-	ctrHist   *obs.Histogram
+	ctrLate   [len(counterLateBins)]obs.Counter // Fig. 8 arrival-delta bins
 	llcMiss   obs.Counter
 	llcWB     obs.Counter
 	wbCls     obs.Counter
@@ -161,8 +161,18 @@ type simulator struct {
 	metaWrites   obs.Counter
 	modeSwitches uint64     // cumulative mode transitions (boundary + mid-epoch)
 	lastEndMode  epoch.Mode // mode in effect when the previous epoch closed
-	eccTrials    *obs.Histogram
 }
+
+// counterLateEdges and counterLateBins classify Fig. 8's
+// counter-arrival delta (counter ready time minus data ready time):
+// bin i counts deltas in [edges[i-1], edges[i]), with negative deltas
+// (counter first) in bin 0 and 10 ns or later in the last. This is the
+// paper's classification, binned like stats.Histogram, not a latency
+// estimate.
+var (
+	counterLateEdges = []int64{0, 5 * ns, 10 * ns}
+	counterLateBins  = [...]string{"early", "0-5ns", "5-10ns", "10ns+"}
+)
 
 // Run simulates the workload under the configuration and returns the
 // measurement-window results. Run keeps no state outside the local
@@ -208,10 +218,6 @@ func Run(cfg Config, w trace.Workload) (Result, error) {
 	s.memo = memoize.New(cfg.MemoEntries, 0, func(c uint64) mix.Word {
 		return mix.Word{Hi: c * 0x9e3779b97f4a7c15, Lo: ^c}
 	})
-	s.ctrHist, err = obs.NewHistogram(0, 5*ns, 10*ns)
-	if err != nil {
-		return Result{}, err
-	}
 	if s.pipe, err = newSchemePipeline(&s.cfg, s); err != nil {
 		return Result{}, err
 	}
@@ -311,7 +317,9 @@ func (s *simulator) registerMetrics() {
 	reg.RegisterCounter("sim_wb_counterless_total", &s.wbCls, lbl)
 	reg.RegisterCounter("sim_memo_read_hits_total", &s.memoHitsW, lbl)
 	reg.RegisterCounter("sim_memo_read_refs_total", &s.memoRefsW, lbl)
-	reg.RegisterHistogram("sim_counter_late_ps", s.ctrHist, lbl)
+	for i, bin := range counterLateBins {
+		reg.RegisterCounter("sim_counter_late_total", &s.ctrLate[i], lbl, obs.L("bin", bin))
+	}
 	s.qDepth = reg.Gauge("sim_event_queue_depth", lbl)
 	s.busBacklog = reg.Gauge("sim_dram_bus_backlog_ps", lbl)
 
@@ -329,11 +337,6 @@ func (s *simulator) registerMetrics() {
 	reg.RegisterCounter("sim_meta_reads_total", &s.metaReads, lbl)
 	reg.RegisterCounter("sim_meta_writes_total", &s.metaWrites, lbl)
 	s.tr.RegisterMetrics(reg)
-
-	// ECC trial distribution for the telemetry samples: present only
-	// when a functional Engine shares this registry (the timing model
-	// runs no correction trials itself).
-	s.eccTrials = reg.FindHistogram("engine_ecc_trials", lbl)
 
 	s.mon.SetTracer(s.tr)
 	if s.pub != nil {
@@ -377,9 +380,6 @@ func (s *simulator) publishEpoch(boundary int64, index uint64, rec epoch.Record)
 	}
 	if refs := s.memoRefsW.Value(); refs > 0 {
 		es.MemoHitRate = float64(s.memoHitsW.Value()) / float64(refs)
-	}
-	if s.eccTrials != nil {
-		es.ECCTrials = s.eccTrials.Bins()
 	}
 	if s.measuring {
 		if cycles := float64(boundary-s.cfg.WarmupTime) / 312.0; cycles > 0 {
@@ -432,7 +432,9 @@ func (s *simulator) startWindow() {
 	s.missLat = stats.Accumulator{}
 	// Warmup samples must not pollute the Fig. 8 counter-arrival
 	// histogram.
-	s.ctrHist.Reset()
+	for i := range s.ctrLate {
+		s.ctrLate[i].Reset()
+	}
 	s.llcMiss.Reset()
 	s.llcWB.Reset()
 	s.wbCls.Reset()
@@ -648,9 +650,14 @@ func (s *simulator) WritebackMode(t int64) epoch.Mode {
 }
 
 func (s *simulator) CounterArrival(delta int64) {
-	if s.measuring {
-		s.ctrHist.Add(delta)
+	if !s.measuring {
+		return
 	}
+	i := 0
+	for i < len(counterLateEdges) && delta >= counterLateEdges[i] {
+		i++
+	}
+	s.ctrLate[i].Inc()
 }
 
 func (s *simulator) CountWriteback(counterless bool) {
@@ -679,7 +686,11 @@ func (s *simulator) result(workload string) Result {
 	}
 	totalPJ := meter.TotalPJ(cfg.WindowTime)
 
-	ctrHist, _ := stats.FromBins(s.ctrHist.Edges(), s.ctrHist.Bins())
+	bins := make([]uint64, len(s.ctrLate))
+	for i := range s.ctrLate {
+		bins[i] = s.ctrLate[i].Value()
+	}
+	ctrHist, _ := stats.FromBins(counterLateEdges, bins)
 	r := Result{
 		Scheme:          cfg.Scheme,
 		Workload:        workload,

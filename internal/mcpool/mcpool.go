@@ -259,7 +259,7 @@ type shard struct {
 	batches      obs.Counter
 	contention   obs.Counter
 	modeSwitches obs.Counter
-	batchSize    *obs.Histogram
+	batchSize    obs.Histogram
 	attrib       *obs.Attributor // nil unless Config.Attribution
 
 	// sinceAdapt counts drained batches toward the next watermark
@@ -372,24 +372,16 @@ func New(cfg Config) (*Pool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mcpool: shard %d: %w", i, err)
 		}
-		batchSize, err := obs.NewHistogram(2, 4, 8, 16, 32, 64)
-		if err != nil {
-			return nil, err
-		}
 		var attrib *obs.Attributor
 		if cfg.Attribution {
-			attrib, err = obs.NewAttributor(StageNames)
-			if err != nil {
-				return nil, err
-			}
+			attrib = obs.NewAttributor(StageNames)
 		}
 		p.shards[i] = &shard{
-			id:        i,
-			q:         make(chan submission, cfg.QueueDepth),
-			eng:       eng,
-			lastMode:  make(map[uint64]epoch.Mode),
-			batchSize: batchSize,
-			attrib:    attrib,
+			id:       i,
+			q:        make(chan submission, cfg.QueueDepth),
+			eng:      eng,
+			lastMode: make(map[uint64]epoch.Mode),
+			attrib:   attrib,
 		}
 		p.wg.Add(1)
 		go p.worker(p.shards[i])
@@ -1066,7 +1058,7 @@ func (p *Pool) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		reg.RegisterCounter("mcpool_shard_batches_total", &s.batches, ls...)
 		reg.RegisterCounter("mcpool_shard_contention_total", &s.contention, ls...)
 		reg.RegisterCounter("mcpool_shard_mode_switches_total", &s.modeSwitches, ls...)
-		reg.RegisterHistogram("mcpool_shard_batch_size", s.batchSize, ls...)
+		reg.RegisterHistogram("mcpool_shard_batch_size", &s.batchSize, ls...)
 		s.attrib.Register(reg, "mcpool_stage_latency_ns", "mcpool_op_latency_ns", ls...)
 		s.eng.RegisterMetrics(reg, ls...)
 	}

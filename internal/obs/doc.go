@@ -6,9 +6,11 @@
 //
 // A Registry holds named, optionally labeled series of three
 // instrument kinds: Counter (monotonic uint64), Gauge (int64 level),
-// and Histogram (fixed-bin int64 samples, binned exactly like
-// stats.Histogram). Instruments increment through atomic operations,
-// so hot-path emission is lock-free and safe under `go test -race`.
+// and Histogram (log-linear over [0, 2^40): exact below 32, then 16
+// linear sub-buckets per power of two, plus an overflow bucket, so any
+// quantile reads at most 1/16 high). All three are ready to use as
+// zero values. Instruments increment through atomic operations, so
+// hot-path emission is lock-free and safe under `go test -race`.
 // Components own their instruments and register them into a shared
 // registry (RegisterCounter et al.), keeping their legacy Stats()
 // accessors as thin views over the same storage; ad-hoc series can be

@@ -50,8 +50,9 @@ func formatValue(v float64) string {
 
 // WritePrometheus renders the snapshot in the Prometheus text
 // exposition format (version 0.0.4). Histograms emit cumulative
-// _bucket series with le bin edges (in the histogram's native unit,
-// picoseconds for latency series), plus _sum and _count.
+// _bucket series for their non-empty buckets, each le the bucket's
+// largest value in the histogram's native unit, then le="+Inf",
+// _sum and _count.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	typed := make(map[string]bool)

@@ -11,11 +11,8 @@ func buildTestRegistry(t *testing.T) *Registry {
 	r := NewRegistry()
 	r.Counter("dram_reads_total", L("scheme", "counterlight")).Add(42)
 	r.Gauge("queue_depth").Set(7)
-	h, err := r.Histogram("counter_late_ps", []int64{0, 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(-100)
+	h := r.Histogram("lat_ns")
+	h.Add(3)
 	h.Add(2000)
 	h.Add(2000)
 	h.Add(9000)
@@ -29,14 +26,15 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
-		"# TYPE counter_late_ps histogram",
-		`counter_late_ps_bucket{le="0"} 1`,
-		`counter_late_ps_bucket{le="5000"} 3`,
-		`counter_late_ps_bucket{le="+Inf"} 4`,
-		"counter_late_ps_sum 12900",
-		"counter_late_ps_count 4",
 		"# TYPE dram_reads_total counter",
 		`dram_reads_total{scheme="counterlight"} 42`,
+		"# TYPE lat_ns histogram",
+		`lat_ns_bucket{le="3"} 1`,
+		`lat_ns_bucket{le="2047"} 3`,
+		`lat_ns_bucket{le="9215"} 4`,
+		`lat_ns_bucket{le="+Inf"} 4`,
+		"lat_ns_sum 13003",
+		"lat_ns_count 4",
 		"# TYPE queue_depth gauge",
 		"queue_depth 7",
 		"",
@@ -63,12 +61,20 @@ func TestJSONRoundTrip(t *testing.T) {
 	if v := back.Value("dram_reads_total", L("scheme", "counterlight")); v != 42 {
 		t.Errorf("counter after round trip = %v, want 42", v)
 	}
-	hs, ok := back.Get("counter_late_ps")
+	hs, ok := back.Get("lat_ns")
 	if !ok {
 		t.Fatal("histogram series missing after round trip")
 	}
-	if hs.Kind != KindHistogram || len(hs.Counts) != 3 || hs.Counts[1] != 2 || hs.Sum != 12900 {
+	if hs.Kind != KindHistogram || len(hs.Counts) != 4 || hs.Counts[1] != 2 || hs.Sum != 13003 {
 		t.Errorf("histogram series mangled: %+v", hs)
+	}
+	// A snapshotted series reads the same quantiles as the live
+	// histogram.
+	live := r.Histogram("lat_ns")
+	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		if a, b := hs.Quantile(q), live.Quantile(q); a != b {
+			t.Errorf("q=%v: series %d, live %d", q, a, b)
+		}
 	}
 }
 

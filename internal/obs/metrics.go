@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -56,54 +58,80 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Reset zeroes the gauge.
 func (g *Gauge) Reset() { g.v.Store(0) }
 
-// Histogram is a fixed-bin histogram over int64 samples with atomic
-// per-bin counts. Binning matches stats.Histogram exactly: bin i
-// covers [edges[i-1], edges[i]); samples below the first edge land in
-// bin 0 and samples at or above the last edge land in the overflow
-// bin, so the two types are drop-in interchangeable for Fig. 8-style
-// distributions.
+// Histogram layout: values below 2·histSub are exact (one bucket per
+// value); every power of two above that splits into histSub linear
+// sub-buckets, so no bucket is wider than 1/histSub of its lower
+// bound. Samples at or above HistogramMax share one overflow bucket.
+const (
+	histSubBits = 4
+	histSub     = 1 << histSubBits // linear sub-buckets per power of two
+	histTopBits = 40
+
+	// HistogramMax is the exclusive upper bound of the in-range
+	// buckets (2^40: about 18 minutes in nanoseconds).
+	HistogramMax = int64(1) << histTopBits
+
+	histOverflow = (histTopBits - histSubBits + 1) * histSub // index of the overflow bucket
+	histBuckets  = histOverflow + 1
+)
+
+// bucketOf maps a sample to its bucket index. Negative samples count
+// as 0.
+func bucketOf(v int64) int {
+	switch {
+	case v < histSub:
+		return int(max(v, 0))
+	case v >= HistogramMax:
+		return histOverflow
+	}
+	shift := bits.Len64(uint64(v)) - histSubBits - 1
+	return shift<<histSubBits + int(v>>shift)
+}
+
+// bucketMax is the largest value bucket i holds (HistogramMax for the
+// overflow bucket): a quantile reading never below the true value and
+// at most 1/histSub above it.
+func bucketMax(i int) int64 {
+	switch {
+	case i < histSub:
+		return int64(i)
+	case i >= histOverflow:
+		return HistogramMax
+	}
+	shift := i>>histSubBits - 1
+	lower := int64(i&(histSub-1)|histSub) << shift
+	return lower + 1<<shift - 1
+}
+
+// Histogram is a log-linear histogram over non-negative int64 samples
+// (latencies, sizes, trial counts) with one inline atomic counter per
+// bucket, so Add is lock-free and allocation-free. The layout is fixed
+// (see HistogramMax), so histograms merge bucket by bucket and need no
+// configuration: the zero value is ready to use. A Histogram must not
+// be copied after first use.
 type Histogram struct {
-	edges  []int64
-	counts []atomic.Uint64 // len(edges)+1, last is overflow
+	counts [histBuckets]atomic.Uint64
 	total  atomic.Uint64
 	sum    atomic.Int64
 }
 
-// NewHistogram builds a histogram with the given ascending bin edges.
-func NewHistogram(edges ...int64) (*Histogram, error) {
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("obs: histogram needs at least one edge")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, fmt.Errorf("obs: histogram edges not ascending at %d", i)
-		}
-	}
-	return &Histogram{
-		edges:  append([]int64(nil), edges...),
-		counts: make([]atomic.Uint64, len(edges)+1),
-	}, nil
-}
-
-// Add records one sample.
+// Add records one sample; negative samples count as 0.
 func (h *Histogram) Add(v int64) {
-	i := sort.Search(len(h.edges), func(i int) bool { return v < h.edges[i] })
-	h.counts[i].Add(1)
+	v = max(v, 0)
+	h.counts[bucketOf(v)].Add(1)
 	h.total.Add(1)
 	h.sum.Add(v)
 }
 
-// Edges returns a copy of the bin edges.
-func (h *Histogram) Edges() []int64 { return append([]int64(nil), h.edges...) }
-
-// Bins returns the per-bin counts: len(edges)+1 entries, the last
-// being the overflow bin.
-func (h *Histogram) Bins() []uint64 {
-	out := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
+// Merge adds every sample o recorded into h, bucket by bucket.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range o.counts {
+		if c := o.counts[i].Load(); c != 0 {
+			h.counts[i].Add(c)
+		}
 	}
-	return out
+	h.total.Add(o.total.Load())
+	h.sum.Add(o.sum.Load())
 }
 
 // Total returns the number of samples recorded.
@@ -112,13 +140,43 @@ func (h *Histogram) Total() uint64 { return h.total.Load() }
 // Sum returns the sum of all recorded samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Reset zeroes every bin (per-measurement-window accounting).
-func (h *Histogram) Reset() {
+// Quantile returns the largest value of the bucket holding the sample
+// of rank ⌈q·n⌉ (nearest rank): never below the true quantile and at
+// most 1/16 above it, exact below 32; HistogramMax when that sample
+// overflowed. Returns 0 when the histogram is empty.
+func (h *Histogram) Quantile(q float64) int64 {
+	var n uint64
 	for i := range h.counts {
-		h.counts[i].Store(0)
+		n += h.counts[i].Load()
 	}
-	h.total.Store(0)
-	h.sum.Store(0)
+	if n == 0 {
+		return 0
+	}
+	rank := uint64(1)
+	if r := math.Ceil(q * float64(n)); r > 1 {
+		rank = min(uint64(r), n)
+	}
+	var cum uint64
+	for i := range h.counts {
+		// Concurrent Adds only raise the counts, so cum reaches rank.
+		if cum += h.counts[i].Load(); cum >= rank {
+			return bucketMax(i)
+		}
+	}
+	return HistogramMax
+}
+
+// buckets returns the non-empty in-range buckets as (largest value,
+// count) pairs in ascending order, plus the overflow count as the last
+// count: len(counts) == len(edges)+1.
+func (h *Histogram) buckets() (edges []int64, counts []uint64) {
+	for i := 0; i < histOverflow; i++ {
+		if c := h.counts[i].Load(); c != 0 {
+			edges = append(edges, bucketMax(i))
+			counts = append(counts, c)
+		}
+	}
+	return edges, append(counts, h.counts[histOverflow].Load())
 }
 
 // Series kinds in snapshots and expositions.
@@ -241,35 +299,23 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 }
 
 // Histogram returns the histogram registered under (name, labels),
-// creating it with the given edges if absent.
-func (r *Registry) Histogram(name string, edges []int64, labels ...Label) (*Histogram, error) {
+// creating it if absent.
+func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	ls := canonLabels(labels)
 	key := seriesKey(name, ls)
 	if s, ok := r.lookup(key); ok && s.kind == KindHistogram {
-		return s.h, nil
-	}
-	h, err := NewHistogram(edges...)
-	if err != nil {
-		return nil, err
-	}
-	r.add(&series{name: name, labels: ls, key: key, kind: KindHistogram, h: h})
-	return h, nil
-}
-
-// FindHistogram returns the histogram registered under (name, labels)
-// if one exists, without creating it — a read-only probe for samplers
-// that only report distributions someone else is recording.
-func (r *Registry) FindHistogram(name string, labels ...Label) *Histogram {
-	ls := canonLabels(labels)
-	if s, ok := r.lookup(seriesKey(name, ls)); ok && s.kind == KindHistogram {
 		return s.h
 	}
-	return nil
+	h := &Histogram{}
+	r.add(&series{name: name, labels: ls, key: key, kind: KindHistogram, h: h})
+	return h
 }
 
 // Series is one metric series in a Snapshot. For counters and gauges
 // Value holds the reading; for histograms Value is the sample total
-// and Edges/Counts/Sum carry the distribution.
+// and Edges/Counts/Sum carry the distribution: Edges holds the largest
+// value of each non-empty bucket, Counts its count, and one extra last
+// count holds the overflow bucket.
 type Series struct {
 	Name   string            `json:"name"`
 	Kind   string            `json:"kind"`
@@ -299,6 +345,24 @@ func (s Series) labelString() string {
 
 // ID is the series' stable identity: name plus sorted labels.
 func (s Series) ID() string { return s.Name + s.labelString() }
+
+// Quantile reads a quantile from a snapshotted histogram series, with
+// the same result Histogram.Quantile gave on the live histogram (0 for
+// non-histogram series).
+func (s Series) Quantile(q float64) int64 {
+	if s.Kind != KindHistogram {
+		return 0
+	}
+	var h Histogram
+	for i, c := range s.Counts {
+		b := histOverflow
+		if i < len(s.Edges) {
+			b = bucketOf(s.Edges[i])
+		}
+		h.counts[b].Add(c)
+	}
+	return h.Quantile(q)
+}
 
 // Snapshot is a point-in-time copy of every series in a registry,
 // sorted by name then labels for deterministic output.
@@ -331,8 +395,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case KindGauge:
 			out.Value = float64(s.g.Value())
 		case KindHistogram:
-			out.Edges = s.h.Edges()
-			out.Counts = s.h.Bins()
+			out.Edges, out.Counts = s.h.buckets()
 			out.Sum = s.h.Sum()
 			out.Value = float64(s.h.Total())
 		}

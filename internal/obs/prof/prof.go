@@ -5,28 +5,27 @@
 // The design constraints are the same ones obs.Span answers for
 // attribution, one level further down:
 //
-//   - never block: the estimator state behind a Probe is guarded by a
-//     try-lock; a sampled observation that loses the race is counted
-//     as dropped, not waited for. The hot path performs one atomic
-//     add (the sampling decision) per call in the common case.
+//   - never block: a sampled observation updates the EWMA with a CAS
+//     loop and the histogram with atomic adds, so no sample is ever
+//     dropped or waited for. The hot path performs one atomic add
+//     (the sampling decision) per call in the common case.
 //   - zero steady-state allocations: all estimator state is inline,
 //     timestamps are monotonic int64 nanoseconds, and nothing escapes.
-//   - constant memory: an EWMA and P² quantile markers summarize an
-//     unbounded stream in a handful of words, unlike a histogram no
-//     bin layout has to be guessed in advance.
+//   - constant memory: the EWMA is one word and the quantiles come
+//     from an inline obs.Histogram, whose fixed log-linear layout
+//     reads any quantile within 1/16 without a bin layout to guess.
 //
-// A Probe combines a 1-in-N sampler, an EWMA, and three P² quantile
-// estimators (p50/p90/p99), mirrored into registry gauges on every
-// accepted sample so /metrics and -metrics-json see live values. A
-// Profiler is the fixed set of probes the engine stack exposes:
-// pad-batch latency, MAC64 latency, shard service time, batch
-// occupancy, and submit→wait latency. All methods are nil-safe, so a
-// disabled profiler costs one nil check per site.
+// A Probe combines a 1-in-N sampler, an EWMA, and an obs.Histogram of
+// the sampled stream, registered as the probe's series so /metrics and
+// -metrics-json see live buckets. A Profiler is the fixed set of
+// probes the engine stack exposes: pad-batch latency, MAC64 latency,
+// shard service time, batch occupancy, and submit→wait latency. All
+// methods are nil-safe, so a disabled profiler costs one nil check per
+// site.
 package prof
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -40,130 +39,22 @@ var procStart = time.Now()
 // Nanotime returns a monotonic nanosecond reading, allocation-free.
 func Nanotime() int64 { return int64(time.Since(procStart)) }
 
-// p2 is one P² (Jain & Chlamtac 1985) streaming quantile estimator:
-// five markers track the running quantile of an unbounded stream in
-// constant space, adjusting marker heights with a piecewise-parabolic
-// fit. Not safe for concurrent use — Probe serializes access.
-type p2 struct {
-	p    float64    // target quantile in (0, 1)
-	n    int64      // observations so far
-	q    [5]float64 // marker heights
-	pos  [5]float64 // marker positions (1-based)
-	init [5]float64 // first five observations, until n reaches 5
-}
-
-func newP2(p float64) p2 { return p2{p: p} }
-
-// observe folds one sample into the estimator.
-func (e *p2) observe(x float64) {
-	if e.n < 5 {
-		e.init[e.n] = x
-		e.n++
-		if e.n == 5 {
-			s := e.init
-			sort.Float64s(s[:])
-			e.q = s
-			e.pos = [5]float64{1, 2, 3, 4, 5}
-		}
-		return
-	}
-	// Find the cell k the sample falls into, extending the extremes.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	e.n++
-	// Desired marker positions for the current count.
-	w := [5]float64{0, e.p / 2, e.p, (1 + e.p) / 2, 1}
-	for i := 1; i <= 3; i++ {
-		desired := 1 + float64(e.n-1)*w[i]
-		d := desired - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1.0
-			}
-			qn := e.parabolic(i, s)
-			if !(e.q[i-1] < qn && qn < e.q[i+1]) {
-				qn = e.linear(i, s)
-			}
-			e.q[i] = qn
-			e.pos[i] += s
-		}
-	}
-}
-
-// parabolic is the piecewise-parabolic (P²) height prediction for
-// marker i moved by s.
-func (e *p2) parabolic(i int, s float64) float64 {
-	return e.q[i] + s/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+s)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-s)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-// linear is the fallback height prediction when the parabola would
-// break marker monotonicity.
-func (e *p2) linear(i int, s float64) float64 {
-	j := i + int(s)
-	return e.q[i] + s*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// value returns the current quantile estimate. Before five samples it
-// falls back to the nearest-rank quantile of what it has.
-func (e *p2) value() float64 {
-	if e.n >= 5 {
-		return e.q[2]
-	}
-	if e.n == 0 {
-		return 0
-	}
-	s := e.init
-	sort.Float64s(s[:e.n])
-	i := int(e.p * float64(e.n))
-	if i >= int(e.n) {
-		i = int(e.n) - 1
-	}
-	return s[i]
-}
-
 // Probe is one sampled streaming estimator: it counts every
-// observation, folds one in N into an EWMA and three P² quantile
-// estimators (p50/p90/p99), and mirrors the estimates into registry
-// gauges. All methods are nil-safe; a nil *Probe is a disabled probe.
+// observation and folds one in N into an EWMA and a histogram. All
+// methods are nil-safe; a nil *Probe is a disabled probe.
 type Probe struct {
-	mask    uint64 // sample when count&mask == 0 (sampleEvery-1, pow2)
-	alpha   float64
-	n       atomic.Uint64 // total observations (including unsampled)
-	sampled atomic.Uint64 // observations folded into the estimators
-	dropped atomic.Uint64 // sampled observations lost to contention
+	mask     uint64        // sample when count&mask == 0 (sampleEvery-1, pow2)
+	n        atomic.Uint64 // total observations (including unsampled)
+	ewmaBits atomic.Uint64 // float64 bits of the EWMA; 0 until the first sample
+	hist     obs.Histogram // every sampled observation
 
-	lock          atomic.Uint32 // try-lock over the estimator state below
-	ewma          float64
-	q50, q90, q99 p2
-
-	ewmaBits atomic.Uint64 // EWMA mirror readable outside the lock
-
-	// Registry mirrors, refreshed on every accepted sample.
-	gEwma, gP50, gP90, gP99, gCount obs.Gauge
+	// Registry gauges, refreshed on every sampled observation.
+	gEwma, gCount obs.Gauge
 }
 
-// defaultAlpha is the EWMA smoothing factor: each accepted sample
-// contributes 10%, so the estimate spans roughly the last 20 samples.
-const defaultAlpha = 0.1
+// alpha is the EWMA smoothing factor: each sample contributes 10%, so
+// the estimate spans roughly the last 20 samples.
+const alpha = 0.1
 
 // NewProbe builds a probe sampling one in sampleEvery observations
 // (rounded up to a power of two; values <= 1 sample everything).
@@ -172,13 +63,7 @@ func NewProbe(sampleEvery int) *Probe {
 	for int(every) < sampleEvery {
 		every <<= 1
 	}
-	return &Probe{
-		mask:  every - 1,
-		alpha: defaultAlpha,
-		q50:   newP2(0.50),
-		q90:   newP2(0.90),
-		q99:   newP2(0.99),
-	}
+	return &Probe{mask: every - 1}
 }
 
 // Start begins one sampled timing: it counts the observation and
@@ -226,28 +111,25 @@ func (p *Probe) Observe(v int64) {
 	p.fold(float64(v))
 }
 
-// fold updates the estimator state under the try-lock. Contended
-// samples are dropped (and counted), never waited for.
+// fold adds one sampled observation to the EWMA and the histogram.
+// The EWMA update retries its CAS instead of taking a lock, so
+// concurrent samples are all folded in. An EWMA of exactly 0 reads as
+// unseeded: the next sample re-seeds it.
 func (p *Probe) fold(v float64) {
-	if !p.lock.CompareAndSwap(0, 1) {
-		p.dropped.Add(1)
-		return
+	for {
+		old := p.ewmaBits.Load()
+		e := v
+		if old != 0 {
+			prev := math.Float64frombits(old)
+			e = prev + alpha*(v-prev)
+		}
+		if p.ewmaBits.CompareAndSwap(old, math.Float64bits(e)) {
+			p.gEwma.Set(int64(e))
+			break
+		}
 	}
-	if p.sampled.Add(1) == 1 {
-		p.ewma = v
-	} else {
-		p.ewma += p.alpha * (v - p.ewma)
-	}
-	p.q50.observe(v)
-	p.q90.observe(v)
-	p.q99.observe(v)
-	p.ewmaBits.Store(math.Float64bits(p.ewma))
-	p.gEwma.Set(int64(p.ewma))
-	p.gP50.Set(int64(p.q50.value()))
-	p.gP90.Set(int64(p.q90.value()))
-	p.gP99.Set(int64(p.q99.value()))
+	p.hist.Add(int64(v))
 	p.gCount.Set(int64(p.n.Load()))
-	p.lock.Store(0)
 }
 
 // EWMA returns the exponentially weighted moving average of the
@@ -276,55 +158,45 @@ func (p *Probe) SampleEvery() uint64 {
 }
 
 // ProbeSnapshot is one probe's state reduced to JSON-able numbers.
-// Quantiles are P² estimates over the sampled stream, not exact.
+// Quantiles are obs.Histogram readings over the sampled stream: at
+// most 1/16 above the true value, never below it.
 type ProbeSnapshot struct {
 	Count   uint64  `json:"count"`
 	Sampled uint64  `json:"sampled"`
-	Dropped uint64  `json:"dropped"`
 	EWMA    float64 `json:"ewma"`
-	P50     float64 `json:"p50"`
-	P90     float64 `json:"p90"`
-	P99     float64 `json:"p99"`
+	P50     int64   `json:"p50"`
+	P90     int64   `json:"p90"`
+	P99     int64   `json:"p99"`
 }
 
-// Snapshot reads the probe's current estimates. It spins briefly for
-// the estimator lock — writers hold it for nanoseconds — so it is a
-// cold-path call, not a hot-path one.
+// Snapshot reads the probe's current estimates.
 func (p *Probe) Snapshot() ProbeSnapshot {
 	if p == nil {
 		return ProbeSnapshot{}
 	}
-	for !p.lock.CompareAndSwap(0, 1) {
-		// Writers drop rather than wait, so the lock is always about
-		// to be free; spinning here cannot deadlock.
-	}
-	s := ProbeSnapshot{
+	return ProbeSnapshot{
 		Count:   p.n.Load(),
-		Sampled: p.sampled.Load(),
-		Dropped: p.dropped.Load(),
-		EWMA:    p.ewma,
-		P50:     p.q50.value(),
-		P90:     p.q90.value(),
-		P99:     p.q99.value(),
+		Sampled: p.hist.Total(),
+		EWMA:    p.EWMA(),
+		P50:     p.hist.Quantile(0.50),
+		P90:     p.hist.Quantile(0.90),
+		P99:     p.hist.Quantile(0.99),
 	}
-	p.lock.Store(0)
-	return s
 }
 
-// register binds the probe's gauge mirrors into a registry under name
-// with stat=ewma|p50|p90|p99|count labels. Gauges refresh on sampled
-// observations, so they lag the stream by at most one sampling period.
+// register binds the probe's histogram into a registry under name, and
+// its gauges under name_stat with stat=ewma|count labels. The gauges
+// refresh on sampled observations, so they lag the stream by at most
+// one sampling period.
 func (p *Probe) register(reg *obs.Registry, name string, labels ...obs.Label) {
 	if p == nil {
 		return
 	}
+	reg.RegisterHistogram(name, &p.hist, labels...)
 	stat := func(s string, g *obs.Gauge) {
 		ls := append(append([]obs.Label(nil), labels...), obs.L("stat", s))
-		reg.RegisterGauge(name, g, ls...)
+		reg.RegisterGauge(name+"_stat", g, ls...)
 	}
 	stat("ewma", &p.gEwma)
-	stat("p50", &p.gP50)
-	stat("p90", &p.gP90)
-	stat("p99", &p.gP99)
 	stat("count", &p.gCount)
 }

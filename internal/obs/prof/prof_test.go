@@ -1,97 +1,84 @@
 package prof
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// exactQuantile is the nearest-rank reference the P² estimates are
-// graded against.
-func exactQuantile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+// exactQuantile is the nearest-rank reference the probe's quantiles
+// are graded against: the sample of rank ⌈p·n⌉ in sorted order.
+func exactQuantile(sorted []int64, p float64) int64 {
+	rank := int(math.Ceil(p * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
-// TestP2GoldenQuantiles feeds fixed-seed streams from three shapes of
-// distribution through the P² estimator and requires the estimates to
-// land within a relative tolerance of the exact quantiles. P² is an
-// approximation; the tolerances bound how wrong the watermark policy's
-// inputs can be, they do not assert exactness.
-func TestP2GoldenQuantiles(t *testing.T) {
+// checkBound requires got to be the histogram reading of exact: never
+// below it, at most 1/16 above it.
+func checkBound(t *testing.T, what string, got, exact int64) {
+	t.Helper()
+	if got < exact || float64(got) > float64(exact)*(1+1.0/16) {
+		t.Errorf("%s: %d outside [%d, %d·17/16]", what, got, exact, exact)
+	}
+}
+
+// TestProbeGoldenQuantiles feeds fixed-seed streams from three shapes
+// of distribution through a probe and requires its p50/p90/p99 to
+// hold the histogram bound against the exact quantiles, heavy tail
+// included.
+func TestProbeGoldenQuantiles(t *testing.T) {
 	dists := []struct {
 		name string
 		gen  func(r *rand.Rand) float64
-		tol  map[float64]float64 // quantile → allowed relative error
 	}{
-		// Uniform: P² is near-exact here.
-		{"uniform", func(r *rand.Rand) float64 { return 1000 + 9000*r.Float64() },
-			map[float64]float64{0.50: 0.05, 0.90: 0.05, 0.99: 0.05}},
-		// Exponential: latency-shaped right tail.
-		{"exponential", func(r *rand.Rand) float64 { return 500 * r.ExpFloat64() },
-			map[float64]float64{0.50: 0.10, 0.90: 0.10, 0.99: 0.15}},
-		// Lognormal: heavy tail, the hardest case for 5 markers.
-		{"lognormal", func(r *rand.Rand) float64 { return math.Exp(6 + 1.0*r.NormFloat64()) },
-			map[float64]float64{0.50: 0.15, 0.90: 0.20, 0.99: 0.35}},
+		{"uniform", func(r *rand.Rand) float64 { return 1000 + 9000*r.Float64() }},
+		{"exponential", func(r *rand.Rand) float64 { return 500 * r.ExpFloat64() }},
+		{"lognormal", func(r *rand.Rand) float64 { return math.Exp(6 + 1.0*r.NormFloat64()) }},
 	}
 	const n = 20000
 	for _, d := range dists {
 		for seed := int64(1); seed <= 3; seed++ {
 			r := rand.New(rand.NewSource(seed))
-			ests := map[float64]*p2{}
-			for _, q := range []float64{0.50, 0.90, 0.99} {
-				e := newP2(q)
-				ests[q] = &e
-			}
-			samples := make([]float64, 0, n)
+			p := NewProbe(1)
+			samples := make([]int64, 0, n)
 			for i := 0; i < n; i++ {
-				x := d.gen(r)
+				x := int64(d.gen(r))
 				samples = append(samples, x)
-				for _, e := range ests {
-					e.observe(x)
-				}
+				p.Observe(x)
 			}
-			sort.Float64s(samples)
-			for q, e := range ests {
-				want := exactQuantile(samples, q)
-				got := e.value()
-				relErr := math.Abs(got-want) / want
-				if relErr > d.tol[q] {
-					t.Errorf("%s seed %d p%.0f: P² %.1f vs exact %.1f (rel err %.3f > %.3f)",
-						d.name, seed, q*100, got, want, relErr, d.tol[q])
-				}
+			slices.Sort(samples)
+			s := p.Snapshot()
+			for q, got := range map[float64]int64{0.50: s.P50, 0.90: s.P90, 0.99: s.P99} {
+				checkBound(t, fmt.Sprintf("%s seed %d p%.0f", d.name, seed, q*100), got, exactQuantile(samples, q))
 			}
 		}
 	}
 }
 
-// TestP2SmallStreams pins the pre-marker fallback: under five samples
-// the estimator must return nearest-rank quantiles of what it has, and
-// the n==5 transition must not lose samples.
-func TestP2SmallStreams(t *testing.T) {
-	e := newP2(0.50)
-	if got := e.value(); got != 0 {
-		t.Fatalf("empty estimator value = %v, want 0", got)
+// TestProbeSmallStreams pins short streams: an empty probe reads 0,
+// and a handful of samples read their exact nearest-rank quantiles
+// (exact below 32, within the bound above).
+func TestProbeSmallStreams(t *testing.T) {
+	p := NewProbe(1)
+	if got := p.Snapshot().P50; got != 0 {
+		t.Fatalf("empty probe p50 = %v, want 0", got)
 	}
-	e.observe(10)
-	if got := e.value(); got != 10 {
+	p.Observe(10)
+	if got := p.Snapshot().P50; got != 10 {
 		t.Fatalf("single-sample p50 = %v, want 10", got)
 	}
-	for _, x := range []float64{30, 20, 50, 40} {
-		e.observe(x)
+	for _, x := range []int64{30, 20, 50, 40} {
+		p.Observe(x)
 	}
-	// 5 samples {10,20,30,40,50}: markers initialized, median marker is 30.
-	if got := e.value(); got != 30 {
-		t.Fatalf("5-sample p50 = %v, want 30", got)
+	// 5 samples {10,20,30,40,50}: the median is 30, the p99 is 50.
+	s := p.Snapshot()
+	if s.P50 != 30 {
+		t.Fatalf("5-sample p50 = %v, want 30", s.P50)
 	}
+	checkBound(t, "5-sample p99", s.P99, 50)
 }
 
 // TestProbeSampling pins the 1-in-N contract: every observation is
@@ -114,9 +101,8 @@ func TestProbeSampling(t *testing.T) {
 	if got := p.Count(); got != 64 {
 		t.Fatalf("Count = %d, want 64", got)
 	}
-	s := p.Snapshot()
-	if s.Sampled != 8 || s.Dropped != 0 {
-		t.Fatalf("snapshot sampled=%d dropped=%d, want 8, 0", s.Sampled, s.Dropped)
+	if s := p.Snapshot(); s.Sampled != 8 {
+		t.Fatalf("snapshot sampled=%d, want 8", s.Sampled)
 	}
 
 	// Non-power-of-two periods round up.
@@ -171,8 +157,8 @@ func TestProbeEWMA(t *testing.T) {
 }
 
 // TestProbeConcurrent hammers one probe from many goroutines: no
-// torn state, counts add up (folded + dropped == selected samples),
-// and the estimates stay within the observed value range.
+// torn state, every selected sample is folded (none dropped), and the
+// estimates stay within the observed value range.
 func TestProbeConcurrent(t *testing.T) {
 	p := NewProbe(4)
 	const workers, per = 8, 10000
@@ -191,8 +177,8 @@ func TestProbeConcurrent(t *testing.T) {
 	if s.Count != workers*per {
 		t.Fatalf("Count = %d, want %d", s.Count, workers*per)
 	}
-	if s.Sampled+s.Dropped != s.Count/4 {
-		t.Fatalf("sampled %d + dropped %d != selected %d", s.Sampled, s.Dropped, s.Count/4)
+	if s.Sampled != s.Count/4 {
+		t.Fatalf("sampled %d != selected %d", s.Sampled, s.Count/4)
 	}
 	if s.EWMA < 100 || s.EWMA > 199 {
 		t.Fatalf("EWMA %v outside observed range [100, 199]", s.EWMA)

@@ -53,9 +53,10 @@ func New(backend string) *Profiler {
 	}
 }
 
-// Register binds every probe's gauges into reg. Series are named
-// prof_<probe>_{ns,ops} with a stat label per estimator and a backend
-// label when known; extra labels apply to all series.
+// Register binds every probe into reg: a histogram series named
+// prof_<probe>_{ns,ops} plus prof_<probe>_{ns,ops}_stat gauges
+// (stat=ewma|count), with a backend label when known; extra labels
+// apply to all series.
 func (pf *Profiler) Register(reg *obs.Registry, labels ...obs.Label) {
 	if pf == nil || reg == nil {
 		return

@@ -54,31 +54,26 @@ func (s *HealthState) UnmarshalText(b []byte) error {
 // limits disable the corresponding check, so an empty config always
 // reports OK.
 type SLOConfig struct {
-	// SubmitP99Ns: the submit→wait p99 latency objective (P² estimate
-	// over the profiler's sampled stream).
+	// SubmitP99Ns: the submit→wait p99 latency objective (histogram
+	// reading over the profiler's sampled stream, whole run).
 	SubmitP99Ns int64
 	// MaxDegradedFrac: ceiling on the fraction of writes demoted to
 	// counterless in the current window.
 	MaxDegradedFrac float64
-	// MaxDropFrac: ceiling on the flight recorder / profiler drop
-	// fraction in the current window.
-	MaxDropFrac float64
 	// FailFactor scales a limit into its FAILING threshold; a check at
 	// value > limit×FailFactor is FAILING, > limit is DEGRADED.
 	// Defaults to 2.
 	FailFactor float64
 }
 
-// SLOInput is one evaluation's raw readings. Counter-like fields
-// (Writes, DegradedWrites, Recorded, Dropped) are cumulative; the
-// evaluator differences them against the previous evaluation so each
-// verdict covers the window since the last one.
+// SLOInput is one evaluation's raw readings. Writes and
+// DegradedWrites are cumulative; the evaluator differences them
+// against the previous evaluation so each verdict covers the window
+// since the last one.
 type SLOInput struct {
 	SubmitP99Ns    int64
 	Writes         uint64
 	DegradedWrites uint64
-	Recorded       uint64
-	Dropped        uint64
 }
 
 // SLOCheck is one objective's verdict within a Health report.
@@ -135,7 +130,11 @@ func (e *Evaluator) grade(name string, value, limit float64) SLOCheck {
 
 // Eval grades in against the configured objectives over the window
 // since the previous call and returns the aggregate verdict. The
-// first call has no window, so fraction checks read 0.
+// first call has no window, so fraction checks read 0. Cumulative
+// counters can fall — a cluster sums only live nodes, so a node kill
+// or restart drops its share — and then Eval starts a fresh window at
+// in, reading 0 like a first call, instead of grading a wrapped
+// difference.
 func (e *Evaluator) Eval(in SLOInput) Health {
 	if e == nil {
 		return Health{State: StateOK}
@@ -143,17 +142,11 @@ func (e *Evaluator) Eval(in SLOInput) Health {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	frac := func(part, whole uint64) float64 {
-		if whole == 0 {
-			return 0
+	var degFrac float64
+	if e.seen && in.Writes >= e.prev.Writes && in.DegradedWrites >= e.prev.DegradedWrites {
+		if writes := in.Writes - e.prev.Writes; writes > 0 {
+			degFrac = float64(in.DegradedWrites-e.prev.DegradedWrites) / float64(writes)
 		}
-		return float64(part) / float64(whole)
-	}
-	var degFrac, dropFrac float64
-	if e.seen {
-		degFrac = frac(in.DegradedWrites-e.prev.DegradedWrites, in.Writes-e.prev.Writes)
-		dropFrac = frac(in.Dropped-e.prev.Dropped,
-			(in.Recorded-e.prev.Recorded)+(in.Dropped-e.prev.Dropped))
 	}
 	e.prev, e.seen = in, true
 
@@ -161,7 +154,6 @@ func (e *Evaluator) Eval(in SLOInput) Health {
 	h.Checks = append(h.Checks,
 		e.grade("submit_p99_ns", float64(in.SubmitP99Ns), float64(e.cfg.SubmitP99Ns)),
 		e.grade("degraded_write_frac", degFrac, e.cfg.MaxDegradedFrac),
-		e.grade("recorder_drop_frac", dropFrac, e.cfg.MaxDropFrac),
 	)
 	for _, c := range h.Checks {
 		if c.State > h.State {

@@ -1,6 +1,9 @@
 package prof
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestSLOStateMachine walks the evaluator through the three states on
 // each check and pins the worst-check-wins aggregation.
@@ -8,7 +11,6 @@ func TestSLOStateMachine(t *testing.T) {
 	e := NewEvaluator(SLOConfig{
 		SubmitP99Ns:     1_000_000, // 1ms
 		MaxDegradedFrac: 0.10,
-		MaxDropFrac:     0.01,
 	})
 
 	// First eval: within every limit; fraction checks have no window
@@ -50,7 +52,7 @@ func TestSLOStateMachine(t *testing.T) {
 func TestSLOZeroConfig(t *testing.T) {
 	e := NewEvaluator(SLOConfig{})
 	e.Eval(SLOInput{})
-	h := e.Eval(SLOInput{SubmitP99Ns: 1 << 40, Writes: 10, DegradedWrites: 10, Recorded: 1, Dropped: 100})
+	h := e.Eval(SLOInput{SubmitP99Ns: 1 << 40, Writes: 10, DegradedWrites: 10})
 	if h.State != StateOK {
 		t.Fatalf("zero-config state = %v, want OK", h.State)
 	}
@@ -61,22 +63,40 @@ func TestSLOZeroConfig(t *testing.T) {
 	}
 }
 
-// TestSLODropFraction pins the recorder-drop check's window math.
-func TestSLODropFraction(t *testing.T) {
-	e := NewEvaluator(SLOConfig{MaxDropFrac: 0.10, FailFactor: 3})
-	e.Eval(SLOInput{Recorded: 100, Dropped: 0})
-	// Window: 80 recorded, 20 dropped → 0.20 > 0.10, ≤ 0.30 → DEGRADED.
-	h := e.Eval(SLOInput{Recorded: 180, Dropped: 20})
-	if h.State != StateDegraded {
-		t.Fatalf("drop eval state = %v, want DEGRADED", h.State)
+// TestSLOCounterReset: cumulative counters fall when a cluster node is
+// killed or restarted (the aggregate sums only live pools). The
+// evaluator must start a fresh window instead of grading the wrapped
+// uint64 difference.
+func TestSLOCounterReset(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		prev, next SLOInput
+		want       float64
+		state      HealthState
+	}{
+		{"writes and degraded fall", SLOInput{Writes: 1000, DegradedWrites: 100},
+			SLOInput{Writes: 500, DegradedWrites: 60}, 0, StateOK},
+		{"only degraded falls", SLOInput{Writes: 1000, DegradedWrites: 100},
+			SLOInput{Writes: 1200, DegradedWrites: 50}, 0, StateOK},
+		{"only writes fall", SLOInput{Writes: 1000, DegradedWrites: 100},
+			SLOInput{Writes: 900, DegradedWrites: 150}, 0, StateOK},
+		{"both grow", SLOInput{Writes: 1000, DegradedWrites: 100},
+			SLOInput{Writes: 1100, DegradedWrites: 130}, 0.30, StateDegraded},
+	} {
+		e := NewEvaluator(SLOConfig{MaxDegradedFrac: 0.2})
+		e.Eval(c.prev)
+		h := e.Eval(c.next)
+		if got := h.Checks[1].Value; math.Abs(got-c.want) > 1e-9 || h.State != c.state {
+			t.Errorf("%s: degraded_write_frac = %v (%v), want %v (%v)", c.name, got, h.State, c.want, c.state)
+		}
 	}
-	if got := h.Checks[2].Value; got != 0.20 {
-		t.Fatalf("drop frac = %v, want 0.20", got)
-	}
-	// Window: 10 recorded, 90 dropped → 0.90 > 0.30 → FAILING.
-	h = e.Eval(SLOInput{Recorded: 190, Dropped: 110})
-	if h.State != StateFailing {
-		t.Fatalf("drop eval state = %v, want FAILING", h.State)
+	// The fresh window starts at the fallen reading: the next window
+	// differences against it.
+	e := NewEvaluator(SLOConfig{MaxDegradedFrac: 0.2})
+	e.Eval(SLOInput{Writes: 1000, DegradedWrites: 100})
+	e.Eval(SLOInput{Writes: 500, DegradedWrites: 60})
+	if got := e.Eval(SLOInput{Writes: 600, DegradedWrites: 70}).Checks[1].Value; math.Abs(got-0.10) > 1e-9 {
+		t.Errorf("window after reset = %v, want 0.10", got)
 	}
 }
 

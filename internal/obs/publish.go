@@ -37,10 +37,6 @@ type EpochSample struct {
 	// BusBacklogPS is the DRAM data-bus backlog (how far the bus is
 	// scheduled ahead of sim time) at the boundary, in picoseconds.
 	BusBacklogPS int64 `json:"bus_backlog_ps"`
-	// ECCTrials is the cumulative ECC correction-trial distribution
-	// (per-bin counts) when a functional engine shares the registry;
-	// nil on pure timing runs, which model no ECC trials.
-	ECCTrials []uint64 `json:"ecc_trials,omitempty"`
 	// Instructions / IPC are the measurement window's progress so far
 	// (zero during warmup).
 	Instructions uint64  `json:"instructions"`

@@ -71,6 +71,10 @@ func TestAttribEndpoint(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 	}
+	// A worker delivers a response before it marks the writeback stage
+	// and finishes the span; Close waits for the workers, so every span
+	// is recorded before the counts are read.
+	pool.Close()
 
 	rr, body := get(t, srv.Handler(), "/api/attrib")
 	if rr.Code != http.StatusOK {

@@ -194,7 +194,8 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 
 // AttribRow is one stage of one latency-attribution histogram on
 // /api/attrib: the series identity plus its distribution reduced to
-// count, mean, and conservative upper-edge percentiles.
+// count, mean, and histogram percentiles (Series.Quantile: at most
+// 1/16 above the true value).
 type AttribRow struct {
 	Name   string            `json:"name"`
 	Stage  string            `json:"stage"`

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -23,54 +22,25 @@ import (
 //     every stage histogram — per-stage counts always equal the
 //     end-to-end count (the invariant the mcpool race test asserts).
 
-// DefaultLatencyEdges is the nanosecond bin layout attribution
-// histograms use unless told otherwise: 200ns to 50ms, roughly
-// logarithmic — wide enough for an in-process engine call and a
-// saturated queue alike.
-var DefaultLatencyEdges = []int64{
-	200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000,
-	100_000, 200_000, 500_000, 1_000_000, 2_000_000, 5_000_000,
-	10_000_000, 50_000_000,
-}
-
 // Attributor decomposes per-operation latency into named stages. Each
 // stage owns one Histogram; a separate total histogram records the
 // end-to-end latency. A nil *Attributor is a valid, disabled
 // attributor.
 type Attributor struct {
 	stages []string
-	hists  []*Histogram
-	total  *Histogram
+	hists  []Histogram
+	total  Histogram
 	pool   sync.Pool
 }
 
-// NewAttributor builds an attributor with the given stage names and
-// histogram bin edges (DefaultLatencyEdges when none are given).
-func NewAttributor(stages []string, edges ...int64) (*Attributor, error) {
-	if len(stages) == 0 {
-		return nil, fmt.Errorf("obs: attributor needs at least one stage")
-	}
-	if len(edges) == 0 {
-		edges = DefaultLatencyEdges
-	}
+// NewAttributor builds an attributor with the given stage names.
+func NewAttributor(stages []string) *Attributor {
 	a := &Attributor{
 		stages: append([]string(nil), stages...),
-		hists:  make([]*Histogram, len(stages)),
+		hists:  make([]Histogram, len(stages)),
 	}
-	for i := range stages {
-		h, err := NewHistogram(edges...)
-		if err != nil {
-			return nil, err
-		}
-		a.hists[i] = h
-	}
-	total, err := NewHistogram(edges...)
-	if err != nil {
-		return nil, err
-	}
-	a.total = total
 	a.pool.New = func() any { return new(Span) }
-	return a, nil
+	return a
 }
 
 // Stages returns the stage names, in mark order.
@@ -87,7 +57,7 @@ func (a *Attributor) StageHist(i int) *Histogram {
 	if a == nil || i < 0 || i >= len(a.hists) {
 		return nil
 	}
-	return a.hists[i]
+	return &a.hists[i]
 }
 
 // TotalHist returns the end-to-end latency histogram.
@@ -95,7 +65,7 @@ func (a *Attributor) TotalHist() *Histogram {
 	if a == nil {
 		return nil
 	}
-	return a.total
+	return &a.total
 }
 
 // Register exposes the attributor through a registry: one stageName
@@ -109,10 +79,10 @@ func (a *Attributor) Register(reg *Registry, stageName, totalName string, labels
 	}
 	for i, st := range a.stages {
 		ls := append(append([]Label(nil), labels...), L("stage", st))
-		reg.RegisterHistogram(stageName, a.hists[i], ls...)
+		reg.RegisterHistogram(stageName, &a.hists[i], ls...)
 	}
 	ls := append(append([]Label(nil), labels...), L("stage", "total"))
-	reg.RegisterHistogram(totalName, a.total, ls...)
+	reg.RegisterHistogram(totalName, &a.total, ls...)
 }
 
 // Span tracks one operation through the attributor's stages. Obtain
@@ -175,8 +145,8 @@ func (s *Span) Discard() {
 }
 
 // StageSummary is one stage's latency distribution reduced to the
-// numbers a breakdown table shows. Percentiles are conservative
-// upper-bin-edge readings (see Histogram.Quantile).
+// numbers a breakdown table shows. Percentiles are Histogram.Quantile
+// readings: at most 1/16 above the true value, never below it.
 type StageSummary struct {
 	Stage  string `json:"stage"`
 	Count  uint64 `json:"count"`
@@ -196,10 +166,9 @@ func (a *Attributor) Summary() []StageSummary {
 }
 
 // SummarizeAttributors merges several same-shaped attributors (e.g.
-// one per mcpool shard) into one summary: per stage, the bins are
-// summed across attributors before the percentiles are read. All
-// attributors must share stage names and edges; nil entries are
-// skipped.
+// one per mcpool shard) into one summary: per stage, the histograms
+// are merged bucket by bucket before the percentiles are read. All
+// attributors must share stage names; nil entries are skipped.
 func SummarizeAttributors(as []*Attributor) []StageSummary {
 	var ref *Attributor
 	for _, a := range as {
@@ -213,87 +182,27 @@ func SummarizeAttributors(as []*Attributor) []StageSummary {
 	}
 	out := make([]StageSummary, 0, len(ref.stages)+1)
 	for i, st := range ref.stages {
-		out = append(out, mergeStage(st, as, func(a *Attributor) *Histogram { return a.hists[i] }))
+		out = append(out, mergeStage(st, as, func(a *Attributor) *Histogram { return &a.hists[i] }))
 	}
-	out = append(out, mergeStage("total", as, func(a *Attributor) *Histogram { return a.total }))
+	out = append(out, mergeStage("total", as, func(a *Attributor) *Histogram { return &a.total }))
 	return out
 }
 
-// mergeStage sums one stage's histograms across attributors and
+// mergeStage merges one stage's histograms across attributors and
 // reduces them to a StageSummary.
 func mergeStage(name string, as []*Attributor, pick func(*Attributor) *Histogram) StageSummary {
-	var edges []int64
-	var counts []uint64
-	var sum int64
-	var total uint64
+	var h Histogram
 	for _, a := range as {
-		if a == nil {
-			continue
+		if a != nil {
+			h.Merge(pick(a))
 		}
-		h := pick(a)
-		if edges == nil {
-			edges = h.Edges()
-			counts = make([]uint64, len(edges)+1)
-		}
-		for i, c := range h.Bins() {
-			counts[i] += c
-		}
-		sum += h.Sum()
-		total += h.Total()
 	}
-	s := StageSummary{Stage: name, Count: total}
-	if total > 0 {
-		s.MeanNs = sum / int64(total)
-		s.P50Ns = QuantileFromBins(edges, counts, 0.50)
-		s.P95Ns = QuantileFromBins(edges, counts, 0.95)
-		s.P99Ns = QuantileFromBins(edges, counts, 0.99)
+	s := StageSummary{Stage: name, Count: h.Total()}
+	if s.Count > 0 {
+		s.MeanNs = h.Sum() / int64(s.Count)
+		s.P50Ns = h.Quantile(0.50)
+		s.P95Ns = h.Quantile(0.95)
+		s.P99Ns = h.Quantile(0.99)
 	}
 	return s
-}
-
-// QuantileFromBins reads quantile q out of a fixed-bin distribution:
-// the upper edge of the bin containing the q-th sample — a
-// conservative "p50 ≤ X" bound, which is all a fixed-bin histogram can
-// honestly claim. Samples in the overflow bin report the last edge.
-// Returns 0 when the distribution is empty.
-func QuantileFromBins(edges []int64, counts []uint64, q float64) int64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 || len(edges) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(q * float64(total))
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum > target {
-			if i < len(edges) {
-				return edges[i]
-			}
-			return edges[len(edges)-1] // overflow bin
-		}
-	}
-	return edges[len(edges)-1]
-}
-
-// Quantile is QuantileFromBins over the histogram's own bins.
-func (h *Histogram) Quantile(q float64) int64 {
-	return QuantileFromBins(h.edges, h.Bins(), q)
-}
-
-// Quantile reads a quantile from a snapshotted histogram series (0
-// for non-histogram series).
-func (s Series) Quantile(q float64) int64 {
-	if s.Kind != KindHistogram {
-		return 0
-	}
-	return QuantileFromBins(s.Edges, s.Counts, q)
 }

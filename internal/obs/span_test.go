@@ -6,10 +6,7 @@ import (
 )
 
 func TestAttributorStageAccounting(t *testing.T) {
-	a, err := NewAttributor([]string{"queue", "service"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewAttributor([]string{"queue", "service"})
 	const ops = 100
 	for i := 0; i < ops; i++ {
 		sp := a.Start()
@@ -53,10 +50,7 @@ func TestAttributorNilSafe(t *testing.T) {
 }
 
 func TestAttributorSteadyStateAllocs(t *testing.T) {
-	a, err := NewAttributor([]string{"queue", "service"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewAttributor([]string{"queue", "service"})
 	// Warm the pool.
 	for i := 0; i < 100; i++ {
 		sp := a.Start()
@@ -76,10 +70,7 @@ func TestAttributorSteadyStateAllocs(t *testing.T) {
 }
 
 func TestAttributorRegister(t *testing.T) {
-	a, err := NewAttributor([]string{"queue", "service"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewAttributor([]string{"queue", "service"})
 	sp := a.Start()
 	sp.Mark(0)
 	sp.Mark(1)
@@ -107,10 +98,7 @@ func TestAttributorRegister(t *testing.T) {
 
 func TestSummarizeAttributors(t *testing.T) {
 	mk := func(n int) *Attributor {
-		a, err := NewAttributor([]string{"queue", "service"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := NewAttributor([]string{"queue", "service"})
 		for i := 0; i < n; i++ {
 			sp := a.Start()
 			sp.Mark(0)
@@ -137,10 +125,7 @@ func TestSummarizeAttributors(t *testing.T) {
 }
 
 func TestAttributorConcurrent(t *testing.T) {
-	a, err := NewAttributor([]string{"queue", "service"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewAttributor([]string{"queue", "service"})
 	const goroutines, per = 8, 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -164,27 +149,5 @@ func TestAttributorConcurrent(t *testing.T) {
 		if got := a.StageHist(i).Total(); got != want {
 			t.Errorf("stage %d count %d, want %d", i, got, want)
 		}
-	}
-}
-
-func TestQuantileFromBins(t *testing.T) {
-	h, err := NewHistogram(10, 20, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-	for _, v := range []int64{1, 5, 12, 15, 25, 35} {
-		h.Add(v)
-	}
-	if got := h.Quantile(0); got != 10 {
-		t.Errorf("p0 = %d, want 10", got)
-	}
-	if got := h.Quantile(0.5); got != 20 {
-		t.Errorf("p50 = %d, want 20", got)
-	}
-	if got := h.Quantile(1); got != 30 {
-		t.Errorf("p100 = %d, want 30 (overflow reports last edge)", got)
 	}
 }

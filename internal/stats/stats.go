@@ -38,9 +38,9 @@ func NewHistogram(edges ...int64) (*Histogram, error) {
 }
 
 // FromBins reconstructs a Histogram from edges and per-bin counts
-// (len(edges)+1 entries, the last being the overflow bin). It is the
-// bridge from the atomic obs.Histogram back to this package's view
-// type.
+// (len(edges)+1 entries, the last being the overflow bin). The
+// simulator builds Fig. 8's histogram with it from its four atomic
+// arrival-delta counters.
 func FromBins(edges []int64, counts []uint64) (*Histogram, error) {
 	h, err := NewHistogram(edges...)
 	if err != nil {
