@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test test-backends race vet fmt check checkers concurrent-race crash-race cluster-race serve bench bench-json fuzz clean
+.PHONY: build test test-backends race vet fmt check checkers concurrent-race crash-race cluster-race serve bench bench-smoke bench-json fuzz clean
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,13 @@ serve:
 # engine micro-benchmarks, pool throughput, attack instance).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
+
+# Execute the hot-path micro-benchmarks (MAC64, GF multiply and dot
+# product, counter-tree increment/verify, engine read/write) for a
+# fixed 100 iterations each: a smoke run that they still build, run
+# and pass their own checks, not a measurement.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'MAC64|Mul|DotProduct|Increment|VerifyCounter|Engine' -benchtime 100x ./internal/crypto/... ./internal/ctrblock ./internal/core
 
 # Append the next BENCH_<n>.json perf-trajectory snapshot: runs the
 # pinned suite (cmd/clbench -bench-json) at full measurement windows

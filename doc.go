@@ -9,8 +9,9 @@
 // The repository contains two cooperating systems:
 //
 //   - A functional memory controller (internal/core.Engine) moving
-//     real bytes through real cryptography: AES-128/256 and SHA-3
-//     implemented from first principles (internal/crypto/...), XTS and
+//     real bytes through real cryptography: AES-128/256 implemented
+//     from first principles (internal/crypto/...), SHA-3 from the
+//     standard library's crypto/sha3 (internal/crypto/keccak), XTS and
 //     counter-mode block engines with their MAC constructions
 //     (internal/cipher), the Synergy chipkill-correct code extended
 //     with EncryptionMetadata encoding and dual-hypothesis correction

@@ -281,11 +281,12 @@ func (ct *counterTraffic) CounterUpdate(addr uint64, t int64) {
 // verified when it was brought in).
 func (ct *counterTraffic) TreeWalkStep(addr uint64, level int, dirty bool, t int64) {
 	ctx := ct.ctx
-	nodes := ctx.Layout().TreeNodeAddrs(addr)
-	if level >= len(nodes) {
+	// Walk step level fetches tree level level+1: level 0 holds the
+	// counter blocks, which Writeback and CounterUpdate fetch.
+	na, ok := ctx.Layout().TreeNodeAddr(addr, level+1)
+	if !ok {
 		return
 	}
-	na := nodes[level]
 	cc := ctx.CounterCache()
 	if hit, _ := cc.Lookup(na, t); hit {
 		if dirty {

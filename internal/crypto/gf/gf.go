@@ -13,10 +13,6 @@ package gf
 
 import "math/bits"
 
-// reductionPoly is the low half of the irreducible polynomial
-// x^64 + x^4 + x^3 + x + 1 used to reduce products into GF(2^64).
-const reductionPoly = 0x1b
-
 // ClMul64 returns the 128-bit carry-less product of a and b as
 // (hi, lo).
 func ClMul64(a, b uint64) (hi, lo uint64) {
@@ -35,12 +31,12 @@ func ClMul64(a, b uint64) (hi, lo uint64) {
 // x^64 + x^4 + x^3 + x + 1.
 func Mul(a, b uint64) uint64 {
 	hi, lo := ClMul64(a, b)
-	// Reduce the high 64 bits: x^64 ≡ x^4 + x^3 + x + 1.
-	// Folding hi once can carry out at most 4 bits, so fold twice.
-	h2, l2 := ClMul64(hi, reductionPoly)
-	lo ^= l2
-	_, l3 := ClMul64(h2, reductionPoly)
-	return lo ^ l3
+	// Reduce the high 64 bits: x^64 ≡ x^4 + x^3 + x + 1, so hi folds
+	// into lo as hi ^ hi<<1 ^ hi<<3 ^ hi<<4. The shifts carry at most
+	// 4 bits past x^63, and folding those once more cannot carry again.
+	c := hi>>63 ^ hi>>61 ^ hi>>60
+	lo ^= hi ^ hi<<1 ^ hi<<3 ^ hi<<4
+	return lo ^ c ^ c<<1 ^ c<<3 ^ c<<4
 }
 
 // Add adds two field elements (XOR).

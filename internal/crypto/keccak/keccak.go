@@ -1,211 +1,31 @@
-// Package keccak implements the Keccak-f[1600] permutation and the
-// SHA-3 hash functions (FIPS-202) from first principles.
+// Package keccak computes the SHA-3 based MAC of counterless memory
+// encryption on top of the standard library's crypto/sha3 (FIPS-202).
 //
 // Counterless memory encryption (Intel MKTME and kin) computes each
 // block's MAC with SHA-3 over the data (paper §II-A); Counter-light
 // reuses that construction for blocks in counterless mode, adding the
-// EncryptionMetadata word as an extra input (paper §IV-C). This
-// package provides the hash; internal/cipher builds the MACs.
+// EncryptionMetadata word as an extra input (paper §IV-C). The same
+// MAC binds each integrity-tree node in internal/ctrblock.
 package keccak
 
-import "encoding/binary"
-
-// roundConstants are the 24 iota-round constants of Keccak-f[1600].
-var roundConstants = [24]uint64{
-	0x0000000000000001, 0x0000000000008082, 0x800000000000808a,
-	0x8000000080008000, 0x000000000000808b, 0x0000000080000001,
-	0x8000000080008081, 0x8000000000008009, 0x000000000000008a,
-	0x0000000000000088, 0x0000000080008009, 0x000000008000000a,
-	0x000000008000808b, 0x800000000000008b, 0x8000000000008089,
-	0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
-	0x000000000000800a, 0x800000008000000a, 0x8000000080008081,
-	0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-}
-
-// rotationOffsets[x][y] are the rho-step rotation amounts.
-var rotationOffsets = [5][5]uint{
-	{0, 36, 3, 41, 18},
-	{1, 44, 10, 45, 2},
-	{62, 6, 43, 15, 61},
-	{28, 55, 25, 21, 56},
-	{27, 20, 39, 8, 14},
-}
-
-// State is the 5x5 lane state of Keccak-f[1600]; State[x][y] is lane
-// (x, y) per the FIPS-202 coordinate convention.
-type State [5][5]uint64
-
-// Permute applies the full 24-round Keccak-f[1600] permutation in place.
-func (a *State) Permute() {
-	for round := 0; round < 24; round++ {
-		// Theta.
-		var c, d [5]uint64
-		for x := 0; x < 5; x++ {
-			c[x] = a[x][0] ^ a[x][1] ^ a[x][2] ^ a[x][3] ^ a[x][4]
-		}
-		for x := 0; x < 5; x++ {
-			d[x] = c[(x+4)%5] ^ rotl64(c[(x+1)%5], 1)
-			for y := 0; y < 5; y++ {
-				a[x][y] ^= d[x]
-			}
-		}
-		// Rho and Pi.
-		var b State
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				b[y][(2*x+3*y)%5] = rotl64(a[x][y], rotationOffsets[x][y])
-			}
-		}
-		// Chi.
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				a[x][y] = b[x][y] ^ (^b[(x+1)%5][y] & b[(x+2)%5][y])
-			}
-		}
-		// Iota.
-		a[0][0] ^= roundConstants[round]
-	}
-}
-
-func rotl64(v uint64, n uint) uint64 {
-	if n == 0 {
-		return v
-	}
-	return v<<n | v>>(64-n)
-}
-
-// Hash is a sponge-based SHA-3 hash with a fixed output size.
-type Hash struct {
-	state  State
-	rate   int // rate in bytes
-	outLen int
-	buf    []byte // pending absorb input, len < rate
-}
-
-// New256 returns a SHA3-256 hash (rate 136, 32-byte digest).
-func New256() *Hash { return &Hash{rate: 136, outLen: 32} }
-
-// New512 returns a SHA3-512 hash (rate 72, 64-byte digest).
-func New512() *Hash { return &Hash{rate: 72, outLen: 64} }
-
-// Write absorbs p into the sponge. It never fails.
-func (h *Hash) Write(p []byte) (int, error) {
-	n := len(p)
-	h.buf = append(h.buf, p...)
-	for len(h.buf) >= h.rate {
-		h.absorb(h.buf[:h.rate])
-		h.buf = h.buf[h.rate:]
-	}
-	return n, nil
-}
-
-func (h *Hash) absorb(block []byte) {
-	for i := 0; i < h.rate/8; i++ {
-		lane := binary.LittleEndian.Uint64(block[8*i:])
-		x, y := i%5, i/5
-		h.state[x][y] ^= lane
-	}
-	h.state.Permute()
-}
-
-// Sum finalizes a copy of the sponge and appends the digest to b,
-// so the Hash can keep absorbing afterwards (matching hash.Hash).
-func (h *Hash) Sum(b []byte) []byte {
-	clone := *h
-	clone.buf = append([]byte(nil), h.buf...)
-	// SHA-3 domain padding: 0x06 ... 0x80 (pad10*1 with suffix 01).
-	pad := make([]byte, clone.rate-len(clone.buf))
-	pad[0] = 0x06
-	pad[len(pad)-1] |= 0x80
-	clone.buf = append(clone.buf, pad...)
-	clone.absorb(clone.buf)
-	// Squeeze. Both supported output lengths fit in one rate block.
-	out := make([]byte, clone.rate)
-	for i := 0; i < clone.rate/8; i++ {
-		x, y := i%5, i/5
-		binary.LittleEndian.PutUint64(out[8*i:], clone.state[x][y])
-	}
-	return append(b, out[:h.outLen]...)
-}
-
-// Reset returns the hash to its initial state.
-func (h *Hash) Reset() {
-	h.state = State{}
-	h.buf = nil
-}
-
-// Size returns the digest length in bytes.
-func (h *Hash) Size() int { return h.outLen }
-
-// BlockSize returns the sponge rate in bytes.
-func (h *Hash) BlockSize() int { return h.rate }
-
-// Sum256 computes the SHA3-256 digest of data in one call.
-func Sum256(data []byte) [32]byte {
-	h := New256()
-	h.Write(data)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-// Sum512 computes the SHA3-512 digest of data in one call.
-func Sum512(data []byte) [64]byte {
-	h := New512()
-	h.Write(data)
-	var out [64]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
+import (
+	"crypto/sha3"
+	"encoding/binary"
+)
 
 // MAC64 computes a 64-bit MAC as the first 8 bytes of
-// SHA3-256(key || data...), the construction the counterless mode
-// uses for its per-block integrity check.
+// SHA3-256(key || data...), read little-endian — the construction the
+// counterless mode uses for its per-block integrity check.
 //
 // It is on the engine's per-read/per-write hot path (the counterless
-// MAC and every ctrblock tree-node MAC), so unlike the general Hash it
-// runs the sponge on the stack with a fixed rate-sized buffer and
-// performs no allocation. TestMAC64MatchesHash keeps it in lockstep
-// with the Hash-based construction.
+// MAC and every ctrblock tree-node MAC) and performs no allocation:
+// the hash state and the digest both stay on the stack.
 func MAC64(key []byte, data ...[]byte) uint64 {
-	var s State
-	var buf [136]byte // SHA3-256 rate
-	n := mac64Absorb(&s, &buf, 0, key)
+	h := sha3.New256()
+	h.Write(key)
 	for _, d := range data {
-		n = mac64Absorb(&s, &buf, n, d)
+		h.Write(d)
 	}
-	// SHA-3 domain padding: 0x06 ... 0x80 (pad10*1 with suffix 01).
-	buf[n] = 0x06
-	for i := n + 1; i < len(buf); i++ {
-		buf[i] = 0
-	}
-	buf[len(buf)-1] |= 0x80
-	mac64Block(&s, &buf)
-	// The first 8 squeezed bytes are lane (0, 0), little-endian.
-	return s[0][0]
-}
-
-// mac64Absorb streams p into the sponge through the rate buffer,
-// permuting whenever the buffer fills; it returns the new fill level.
-func mac64Absorb(s *State, buf *[136]byte, n int, p []byte) int {
-	for len(p) > 0 {
-		c := copy(buf[n:], p)
-		p = p[c:]
-		n += c
-		if n == len(buf) {
-			mac64Block(s, buf)
-			n = 0
-		}
-	}
-	return n
-}
-
-// mac64Block XORs one full rate block into the state and permutes —
-// Hash.absorb for the fixed SHA3-256 rate, without the slice plumbing.
-func mac64Block(s *State, buf *[136]byte) {
-	for i := 0; i < len(buf)/8; i++ {
-		lane := binary.LittleEndian.Uint64(buf[8*i:])
-		s[i%5][i/5] ^= lane
-	}
-	s.Permute()
+	var sum [32]byte
+	return binary.LittleEndian.Uint64(h.Sum(sum[:0]))
 }

@@ -5,9 +5,9 @@ import (
 	stdsha3 "crypto/sha3"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func fromHex(t *testing.T, s string) []byte {
@@ -19,113 +19,86 @@ func fromHex(t *testing.T, s string) []byte {
 	return b
 }
 
-// NIST FIPS-202 known-answer tests.
+// refMAC64 is the MAC64 definition spelled out: the little-endian
+// first 8 bytes of SHA3-256 over key followed by every part.
+func refMAC64(key []byte, parts ...[]byte) uint64 {
+	msg := append([]byte(nil), key...)
+	for _, p := range parts {
+		msg = append(msg, p...)
+	}
+	d := stdsha3.Sum256(msg)
+	return binary.LittleEndian.Uint64(d[:8])
+}
+
+// NIST FIPS-202 SHA3-256 known answers, checked through MAC64 with an
+// empty key: the MAC is the digest's little-endian 8-byte prefix.
 func TestSHA3KnownAnswers(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		want string
-		f    func([]byte) []byte
-	}{
-		{"256-empty", "",
-			"a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a",
-			func(b []byte) []byte { d := Sum256(b); return d[:] }},
-		{"256-abc", "abc",
-			"3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532",
-			func(b []byte) []byte { d := Sum256(b); return d[:] }},
-		{"512-empty", "",
-			"a69f73cca23a9ac5c8b567dc185a756e97c982164fe25859e0d1dcc1475c80a615b2123af1f5f94c11e3e9402c3ac558f500199d95b6d3e301758586281dcd26",
-			func(b []byte) []byte { d := Sum512(b); return d[:] }},
-		{"512-abc", "abc",
-			"b751850b1a57168a5693cd924b6b096e08f621827444f70d884f5d0240d2712e10e116e9192af3c91a7ec57647e3934057340b4cf408d5a56592f8274eec53f0",
-			func(b []byte) []byte { d := Sum512(b); return d[:] }},
+	cases := []struct{ name, in, want string }{
+		{"256-empty", "", "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"},
+		{"256-abc", "abc", "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := tc.f([]byte(tc.in))
-			if want := fromHex(t, tc.want); !bytes.Equal(got, want) {
-				t.Errorf("got %x\nwant %x", got, want)
+			want := binary.LittleEndian.Uint64(fromHex(t, tc.want)[:8])
+			if got := MAC64(nil, []byte(tc.in)); got != want {
+				t.Errorf("MAC64(nil, %q) = %#x, want %#x", tc.in, got, want)
 			}
 		})
 	}
 }
 
-// Cross-check against the standard library for random inputs of many
-// lengths, including multi-block and rate-boundary sizes.
+// MAC64 over one part equals the spelled-out definition at every
+// length 0..300, which crosses the 136-byte SHA3-256 rate twice
+// (135/136/137 and 271/272 sit on the padding edges).
 func TestAgainstStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	lengths := []int{0, 1, 7, 8, 63, 64, 71, 72, 73, 135, 136, 137, 200, 271, 272, 273, 1000, 4096}
-	for _, n := range lengths {
+	key := []byte("mac64-stdlib-key")
+	for n := 0; n <= 300; n++ {
 		data := make([]byte, n)
 		rng.Read(data)
-		got := Sum256(data)
-		want := stdsha3.Sum256(data)
-		if got != want {
-			t.Errorf("Sum256 len=%d mismatch", n)
-		}
-		got512 := Sum512(data)
-		want512 := stdsha3.Sum512(data)
-		if got512 != want512 {
-			t.Errorf("Sum512 len=%d mismatch", n)
+		if got, want := MAC64(key, data), refMAC64(key, data); got != want {
+			t.Fatalf("len %d: MAC64 = %#x, want %#x", n, got, want)
 		}
 	}
 }
 
-// Incremental writes must equal a single write.
+// TestMAC64MatchesHash splits the message into two and three parts at
+// several points, including empty parts and splits across the rate
+// boundary; the parts must hash as their concatenation.
+func TestMAC64MatchesHash(t *testing.T) {
+	key := []byte("mac64-lockstep-key")
+	for _, n := range []int{0, 1, 8, 63, 119, 135, 136, 137, 271, 272, 300} {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i * 17)
+		}
+		want := refMAC64(key, data)
+		for _, cut := range []int{0, 1, n / 3, n / 2, n - 1, n} {
+			if cut < 0 || cut > n { // n-1 and 1 on an empty message
+				continue
+			}
+			if got := MAC64(key, data[:cut], data[cut:]); got != want {
+				t.Fatalf("len %d cut %d: MAC64 = %#x, want %#x", n, cut, got, want)
+			}
+			mid := (cut + n) / 2
+			if got := MAC64(key, data[:cut], data[cut:mid], data[mid:]); got != want {
+				t.Fatalf("len %d cuts %d,%d: MAC64 = %#x, want %#x", n, cut, mid, got, want)
+			}
+		}
+	}
+}
+
+// Feeding a long message as many small parts must equal one part.
 func TestIncrementalWrite(t *testing.T) {
 	data := make([]byte, 1000)
 	rand.New(rand.NewSource(3)).Read(data)
-	h := New256()
+	var parts [][]byte
 	for i := 0; i < len(data); i += 17 {
-		end := i + 17
-		if end > len(data) {
-			end = len(data)
-		}
-		h.Write(data[i:end])
+		parts = append(parts, data[i:min(i+17, len(data))])
 	}
-	var whole [32]byte
-	copy(whole[:], h.Sum(nil))
-	if whole != Sum256(data) {
-		t.Error("incremental write digest differs from one-shot")
-	}
-}
-
-// Sum must not consume state: calling Sum twice, or Sum then Write,
-// must behave like hash.Hash.
-func TestSumIsNonDestructive(t *testing.T) {
-	h := New256()
-	h.Write([]byte("hello"))
-	d1 := h.Sum(nil)
-	d2 := h.Sum(nil)
-	if !bytes.Equal(d1, d2) {
-		t.Error("two Sums differ")
-	}
-	h.Write([]byte(" world"))
-	d3 := h.Sum(nil)
-	want := Sum256([]byte("hello world"))
-	if !bytes.Equal(d3, want[:]) {
-		t.Error("Write after Sum gives wrong digest")
-	}
-}
-
-func TestReset(t *testing.T) {
-	h := New512()
-	h.Write([]byte("garbage"))
-	h.Reset()
-	h.Write([]byte("abc"))
-	got := h.Sum(nil)
-	want := Sum512([]byte("abc"))
-	if !bytes.Equal(got, want[:]) {
-		t.Error("Reset did not clear state")
-	}
-}
-
-func TestSizes(t *testing.T) {
-	if New256().Size() != 32 || New256().BlockSize() != 136 {
-		t.Error("SHA3-256 sizes wrong")
-	}
-	if New512().Size() != 64 || New512().BlockSize() != 72 {
-		t.Error("SHA3-512 sizes wrong")
+	key := []byte("incremental")
+	if MAC64(key, parts...) != MAC64(key, data) {
+		t.Error("MAC64 over 17-byte parts differs from one-shot")
 	}
 }
 
@@ -162,55 +135,6 @@ func TestMAC64Inputs(t *testing.T) {
 	}
 }
 
-// Property: the permutation is a bijection — applying it to two
-// different states never yields the same state (checked via quick by
-// injecting a difference into one lane).
-func TestPermuteInjective(t *testing.T) {
-	f := func(s State, lane uint8, delta uint64) bool {
-		if delta == 0 {
-			return true
-		}
-		s2 := s
-		x, y := int(lane)%5, int(lane/5)%5
-		s2[x][y] ^= delta
-		s.Permute()
-		s2.Permute()
-		return s != s2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkSum256_64B(b *testing.B) {
-	data := make([]byte, 64)
-	b.SetBytes(64)
-	for i := 0; i < b.N; i++ {
-		Sum256(data)
-	}
-}
-
-// TestMAC64MatchesHash keeps the stack-based MAC64 in lockstep with
-// the general Hash construction it specializes, across buffer-boundary
-// lengths (the rate is 136; 135/136/137 exercise the padding edges).
-func TestMAC64MatchesHash(t *testing.T) {
-	key := []byte("mac64-lockstep-key")
-	for _, n := range []int{0, 1, 8, 63, 119, 135, 136, 137, 271, 272, 300} {
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i * 17)
-		}
-		h := New256()
-		h.Write(key)
-		h.Write(data[:n/2])
-		h.Write(data[n/2:])
-		want := binary.LittleEndian.Uint64(h.Sum(nil))
-		if got := MAC64(key, data[:n/2], data[n/2:]); got != want {
-			t.Fatalf("len %d: MAC64 = %#x, Hash-based = %#x", n, got, want)
-		}
-	}
-}
-
 // MAC64 sits on the engine's per-op hot path; it must not allocate.
 func TestMAC64NoAllocs(t *testing.T) {
 	key := []byte("alloc-key")
@@ -221,5 +145,23 @@ func TestMAC64NoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("MAC64 allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+var macSink uint64
+
+// BenchmarkMAC64 times the two message shapes ctrblock's nodeMAC
+// builds: a counter block (16-byte header + 128 counters, 528 B) and
+// a tree node (16-byte header + 8 entries, 48 B).
+func BenchmarkMAC64(b *testing.B) {
+	key := []byte("ctrblock-integrity-key")
+	for _, n := range []int{528, 48} {
+		buf := make([]byte, n)
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for b.Loop() {
+				macSink ^= MAC64(key, buf)
+			}
+		})
 	}
 }

@@ -55,8 +55,14 @@ const CounterlessFlag = 1<<32 - 1
 // channel's data region.
 type Store struct {
 	blockSize  uint64
-	dataBlocks uint64            // number of data blocks protected
-	counters   map[uint64]uint32 // data block index -> write counter (absent = 0)
+	dataBlocks uint64 // number of data blocks protected
+	// counters[cb] is counter block cb's page of data-block write
+	// counters, indexed by data block index mod CountersPerBlock. A
+	// page exists only once a counter in it is written (absent = all
+	// zero), so a store sized for a whole channel but used as a layout
+	// costs nothing, and a counter block's MAC reads its counters with
+	// one lookup.
+	counters map[uint64]*[CountersPerBlock]uint32
 
 	// entries[l][j], l >= 1, is the counter protecting child j of
 	// level l-1 (j indexes counter blocks when l == 1).
@@ -75,14 +81,14 @@ type Store struct {
 	// on every counter-mode writeback (6-7 nodeMAC computations each),
 	// so the gather/serialize buffers live on the Store instead of
 	// being allocated per call. Uses never overlap: each nodeMAC call
-	// fully consumes its gathered counters before the next gather.
+	// fully consumes its gathered entries before the next gather.
 	macBuf    [16 + 4*CountersPerBlock]byte
-	cbScratch [CountersPerBlock]uint32
 	neScratch [TreeArity]uint32
 }
 
-// zeroCounters backs storedMAC's never-written-node recomputation; it
-// is read-only (all zeros) and shared by every Store.
+// zeroCounters stands in for a counter block with no page and backs
+// storedMAC's never-written-node recomputation; it is read-only (all
+// zeros) and shared by every Store.
 var zeroCounters [CountersPerBlock]uint32
 
 // New creates a counter store for a data region of memSize bytes with
@@ -94,7 +100,7 @@ func New(memSize, blockSize uint64) (*Store, error) {
 	s := &Store{
 		blockSize:  blockSize,
 		dataBlocks: memSize / blockSize,
-		counters:   make(map[uint64]uint32),
+		counters:   make(map[uint64]*[CountersPerBlock]uint32),
 		macKey:     []byte("ctrblock-integrity-key"),
 	}
 	n := (s.dataBlocks + CountersPerBlock - 1) / CountersPerBlock
@@ -125,7 +131,30 @@ func (s *Store) OverheadBytes() uint64 { return s.metaBytes }
 func (s *Store) blockIndex(addr uint64) uint64 { return addr / s.blockSize }
 
 // Counter returns the current write counter of the data block at addr.
-func (s *Store) Counter(addr uint64) uint32 { return s.counters[s.blockIndex(addr)] }
+func (s *Store) Counter(addr uint64) uint32 {
+	bi := s.blockIndex(addr)
+	return s.counterBlock(bi / CountersPerBlock)[bi%CountersPerBlock]
+}
+
+// counterBlock returns counter block cbIdx's counters for reading: its
+// page, or the shared zero block when none was ever written.
+func (s *Store) counterBlock(cbIdx uint64) *[CountersPerBlock]uint32 {
+	if p := s.counters[cbIdx]; p != nil {
+		return p
+	}
+	return &zeroCounters
+}
+
+// setCounter stores data block bi's counter, creating its counter
+// block's page on first write.
+func (s *Store) setCounter(bi uint64, val uint32) {
+	p := s.counters[bi/CountersPerBlock]
+	if p == nil {
+		p = new([CountersPerBlock]uint32)
+		s.counters[bi/CountersPerBlock] = p
+	}
+	p[bi%CountersPerBlock] = val
+}
 
 // CounterBlockAddr maps a data address to the address of the counter
 // block holding its counter; this is the address the counter cache and
@@ -134,18 +163,21 @@ func (s *Store) CounterBlockAddr(addr uint64) uint64 {
 	return s.levelBase[0] + s.blockIndex(addr)/CountersPerBlock*s.blockSize
 }
 
-// TreeNodeAddrs returns the DRAM addresses of the integrity-tree nodes
-// protecting the given data address, bottom-up. The top-level node
-// (and the root counter) live on chip and are excluded. A writeback
-// walks all of them; a counter-cache hit cuts the walk short.
-func (s *Store) TreeNodeAddrs(addr uint64) []uint64 {
-	idx := s.blockIndex(addr) / CountersPerBlock
-	var out []uint64
-	for level := 1; level < len(s.levelBlocks)-1; level++ {
-		idx /= TreeArity
-		out = append(out, s.levelBase[level]+idx*s.blockSize)
+// TreeNodeAddr returns the DRAM address of the integrity-tree node at
+// the given level on the path protecting the data address. The
+// DRAM-resident tree levels are 1 through Levels()-2: the top-level
+// node (and the root counter) live on chip, so for any other level ok
+// is false. A writeback walks the levels bottom-up; a counter-cache
+// hit cuts the walk short.
+func (s *Store) TreeNodeAddr(addr uint64, level int) (nodeAddr uint64, ok bool) {
+	if level < 1 || level >= len(s.levelBlocks)-1 {
+		return 0, false
 	}
-	return out
+	idx := s.blockIndex(addr) / CountersPerBlock
+	for l := 0; l < level; l++ {
+		idx /= TreeArity
+	}
+	return s.levelBase[level] + idx*s.blockSize, true
 }
 
 // protectingEntry returns the counter protecting child j of level
@@ -169,18 +201,6 @@ func (s *Store) nodeMAC(level int, idx uint64, counters []uint32, parentCtr uint
 		binary.LittleEndian.PutUint32(buf[16+4*i:], c)
 	}
 	return keccak.MAC64(s.macKey, buf)
-}
-
-// counterBlockCounters gathers the 128 data counters in counter block
-// cbIdx into the Store's scratch; the returned slice is valid until
-// the next gather.
-func (s *Store) counterBlockCounters(cbIdx uint64) []uint32 {
-	out := s.cbScratch[:]
-	base := cbIdx * CountersPerBlock
-	for i := range out {
-		out[i] = s.counters[base+uint64(i)]
-	}
-	return out
 }
 
 // nodeEntries gathers the TreeArity entries of tree node (level, idx)
@@ -213,7 +233,7 @@ func (s *Store) storedMAC(level int, idx uint64) uint64 {
 // (paper §II-B). It reports false on tampering or replay.
 func (s *Store) VerifyCounter(addr uint64) bool {
 	cbIdx := s.blockIndex(addr) / CountersPerBlock
-	want := s.nodeMAC(0, cbIdx, s.counterBlockCounters(cbIdx), s.protectingEntry(1, cbIdx))
+	want := s.nodeMAC(0, cbIdx, s.counterBlock(cbIdx)[:], s.protectingEntry(1, cbIdx))
 	if s.storedMAC(0, cbIdx) != want {
 		return false
 	}
@@ -236,14 +256,14 @@ func (s *Store) VerifyCounter(addr uint64) bool {
 // bandwidth utilization.
 func (s *Store) Increment(addr uint64, newVal uint32) error {
 	bi := s.blockIndex(addr)
-	old := s.counters[bi]
+	old := s.Counter(addr)
 	if newVal <= old {
 		return fmt.Errorf("ctrblock: counter must increase (old=%d new=%d)", old, newVal)
 	}
 	if uint64(newVal) > CounterMax {
 		return fmt.Errorf("ctrblock: counter %d exceeds max %d", newVal, uint64(CounterMax))
 	}
-	s.counters[bi] = newVal
+	s.setCounter(bi, newVal)
 	// Bump the protecting entry of every node on the path; the final
 	// bump is the on-chip root.
 	idx := bi / CountersPerBlock
@@ -259,7 +279,7 @@ func (s *Store) Increment(addr uint64, newVal uint32) error {
 // refreshPathMACs recomputes the MACs of the counter block and every
 // tree node on its path after their contents changed.
 func (s *Store) refreshPathMACs(cbIdx uint64) {
-	s.macs[0][cbIdx] = s.nodeMAC(0, cbIdx, s.counterBlockCounters(cbIdx), s.protectingEntry(1, cbIdx))
+	s.macs[0][cbIdx] = s.nodeMAC(0, cbIdx, s.counterBlock(cbIdx)[:], s.protectingEntry(1, cbIdx))
 	idx := cbIdx
 	for level := 1; level < len(s.levelBlocks); level++ {
 		idx /= TreeArity
@@ -276,7 +296,7 @@ func (s *Store) refreshPathMACs(cbIdx uint64) {
 // power anyway). Never use it on the writeback path.
 func (s *Store) ForceCounter(addr uint64, val uint32) {
 	bi := s.blockIndex(addr)
-	s.counters[bi] = val
+	s.setCounter(bi, val)
 	// Bump the path entries exactly like Increment so replayed state
 	// keeps the parents-fresher-than-children shape.
 	idx := bi / CountersPerBlock
@@ -294,7 +314,7 @@ func (s *Store) ForceCounter(addr uint64, val uint32) {
 // fail; the security tests reproduce Fig. 10's attack with it.
 func (s *Store) ReplayCounter(addr uint64, oldVal uint32, oldMAC uint64) {
 	bi := s.blockIndex(addr)
-	s.counters[bi] = oldVal
+	s.setCounter(bi, oldVal)
 	s.macs[0][bi/CountersPerBlock] = oldMAC
 }
 

@@ -79,9 +79,22 @@ func TestCounterBlockAddrMapping(t *testing.T) {
 	}
 }
 
+// treePath collects the DRAM-resident tree-node addresses protecting
+// addr, bottom-up.
+func treePath(s *Store, addr uint64) []uint64 {
+	var out []uint64
+	for level := 1; ; level++ {
+		a, ok := s.TreeNodeAddr(addr, level)
+		if !ok {
+			return out
+		}
+		out = append(out, a)
+	}
+}
+
 func TestTreeNodeAddrs(t *testing.T) {
 	s := newStore(t)
-	nodes := s.TreeNodeAddrs(0)
+	nodes := treePath(s, 0)
 	// 6 levels total; DRAM-resident tree nodes are levels 1..4 (the
 	// top node lives on chip): 4 addresses.
 	if len(nodes) != 4 {
@@ -92,15 +105,20 @@ func TestTreeNodeAddrs(t *testing.T) {
 			t.Errorf("node %d address %#x outside level %d region", i, a, i+1)
 		}
 	}
+	for _, level := range []int{-1, 0, 5, 6} {
+		if a, ok := s.TreeNodeAddr(0, level); ok {
+			t.Errorf("TreeNodeAddr(0, %d) = %#x, want no DRAM node", level, a)
+		}
+	}
 	// Different data addresses far apart must diverge at the bottom of
 	// the tree; they converge only at the on-chip top node, which is
 	// not part of the DRAM path.
-	other := s.TreeNodeAddrs(testMem - 64)
+	other := treePath(s, testMem-64)
 	if nodes[0] == other[0] {
 		t.Error("distant blocks share a level-1 node")
 	}
 	// Nearby addresses (same counter block) share the whole path.
-	near := s.TreeNodeAddrs(64)
+	near := treePath(s, 64)
 	for i := range nodes {
 		if nodes[i] != near[i] {
 			t.Errorf("level %d: neighbors diverge", i+1)
@@ -265,7 +283,7 @@ func TestTinyMemorySingleLevel(t *testing.T) {
 	if s.Levels() != 1 {
 		t.Fatalf("levels = %d, want 1", s.Levels())
 	}
-	if got := s.TreeNodeAddrs(0); len(got) != 0 {
+	if got := treePath(s, 0); len(got) != 0 {
 		t.Errorf("tiny store tree path = %v, want empty", got)
 	}
 	if err := s.Increment(0, 1); err != nil {
@@ -282,6 +300,94 @@ func TestTinyMemorySingleLevel(t *testing.T) {
 	s.ReplayCounter(0, old, oldMAC)
 	if s.VerifyCounter(0) {
 		t.Error("replay undetected on tiny store")
+	}
+}
+
+// Reads never create a counter page: Counter and VerifyCounter on
+// never-written blocks see the shared zero block, and a store sized
+// for a whole 128 GiB channel, used only for its address layout,
+// holds no pages at all.
+func TestReadsAllocateNoPage(t *testing.T) {
+	s := newStore(t)
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 1000; i++ {
+		addr := uint64(rng.Intn(testMem/64)) * 64
+		if s.Counter(addr) != 0 || !s.VerifyCounter(addr) {
+			t.Fatalf("never-written block %#x: counter %d, verify %v", addr, s.Counter(addr), s.VerifyCounter(addr))
+		}
+	}
+	if len(s.counters) != 0 {
+		t.Errorf("reads created %d counter pages, want 0", len(s.counters))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.VerifyCounter(4096) }); allocs != 0 {
+		t.Errorf("VerifyCounter of a never-written block allocates %.1f times, want 0", allocs)
+	}
+
+	const layoutMem = 128 << 30
+	big, err := New(layoutMem, testBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		addr := uint64(rng.Int63n(layoutMem/64)) * 64
+		if a := big.CounterBlockAddr(addr); a < layoutMem || a >= layoutMem+big.OverheadBytes() {
+			t.Fatalf("counter block address %#x outside the metadata region", a)
+		}
+		for level := 1; level < big.Levels()-1; level++ {
+			if _, ok := big.TreeNodeAddr(addr, level); !ok {
+				t.Fatalf("no DRAM node at level %d of %d", level, big.Levels())
+			}
+		}
+	}
+	if len(big.counters) != 0 {
+		t.Errorf("layout-only store holds %d counter pages, want 0", len(big.counters))
+	}
+}
+
+// The first and last slot of a counter page belong to the page's own
+// counter block: every writer (Increment, ForceCounter, ReplayCounter)
+// lands in the right slot and leaves the neighbouring pages alone.
+func TestCounterPageEdges(t *testing.T) {
+	s := newStore(t)
+	const page = 5 * CountersPerBlock * testBlock // first block of counter block 5
+	first, last := uint64(page), uint64(page+(CountersPerBlock-1)*testBlock)
+	if err := s.Increment(first, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Increment(last, 7); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.counters) != 1 {
+		t.Fatalf("two writes to one counter block made %d pages, want 1", len(s.counters))
+	}
+	if s.Counter(first) != 3 || s.Counter(last) != 7 || s.Counter(first+testBlock) != 0 {
+		t.Errorf("page slots = %d, %d, %d; want 3, 7, 0", s.Counter(first), s.Counter(last), s.Counter(first+testBlock))
+	}
+	if s.Counter(first-testBlock) != 0 || s.Counter(last+testBlock) != 0 {
+		t.Error("a page write leaked into a neighbouring counter block")
+	}
+
+	s.ForceCounter(last, 2)
+	s.ForceCounter(first, 9)
+	if s.Counter(first) != 9 || s.Counter(last) != 2 {
+		t.Errorf("after ForceCounter: %d, %d; want 9, 2", s.Counter(first), s.Counter(last))
+	}
+	for _, a := range []uint64{first, last} {
+		if !s.VerifyCounter(a) {
+			t.Errorf("%#x fails verification after ForceCounter", a)
+		}
+	}
+
+	oldMAC := s.CounterBlockMAC(last)
+	if err := s.Increment(last, 3); err != nil {
+		t.Fatal(err)
+	}
+	s.ReplayCounter(last, 2, oldMAC)
+	if s.Counter(last) != 2 || s.Counter(first) != 9 {
+		t.Errorf("after ReplayCounter: %d, %d; want 2, 9", s.Counter(last), s.Counter(first))
+	}
+	if s.VerifyCounter(last) {
+		t.Error("replay into the last slot undetected")
 	}
 }
 
