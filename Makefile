@@ -102,18 +102,18 @@ bench-json:
 fuzz:
 	$(GO) test ./internal/check -run '^$$' -fuzz FuzzEngineOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/check -run '^$$' -fuzz FuzzCrashPoints -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/check -run '^$$' -fuzz FuzzReproToken -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mcpool -run '^$$' -fuzz FuzzJournalDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzMetadataDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzEccRecovery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/entropy -run '^$$' -fuzz FuzzEntropyClassifier -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cipher -run '^$$' -fuzz FuzzCipherBackends -fuzztime $(FUZZTIME)
 
-# Tier-1 suite under every AES backend (CL_CIPHER is the process
-# default each engine inherits); all three are bit-exact, so any
+# Tier-1 suite under both AES backends (CL_CIPHER is the process
+# default each engine inherits); they are bit-exact, so any
 # backend-dependent failure is a batching/backend bug.
 test-backends:
 	CL_CIPHER=ref $(GO) test ./internal/cipher ./internal/core ./internal/mcpool
-	CL_CIPHER=ttable $(GO) test ./...
 	CL_CIPHER=stdlib $(GO) test ./...
 
 clean:

@@ -124,7 +124,7 @@ func benchCounterMode() (*cipher.CounterMode, error) {
 }
 
 // benchPadSingle measures one PadWithMAC derivation — six AES blocks
-// through one batched EncryptBlocks call, the per-read OTP cost.
+// in one batch, the per-read OTP cost.
 func benchPadSingle(window time.Duration) (perf.Result, error) {
 	cm, err := benchCounterMode()
 	if err != nil {
@@ -144,9 +144,9 @@ func benchPadSingle(window time.Duration) (perf.Result, error) {
 	return perf.Result{Iterations: iters, NsPerOp: ns, AllocsPerOp: allocs}, nil
 }
 
-// benchPadBatch measures PadBatch at the mcpool precompute shape (32
-// pads per call) and reports per-pad cost, so the delta against
-// cipher/pad_single is the batching win.
+// benchPadBatch measures PadBatch at 32 pads per call and reports
+// per-pad cost, so the delta against cipher/pad_single is the batching
+// win.
 func benchPadBatch(window time.Duration) (perf.Result, error) {
 	cm, err := benchCounterMode()
 	if err != nil {

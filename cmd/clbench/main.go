@@ -13,7 +13,7 @@
 //	clbench -snapshots out/ # one metrics-JSON snapshot per simulated cell
 //	clbench -bench-json BENCH_1.json  # pinned perf suite -> schema-versioned snapshot
 //	clbench -bench-json out.json -bench-quick  # reduced windows (CI smoke)
-//	clbench -cipher stdlib  # hardware-class AES backend (ref | ttable | stdlib)
+//	clbench -cipher ref     # textbook reference AES (ref | stdlib)
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 	concurrent := flag.Bool("concurrent", false, "benchmark the sharded concurrent engine against a serial engine on a fixed-seed trace and verify bit-identical aggregates")
 	benchJSON := flag.String("bench-json", "", "run the pinned perf suite and write a BENCH-schema snapshot to this path (clreport -bench-compare input)")
 	benchQuick := flag.Bool("bench-quick", false, "with -bench-json: reduced measurement windows for CI smoke runs")
-	cipherName := flag.String("cipher", "", "AES backend for every engine: ref | ttable | stdlib (empty = $CL_CIPHER, else ttable)")
+	cipherName := flag.String("cipher", "", "AES backend for every engine: ref | stdlib (empty = $CL_CIPHER, else stdlib)")
 	flag.Parse()
 
 	if *cipherName != "" {

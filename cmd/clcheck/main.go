@@ -114,7 +114,7 @@ func parse(args []string) (config, error) {
 	schemes := fs.Bool("schemes", false, "also sweep every registered timing scheme's Result invariants over the seeds")
 	metricsPath := fs.String("metrics", "", "write a Prometheus-text snapshot of the campaign counters to this file")
 	tokensPath := fs.String("tokens", "", "write minimized repro tokens (one per line) to this file on divergence")
-	cipherName := fs.String("cipher", "", "AES backend the engines under test run on: ref | ttable | stdlib (the oracle always recomputes through ref)")
+	cipherName := fs.String("cipher", "", "AES backend the engines under test run on: ref | stdlib (the oracle always recomputes through ref)")
 	fs.Parse(args)
 
 	c := config{mode: "classic", jobs: *jobs, schemes: *schemes, repro: *repro, cipher: *cipherName,

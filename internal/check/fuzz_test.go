@@ -1,6 +1,8 @@
 package check
 
 import (
+	"encoding/base64"
+	"reflect"
 	"testing"
 
 	"counterlight/internal/epoch"
@@ -51,6 +53,33 @@ func FuzzEngineOps(f *testing.F) {
 		if rr.Div != nil {
 			t.Fatalf("oracle divergence (gen seed %d): %v\nrepro token: %s",
 				r.Program.Seed, rr.Div, r.Token())
+		}
+	})
+}
+
+// FuzzReproToken fuzzes the repro-token decoder on its own, without
+// replaying: no input may panic it, and every accepted token must be
+// exact — r.Token() parses back to a deep-equal Repro, and
+// re-encoding that Repro reproduces r.Token() (a fixed point). The
+// seed corpus under testdata/fuzz/FuzzReproToken holds real classic,
+// known-bad and crash tokens plus the trailing-byte and wide-field
+// frames the decoder rejects.
+func FuzzReproToken(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		r, err := ParseToken(base64.RawURLEncoding.EncodeToString(raw))
+		if err != nil {
+			return
+		}
+		tok := r.Token()
+		back, err := ParseToken(tok)
+		if err != nil {
+			t.Fatalf("re-encoded token rejected: %v", err)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("token does not round-trip:\n got %+v\nwant %+v", back, r)
+		}
+		if again := back.Token(); again != tok {
+			t.Fatalf("Token() is not a fixed point: %s then %s", tok, again)
 		}
 	})
 }

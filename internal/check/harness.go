@@ -163,8 +163,8 @@ func (c *checker) write(op Op) *Divergence {
 			return div("counter-moved", "counterless write moved counter %d -> %d at %#x", prevCtr, ctrNow, addr)
 		}
 		// Independent recomputation through the VM's own key — on the
-		// reference AES backend, so an engine running a fast backend
-		// (ttable, stdlib) is checked against a genuinely independent
+		// reference AES backend, so an engine running the stdlib
+		// backend is checked against a genuinely independent
 		// implementation rather than against itself.
 		cls := c.e.ReferenceCounterlessCipher(vm)
 		ct := cls.Encrypt(addr, plain)

@@ -1,6 +1,9 @@
 package check
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"counterlight/internal/epoch"
@@ -149,8 +152,9 @@ func TestTokenRoundTrip(t *testing.T) {
 }
 
 // TestTokenRejectsGarbage pins the decoder's validation: truncation,
-// bad magic, and out-of-range fields are errors, never panics or
-// out-of-range programs.
+// bad magic, out-of-range or over-wide fields, and trailing bytes are
+// errors, never panics, out-of-range programs, or a program other than
+// the one the bytes encode.
 func TestTokenRejectsGarbage(t *testing.T) {
 	good := Repro{Variant: "aes128", Program: Generate(5, DefaultGenConfig())}
 	raw := good.TokenBytes()
@@ -167,6 +171,56 @@ func TestTokenRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ParseToken("!!!not-base64!!!"); err == nil {
 		t.Error("non-base64 token accepted")
+	}
+
+	// An accepted token must name exactly the program its bytes
+	// encode: trailing bytes, and 32-bit op fields carrying wider
+	// uvarints, are errors rather than silently dropped or truncated
+	// (block 2^32+3 must not replay as block 3). oneOp builds a one-op
+	// token (variant aes128, no flags, seed 0, 8 blocks) the way
+	// Repro.TokenBytes frames it.
+	oneOp := func(kind OpKind, block uint64, tail ...byte) []byte {
+		buf := append([]byte(tokenMagic), 6)
+		buf = append(buf, "aes128"...)
+		buf = append(buf, 0)               // flags
+		buf = binary.AppendUvarint(buf, 0) // seed
+		buf = binary.AppendUvarint(buf, 8) // blocks
+		buf = binary.AppendUvarint(buf, 1) // ops
+		buf = append(buf, byte(kind))
+		buf = binary.AppendUvarint(buf, block)
+		return append(buf, tail...)
+	}
+	write := func(paySeed uint64) []byte {
+		tail := binary.AppendUvarint([]byte{0, byte(epoch.CounterMode), byte(PayText)}, paySeed)
+		return oneOp(OpWrite, 3, tail...)
+	}
+	// In range, the hand-built frames are canonical tokens.
+	for _, frame := range [][]byte{oneOp(OpRead, 7), write(math.MaxUint32)} {
+		r, err := parseTokenBytes(frame)
+		if err != nil {
+			t.Fatalf("in-range token rejected: %v", err)
+		}
+		if !bytes.Equal(r.TokenBytes(), frame) {
+			t.Fatalf("in-range token re-encodes as %q, want %q", r.TokenBytes(), frame)
+		}
+	}
+	crash := Repro{Variant: "aes128", Crash: true, CrashStep: 9, Program: Generate(6, DefaultGenConfig())}.TokenBytes()
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"trailing zero byte", append(oneOp(OpRead, 3), 0)},
+		{"trailing op frame", append(oneOp(OpRead, 3), byte(OpRead), 3)},
+		{"generated program plus a byte", append(raw, 0xff)},
+		{"crash token plus a byte", append(crash, 1)},
+		{"block 2^32+3", oneOp(OpRead, 1<<32+3)},
+		{"block 2^64-1", oneOp(OpRead, math.MaxUint64)},
+		{"payload seed 2^32", write(1 << 32)},
+		{"payload seed 2^32+5", write(1<<32 + 5)},
+	} {
+		if r, err := parseTokenBytes(tc.raw); err == nil {
+			t.Errorf("%s: accepted as a %d-op program", tc.name, len(r.Program.Ops))
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"counterlight/internal/cipher"
 	"counterlight/internal/epoch"
@@ -206,8 +207,20 @@ func (b *byteReader) uvarint() uint64 {
 	return v
 }
 
+// uvarint32 reads a uvarint that must fit op i's 32-bit field.
+func (b *byteReader) uvarint32(field string, i uint64) uint32 {
+	v := b.uvarint()
+	if b.err == nil && v > math.MaxUint32 {
+		b.err = fmt.Errorf("check: op %d: %s %d does not fit 32 bits", i, field, v)
+	}
+	return uint32(v)
+}
+
 // parseTokenBytes decodes and validates a raw token. Every field is
-// bounds-checked; the returned repro is always safe to Replay.
+// bounds-checked, 32-bit fields reject wider values instead of
+// truncating them, and trailing bytes are an error, so an accepted
+// token names exactly the program its bytes encode and the returned
+// repro is always safe to Replay.
 func parseTokenBytes(data []byte) (Repro, error) {
 	var r Repro
 	if len(data) < len(tokenMagic) || string(data[:len(tokenMagic)]) != tokenMagic {
@@ -252,7 +265,7 @@ func parseTokenBytes(data []byte) (Repro, error) {
 	for i := uint64(0); i < nops; i++ {
 		var op Op
 		op.Kind = OpKind(br.u8())
-		op.Block = uint32(br.uvarint())
+		op.Block = br.uvarint32("block", i)
 		switch op.Kind {
 		case OpWrite:
 			op.VM = br.u8()
@@ -266,7 +279,7 @@ func parseTokenBytes(data []byte) (Repro, error) {
 				return r, fmt.Errorf("check: op %d: bad payload kind %d", i, p)
 			}
 			op.Pay = PayloadKind(p)
-			op.PaySeed = uint32(br.uvarint())
+			op.PaySeed = br.uvarint32("payload seed", i)
 		case OpRead, OpFlush:
 			// block only (flush ignores it but keeps the frame uniform)
 		case OpFault:
@@ -288,7 +301,10 @@ func parseTokenBytes(data []byte) (Repro, error) {
 		}
 		r.Program.Ops = append(r.Program.Ops, op)
 	}
-	return r, br.err
+	if br.pos != len(data) {
+		return r, fmt.Errorf("check: %d trailing bytes after the last op", len(data)-br.pos)
+	}
+	return r, nil
 }
 
 // ParseToken decodes a clcheck -repro token.

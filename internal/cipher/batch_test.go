@@ -92,24 +92,6 @@ func TestMACFromOTP(t *testing.T) {
 	}
 }
 
-// TestTweakBatchMatchesEncrypt checks the batched tweak derivation
-// against a round trip through Encrypt/Decrypt: encrypting with the
-// batch-derived tweaks by hand must reproduce Encrypt.
-func TestTweakBatchMatchesEncrypt(t *testing.T) {
-	for _, backend := range aes.BackendNames() {
-		cls := testCounterless(t, backend)
-		addrs := []uint64{0, 64, 128, 64 * 1000}
-		tweaks := make([][WordsPerBlock][16]byte, len(addrs))
-		var s BatchScratch
-		cls.TweakBatch(addrs, tweaks, &s)
-		for i, addr := range addrs {
-			if want := cls.tweaks(addr); tweaks[i] != want {
-				t.Fatalf("%s: TweakBatch[%d] != tweaks(%#x)", backend, i, addr)
-			}
-		}
-	}
-}
-
 // TestCipherBackendsAgree cross-checks the full Counterless and
 // CounterMode surfaces across every backend against the reference.
 func TestCipherBackendsAgree(t *testing.T) {

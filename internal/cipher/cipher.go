@@ -12,12 +12,12 @@
 //     of a truncated OTP with a GF(2^64) dot product of the plaintext
 //     (as in SGX1's MEE / Synergy).
 //
-// Both engines are parameterized by an aes.Backend (ref, ttable, or
-// stdlib — all bit-exact) and batch their AES work: one engine call
-// issues one EncryptBlocks over every block it needs, which is where a
-// hardware-class backend gets its pipelining win. The batch entry
-// points (PadBatch, TweakBatch) extend that to many memory blocks per
-// call with caller-owned buffers.
+// Both engines run on a crypto/cipher.Block from aes.NewBackend: the
+// standard library's AES ("stdlib") or the textbook reference ("ref"),
+// which are bit-exact. One engine call gathers every AES input block
+// it needs and runs them through one per-block loop (ecb); PadBatch
+// extends that to many memory blocks per call with caller-owned
+// buffers.
 //
 // The engines carry per-instance scratch buffers to keep the hot path
 // allocation-free, so a Counterless or CounterMode value must not be
@@ -28,6 +28,7 @@
 package cipher
 
 import (
+	stdcipher "crypto/cipher"
 	"encoding/binary"
 	"fmt"
 
@@ -77,11 +78,10 @@ func (b Block) XOR(o Block) Block {
 	return b
 }
 
-// BatchScratch amortizes the intermediate AES buffers of the batch
-// entry points (PadBatch, TweakBatch). The zero value is ready to use;
-// the buffers grow to the largest batch seen and are then reused. The
-// methods never retain caller-supplied slices, but one scratch must
-// not serve two concurrent callers.
+// BatchScratch amortizes the intermediate AES buffers of PadBatch.
+// The zero value is ready to use; the buffers grow to the largest batch
+// seen and are then reused. PadBatch never retains caller-supplied
+// slices, but one scratch must not serve two concurrent callers.
 type BatchScratch struct {
 	in, out []byte
 }
@@ -103,8 +103,8 @@ func (s *BatchScratch) grow(n int) (in, out []byte) {
 // Counterless encrypts blocks in the counterless (XTS) mode. It is not
 // safe for concurrent use: the batch scratch is per-instance.
 type Counterless struct {
-	dataKey  aes.Backend
-	tweakKey aes.Backend
+	dataKey  stdcipher.Block
+	tweakKey stdcipher.Block
 	backend  string
 	macKey   []byte
 
@@ -152,10 +152,6 @@ func NewCounterlessBackend(backend string, dataKey, tweakKey, macKey []byte) (*C
 // Backend reports the AES backend name this engine runs on.
 func (c *Counterless) Backend() string { return c.backend }
 
-// Rounds reports the AES round count of the data cipher, which drives
-// the latency model (10 for AES-128, 14 for AES-256).
-func (c *Counterless) Rounds() int { return c.dataKey.Rounds() }
-
 // tweak computes the encrypted tweak for the block at addr, then the
 // per-word tweaks T_j = T ⊗ α^j in GF(2^128) (Fig. 2a's
 // "Tweak(Address) ⊗ α^j").
@@ -170,31 +166,6 @@ func (c *Counterless) tweaks(addr uint64) [WordsPerBlock][16]byte {
 		t = mulAlpha(t)
 	}
 	return out
-}
-
-// TweakBatch fills tweaks[i] with the per-word tweaks of the block at
-// addrs[i], batching every tweak-key AES into one EncryptBlocks call.
-// tweaks is caller-owned (len >= len(addrs)); s amortizes the AES
-// buffers and no slice is retained.
-func (c *Counterless) TweakBatch(addrs []uint64, tweaks [][WordsPerBlock][16]byte, s *BatchScratch) {
-	if len(tweaks) < len(addrs) {
-		panic("cipher: TweakBatch output shorter than input")
-	}
-	in, out := s.grow(len(addrs) * 16)
-	for i, addr := range addrs {
-		for k := 0; k < 16; k++ {
-			in[16*i+k] = 0
-		}
-		binary.LittleEndian.PutUint64(in[16*i:], addr/BlockSize)
-	}
-	c.tweakKey.EncryptBlocks(out, in)
-	for i := range addrs {
-		t := [16]byte(out[16*i : 16*i+16])
-		for j := 0; j < WordsPerBlock; j++ {
-			tweaks[i][j] = t
-			t = mulAlpha(t)
-		}
-	}
 }
 
 // mulAlpha doubles a 16-byte value in GF(2^128) with the XTS
@@ -212,44 +183,46 @@ func mulAlpha(t [16]byte) [16]byte {
 	return out
 }
 
-// Encrypt encrypts a block stored at byte address addr:
-// C_j = AES_k1(P_j ⊕ T_j) ⊕ T_j for each 16-byte word. All four word
-// AES computations go out as one batch.
-func (c *Counterless) Encrypt(addr uint64, plain Block) Block {
+// ecb runs one AES direction (a block cipher's Encrypt or Decrypt)
+// over the len(src)/16 independent blocks of src into dst: the batch
+// loop behind every engine entry point.
+func ecb(aesBlock func(dst, src []byte), dst, src []byte) {
+	for i := 0; i < len(src); i += aes.BlockSize {
+		aesBlock(dst[i:i+aes.BlockSize], src[i:i+aes.BlockSize])
+	}
+}
+
+// xts computes out_j = AES(in_j ⊕ T_j) ⊕ T_j for each 16-byte word of
+// the block at addr, with all four word AES computations in one batch.
+// aesBlock is the data key's Encrypt or Decrypt.
+func (c *Counterless) xts(aesBlock func(dst, src []byte), addr uint64, in Block) Block {
 	tw := c.tweaks(addr)
 	for j := 0; j < WordsPerBlock; j++ {
 		for i := 0; i < 16; i++ {
-			c.sin[16*j+i] = plain[16*j+i] ^ tw[j][i]
+			c.sin[16*j+i] = in[16*j+i] ^ tw[j][i]
 		}
 	}
-	c.dataKey.EncryptBlocks(c.sout[:], c.sin[:])
-	var ct Block
+	ecb(aesBlock, c.sout[:], c.sin[:])
+	var out Block
 	for j := 0; j < WordsPerBlock; j++ {
 		for i := 0; i < 16; i++ {
-			ct[16*j+i] = c.sout[16*j+i] ^ tw[j][i]
+			out[16*j+i] = c.sout[16*j+i] ^ tw[j][i]
 		}
 	}
-	return ct
+	return out
+}
+
+// Encrypt encrypts a block stored at byte address addr:
+// C_j = AES_k1(P_j ⊕ T_j) ⊕ T_j for each 16-byte word.
+func (c *Counterless) Encrypt(addr uint64, plain Block) Block {
+	return c.xts(c.dataKey.Encrypt, addr, plain)
 }
 
 // Decrypt inverts Encrypt. The AES here is data-dependent: it can only
 // start after the ciphertext arrives, which is the latency problem the
 // paper characterizes in §III.
 func (c *Counterless) Decrypt(addr uint64, ct Block) Block {
-	tw := c.tweaks(addr)
-	for j := 0; j < WordsPerBlock; j++ {
-		for i := 0; i < 16; i++ {
-			c.sin[16*j+i] = ct[16*j+i] ^ tw[j][i]
-		}
-	}
-	c.dataKey.DecryptBlocks(c.sout[:], c.sin[:])
-	var plain Block
-	for j := 0; j < WordsPerBlock; j++ {
-		for i := 0; i < 16; i++ {
-			plain[16*j+i] = c.sout[16*j+i] ^ tw[j][i]
-		}
-	}
-	return plain
+	return c.xts(c.dataKey.Decrypt, addr, ct)
 }
 
 // MAC computes the 64-bit counterless-mode MAC: SHA-3 over the
@@ -285,7 +258,7 @@ const padBlocks = WordsPerBlock + 2
 // is what makes the AES memoization table viable. It is not safe for
 // concurrent use: the pad scratch is per-instance.
 type CounterMode struct {
-	key     aes.Backend
+	key     stdcipher.Block
 	backend string
 	macKeys []uint64
 	combine Combiner
@@ -332,9 +305,6 @@ func NewCounterModeBackend(backend string, key []byte, macSecret uint64, combine
 
 // Backend reports the AES backend name this engine runs on.
 func (c *CounterMode) Backend() string { return c.backend }
-
-// Rounds reports the AES round count (latency model input).
-func (c *CounterMode) Rounds() int { return c.key.Rounds() }
 
 // putPadInput serializes one AES input block: the 64-bit value, zero
 // padding, and the domain-separator byte.
@@ -388,6 +358,20 @@ func fillPadInputs(dst []byte, counter, addr uint64, n int) {
 	}
 }
 
+// combinePad turns the AES outputs of one pad derivation (the
+// counter block, one block per data word, then the MAC's word when
+// macOTP is non-nil) into the block pad and the MAC's OTP word.
+func (c *CounterMode) combinePad(out []byte, pad *Block, macOTP *mix.Word) {
+	ctrAES := mix.FromBytes([16]byte(out[0:16]))
+	for j := 0; j < WordsPerBlock; j++ {
+		w := c.combine(ctrAES, mix.FromBytes([16]byte(out[16*(j+1):16*(j+2)])))
+		pad.SetWord(j, w.Bytes())
+	}
+	if macOTP != nil {
+		*macOTP = c.combine(ctrAES, mix.FromBytes([16]byte(out[16*(WordsPerBlock+1):16*(WordsPerBlock+2)])))
+	}
+}
+
 // padInto derives the block pad (and, when macOTP is non-nil, the
 // MAC's dedicated OTP word) with a single batched AES call.
 func (c *CounterMode) padInto(pad *Block, counter, addr uint64, macOTP *mix.Word) {
@@ -397,15 +381,8 @@ func (c *CounterMode) padInto(pad *Block, counter, addr uint64, macOTP *mix.Word
 		n = padBlocks
 	}
 	fillPadInputs(c.pin[:16*n], counter, addr, n)
-	c.key.EncryptBlocks(c.pout[:16*n], c.pin[:16*n])
-	ctrAES := mix.FromBytes([16]byte(c.pout[0:16]))
-	for j := 0; j < WordsPerBlock; j++ {
-		w := c.combine(ctrAES, mix.FromBytes([16]byte(c.pout[16*(j+1):16*(j+2)])))
-		pad.SetWord(j, w.Bytes())
-	}
-	if macOTP != nil {
-		*macOTP = c.combine(ctrAES, mix.FromBytes([16]byte(c.pout[16*(WordsPerBlock+1):16*(WordsPerBlock+2)])))
-	}
+	ecb(c.key.Encrypt, c.pout[:16*n], c.pin[:16*n])
+	c.combinePad(c.pout[:16*n], pad, macOTP)
 	c.padProbe.Done(t0)
 }
 
@@ -429,7 +406,7 @@ func (c *CounterMode) PadWithMAC(counter, addr uint64) (Block, mix.Word) {
 
 // PadBatch fills pads[i] — and macOTPs[i], when macOTPs is non-nil —
 // for each (counters[i], addrs[i]) pair, batching the whole batch's
-// AES (six blocks per pair) into one EncryptBlocks call. pads and
+// AES (six blocks per pair) into one ecb call. pads and
 // macOTPs are caller-owned (len >= len(counters)); s amortizes the AES
 // buffers. No caller slice is retained.
 func (c *CounterMode) PadBatch(counters, addrs []uint64, pads []Block, macOTPs []mix.Word, s *BatchScratch) {
@@ -445,17 +422,13 @@ func (c *CounterMode) PadBatch(counters, addrs []uint64, pads []Block, macOTPs [
 	for i := 0; i < n; i++ {
 		fillPadInputs(in[i*padBlocks*16:(i+1)*padBlocks*16], counters[i], addrs[i], padBlocks)
 	}
-	c.key.EncryptBlocks(out, in)
+	ecb(c.key.Encrypt, out, in)
 	for i := 0; i < n; i++ {
-		base := i * padBlocks * 16
-		ctrAES := mix.FromBytes([16]byte(out[base : base+16]))
-		for j := 0; j < WordsPerBlock; j++ {
-			w := c.combine(ctrAES, mix.FromBytes([16]byte(out[base+16*(j+1):base+16*(j+2)])))
-			pads[i].SetWord(j, w.Bytes())
-		}
+		var macOTP *mix.Word
 		if macOTPs != nil {
-			macOTPs[i] = c.combine(ctrAES, mix.FromBytes([16]byte(out[base+16*(WordsPerBlock+1):base+16*(WordsPerBlock+2)])))
+			macOTP = &macOTPs[i]
 		}
+		c.combinePad(out[i*padBlocks*16:(i+1)*padBlocks*16], &pads[i], macOTP)
 	}
 	c.padProbe.DoneN(t0, n)
 }

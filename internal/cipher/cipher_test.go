@@ -312,18 +312,6 @@ func TestCounterModeLinearCombiner(t *testing.T) {
 	}
 }
 
-func TestCounterModeRounds(t *testing.T) {
-	cm128, _ := NewCounterMode(make([]byte, 16), 1, nil)
-	cm256, _ := NewCounterMode(make([]byte, 32), 1, nil)
-	if cm128.Rounds() != 10 || cm256.Rounds() != 14 {
-		t.Errorf("rounds = %d/%d, want 10/14", cm128.Rounds(), cm256.Rounds())
-	}
-	cl128, _ := NewCounterless(make([]byte, 16), make([]byte, 16), []byte("k"))
-	if cl128.Rounds() != 10 {
-		t.Errorf("counterless rounds = %d", cl128.Rounds())
-	}
-}
-
 func TestNewCounterModeErrors(t *testing.T) {
 	if _, err := NewCounterMode(make([]byte, 7), 1, nil); err == nil {
 		t.Error("want error for bad key size")

@@ -35,9 +35,9 @@ type EngineOptions struct {
 	// limit permanently switches to counterless mode.
 	CounterLimit uint32
 	// Cipher selects the AES backend the engine's ciphers run on
-	// ("ref", "ttable", or "stdlib"; empty means the process default,
-	// aes.DefaultBackend). All backends are bit-exact, so this choice
-	// affects only host-side speed, never stored bytes or MACs.
+	// ("stdlib" or "ref"; empty means the process default,
+	// aes.DefaultBackend). Both are bit-exact, so this choice affects
+	// only host-side speed, never stored bytes or MACs.
 	Cipher string
 	// DisableCorrection skips the Fig. 14 trial-and-error correction
 	// path entirely: a failed fast-path MAC check becomes an
@@ -91,19 +91,9 @@ type Engine struct {
 	// (counter, address) — the software analogue of the hardware
 	// starting the OTP AES while data is in flight. Pads are pure
 	// functions of (counter, address), so entries never go stale; a
-	// mismatch simply recomputes. It serves two reuse patterns: the
-	// MAC check and the decrypt of one read share a single pad
-	// derivation, and mcpool's batch precompute (PrecomputeReadPads)
-	// fills slots ahead of the reads that consume them.
+	// mismatch simply recomputes. It lets the MAC check and the
+	// decrypt of one read share a single pad derivation.
 	padCache [padCacheSize]padCacheEntry
-
-	// Reusable gather/output buffers for PrecomputeReadPads: the batch
-	// path must not allocate in steady state (buffers grow to the
-	// largest batch seen, then stick).
-	pcCtrs, pcAddrs []uint64
-	pcPads          []cipher.Block
-	pcOTPs          []mix.Word
-	pcScratch       cipher.BatchScratch
 
 	// permanentCounterless records blocks whose counters saturated
 	// (§IV-C) or that were mapped out of a faulty rank (§IV-E).
@@ -357,8 +347,8 @@ func (e *Engine) ReferenceCounterlessCipher(vm int) *cipher.Counterless {
 
 // padFor returns the counter-mode pad and MAC OTP word for (ctr,
 // addr), serving from the direct-mapped pad cache when a prior MAC
-// check, decrypt, or PrecomputeReadPads already derived it. On a miss
-// it derives both with one six-block batched AES and fills the slot.
+// check or decrypt already derived it. On a miss it derives both with
+// one six-block batched AES and fills the slot.
 func (e *Engine) padFor(ctr, addr uint64) (cipher.Block, mix.Word) {
 	slot := &e.padCache[(addr>>6)&(padCacheSize-1)]
 	if slot.valid && slot.addr == addr && slot.ctr == ctr {
@@ -367,57 +357,6 @@ func (e *Engine) padFor(ctr, addr uint64) (cipher.Block, mix.Word) {
 	pad, otp := e.cm.PadWithMAC(ctr, addr)
 	*slot = padCacheEntry{ctr: ctr, addr: addr, pad: pad, otp: otp, valid: true}
 	return pad, otp
-}
-
-// PrecomputeReadPads derives the counter-mode pads for the given
-// block addresses ahead of the reads that will consume them, batching
-// all the AES into one EncryptBlocks call (six blocks per address) and
-// filling the pad cache. Addresses that are unwritten, unaligned, in
-// counterless mode, or already cached are skipped; the return value is
-// the number of pads actually derived. Steady-state it performs no
-// allocation: the gather buffers live on the engine.
-//
-// This is mcpool's pad-precompute stage: a shard collects the read
-// addresses of a batch, precomputes here, and every subsequent
-// Engine.Read hits the cache — the software analogue of the hardware
-// overlapping OTP AES with the DRAM access (paper Fig. 2b).
-func (e *Engine) PrecomputeReadPads(addrs []uint64) int {
-	e.pcCtrs = e.pcCtrs[:0]
-	e.pcAddrs = e.pcAddrs[:0]
-	for _, addr := range addrs {
-		if addr%64 != 0 || addr >= e.opts.MemSize {
-			continue
-		}
-		cw, ok := e.mem[addr]
-		if !ok {
-			continue
-		}
-		meta := cw.DecodeMeta()
-		if meta > ctrblock.CounterMax {
-			continue // counterless block: no pad to precompute
-		}
-		if slot := &e.padCache[(addr>>6)&(padCacheSize-1)]; slot.valid && slot.addr == addr && slot.ctr == meta {
-			continue
-		}
-		e.pcCtrs = append(e.pcCtrs, meta)
-		e.pcAddrs = append(e.pcAddrs, addr)
-	}
-	n := len(e.pcCtrs)
-	if n == 0 {
-		return 0
-	}
-	if cap(e.pcPads) < n {
-		e.pcPads = make([]cipher.Block, n)
-		e.pcOTPs = make([]mix.Word, n)
-	}
-	pads, otps := e.pcPads[:n], e.pcOTPs[:n]
-	e.cm.PadBatch(e.pcCtrs, e.pcAddrs, pads, otps, &e.pcScratch)
-	for i := 0; i < n; i++ {
-		addr := e.pcAddrs[i]
-		slot := &e.padCache[(addr>>6)&(padCacheSize-1)]
-		*slot = padCacheEntry{ctr: e.pcCtrs[i], addr: addr, pad: pads[i], otp: otps[i], valid: true}
-	}
-	return n
 }
 
 // IsPermanentCounterless reports whether the block has permanently

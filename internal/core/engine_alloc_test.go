@@ -52,72 +52,6 @@ func TestReadHitNoAllocs(t *testing.T) {
 	}
 }
 
-// TestPrecomputeReadPads checks the batch precompute stage: it derives
-// pads only for counter-mode blocks, subsequent reads decrypt
-// correctly from the cache, and the steady-state path (engine-owned
-// buffers already grown) performs no allocation.
-func TestPrecomputeReadPads(t *testing.T) {
-	e := allocTestEngine(t)
-	// Two address sets that alias to the same pad-cache slots, so
-	// precomputing one always evicts the other: every AllocsPerRun
-	// iteration below exercises the full PadBatch path rather than the
-	// everything-cached early exit.
-	const n = 16
-	setA := make([]uint64, n)
-	setB := make([]uint64, n)
-	want := make(map[uint64]cipher.Block, 2*n)
-	for i := 0; i < n; i++ {
-		setA[i] = uint64(i) * 64
-		setB[i] = setA[i] + padCacheSize*64
-		for _, addr := range []uint64{setA[i], setB[i]} {
-			blk := allocTestBlock(byte(addr >> 6))
-			if err := e.Write(addr, blk, epoch.CounterMode); err != nil {
-				t.Fatal(err)
-			}
-			want[addr] = blk
-		}
-	}
-	// One counterless block and one unwritten address must be skipped.
-	if err := e.Write(setA[0]+512*64, allocTestBlock(0xcc), epoch.Counterless); err != nil {
-		t.Fatal(err)
-	}
-	mixed := append(append([]uint64{}, setA...), setA[0]+512*64, 1<<19+64*63)
-	if got := e.PrecomputeReadPads(mixed); got != n {
-		t.Fatalf("PrecomputeReadPads = %d, want %d (counterless/unwritten must be skipped)", got, n)
-	}
-	// Cached pads must decrypt to the written plaintext.
-	for _, addr := range setA {
-		plain, info, err := e.Read(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain != want[addr] {
-			t.Fatalf("read after precompute returned wrong plaintext at %#x", addr)
-		}
-		if info.Mode != epoch.CounterMode {
-			t.Fatalf("block at %#x not in counter mode", addr)
-		}
-	}
-	// Everything cached: a second call derives nothing.
-	e.PrecomputeReadPads(setA)
-	if got := e.PrecomputeReadPads(setA); got != 0 {
-		t.Fatalf("second PrecomputeReadPads = %d, want 0", got)
-	}
-	// Steady state (buffers grown, cache thrashing between the two
-	// aliasing sets) must not allocate.
-	e.PrecomputeReadPads(setB)
-	if allocs := testing.AllocsPerRun(100, func() {
-		if got := e.PrecomputeReadPads(setA); got != n {
-			t.Fatalf("aliased precompute = %d, want %d", got, n)
-		}
-		if got := e.PrecomputeReadPads(setB); got != n {
-			t.Fatalf("aliased precompute = %d, want %d", got, n)
-		}
-	}); allocs != 0 {
-		t.Errorf("steady-state PrecomputeReadPads allocates %.1f per call pair, want 0", allocs)
-	}
-}
-
 // TestEngineCipherBackends checks that an engine on each backend is
 // bit-exact with the default: same stored codewords, same read
 // results, and that the reference twins expose the same keys.
@@ -132,7 +66,7 @@ func TestEngineCipherBackends(t *testing.T) {
 		}
 		return e
 	}
-	for _, backend := range []string{"ttable", "stdlib"} {
+	for _, backend := range []string{"stdlib"} {
 		// A fresh reference twin per backend: engine counters advance
 		// on every write, so a shared oracle would drift ahead.
 		ref := build("ref")

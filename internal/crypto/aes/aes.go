@@ -3,10 +3,11 @@
 // and affine transform, and the cipher runs the textbook round
 // structure (SubBytes, ShiftRows, MixColumns, AddRoundKey).
 //
-// The implementation exists so that the memory-encryption engines in
-// this repository own their full cipher stack; it is validated against
-// the standard library and the FIPS-197 vectors in the tests. It is a
-// functional model, not a constant-time production cipher.
+// This textbook cipher is the reference ("ref" backend) that the
+// standard library's crypto/aes ("stdlib", the production backend) is
+// checked against: the FIPS-197 vectors and a crypto/aes cross-check
+// pin it, and the check harness recomputes every engine result through
+// it. It is a functional model, not a constant-time production cipher.
 package aes
 
 import "fmt"
@@ -77,7 +78,6 @@ func mulGF(a, b byte) byte {
 // Cipher is an AES block cipher with an expanded key schedule.
 type Cipher struct {
 	enc    []uint32 // round keys, 4*(rounds+1) words
-	dec    []uint32 // equivalent-inverse-cipher round keys
 	rounds int
 }
 
@@ -97,12 +97,10 @@ func New(key []byte) (*Cipher, error) {
 	}
 	c := &Cipher{rounds: rounds}
 	c.expandKey(key)
-	c.expandDec()
 	return c, nil
 }
 
-// Rounds reports the number of rounds (10, 12, or 14), used by the
-// latency model to scale cipher delay (paper §III: 14/10 × 10 ns).
+// Rounds reports the number of rounds (10, 12, or 14).
 func (c *Cipher) Rounds() int { return c.rounds }
 
 func (c *Cipher) expandKey(key []byte) {
@@ -193,17 +191,16 @@ func (s *state) invMixColumns() {
 	}
 }
 
-// Encrypt encrypts one 16-byte block; dst and src may overlap.
+// BlockSize returns the AES block size, so *Cipher is a
+// crypto/cipher.Block.
+func (c *Cipher) BlockSize() int { return BlockSize }
+
+// Encrypt encrypts one 16-byte block with the textbook round
+// structure; dst and src may overlap.
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: input not full block")
 	}
-	c.encryptFast(dst, src)
-}
-
-// encryptSlow is the textbook round-by-round cipher, kept as the
-// reference implementation the T-table path is tested against.
-func (c *Cipher) encryptSlow(dst, src []byte) {
 	var s state
 	copy(s[:], src[:BlockSize])
 	s.addRoundKey(c.enc[0:4])
@@ -219,18 +216,13 @@ func (c *Cipher) encryptSlow(dst, src []byte) {
 	copy(dst[:BlockSize], s[:])
 }
 
-// Decrypt decrypts one 16-byte block; dst and src may overlap.
+// Decrypt decrypts one 16-byte block with the straightforward inverse
+// cipher (FIPS-197 §5.3), applying the encryption round keys in
+// reverse order; dst and src may overlap.
 func (c *Cipher) Decrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: input not full block")
 	}
-	c.decryptFast(dst, src)
-}
-
-// decryptSlow is the straightforward inverse cipher (FIPS-197 §5.3)
-// with the encryption round keys applied in reverse order — the
-// reference for the T-table path.
-func (c *Cipher) decryptSlow(dst, src []byte) {
 	var s state
 	copy(s[:], src[:BlockSize])
 	s.addRoundKey(c.enc[4*c.rounds : 4*c.rounds+4])
@@ -244,41 +236,4 @@ func (c *Cipher) decryptSlow(dst, src []byte) {
 	s.invSubBytes()
 	s.addRoundKey(c.enc[0:4])
 	copy(dst[:BlockSize], s[:])
-}
-
-// EncryptBlocks encrypts len(src)/16 independent blocks in one call
-// (ECB over the batch) — the batch entry point pad generation uses.
-// dst and src may alias exactly but not partially overlap.
-func (c *Cipher) EncryptBlocks(dst, src []byte) {
-	if len(src)%BlockSize != 0 || len(dst) < len(src) {
-		panic("aes: batch length not a multiple of the block size")
-	}
-	for i := 0; i < len(src); i += BlockSize {
-		c.encryptFast(dst[i:], src[i:])
-	}
-}
-
-// DecryptBlocks is the batch inverse of EncryptBlocks.
-func (c *Cipher) DecryptBlocks(dst, src []byte) {
-	if len(src)%BlockSize != 0 || len(dst) < len(src) {
-		panic("aes: batch length not a multiple of the block size")
-	}
-	for i := 0; i < len(src); i += BlockSize {
-		c.decryptFast(dst[i:], src[i:])
-	}
-}
-
-// EncryptBlock is a convenience that returns the ciphertext of a
-// 16-byte array value.
-func (c *Cipher) EncryptBlock(src [16]byte) [16]byte {
-	var out [16]byte
-	c.Encrypt(out[:], src[:])
-	return out
-}
-
-// DecryptBlock is the array-value inverse of EncryptBlock.
-func (c *Cipher) DecryptBlock(src [16]byte) [16]byte {
-	var out [16]byte
-	c.Decrypt(out[:], src[:])
-	return out
 }

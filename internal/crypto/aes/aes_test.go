@@ -9,6 +9,20 @@ import (
 	"testing/quick"
 )
 
+// encryptBlock and decryptBlock are array-value conveniences for the
+// property tests.
+func encryptBlock(c *Cipher, src [16]byte) [16]byte {
+	var out [16]byte
+	c.Encrypt(out[:], src[:])
+	return out
+}
+
+func decryptBlock(c *Cipher, src [16]byte) [16]byte {
+	var out [16]byte
+	c.Decrypt(out[:], src[:])
+	return out
+}
+
 func unhex(t *testing.T, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
@@ -123,7 +137,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return c.DecryptBlock(c.EncryptBlock(block)) == block
+		return decryptBlock(c, encryptBlock(c, block)) == block
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -141,7 +155,7 @@ func TestQuickInjective(t *testing.T) {
 		if a == b {
 			return true
 		}
-		return c.EncryptBlock(a) != c.EncryptBlock(b)
+		return encryptBlock(c, a) != encryptBlock(c, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -158,11 +172,11 @@ func TestAvalanche(t *testing.T) {
 	var base [16]byte
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(base[:])
-	ct0 := c.EncryptBlock(base)
+	ct0 := encryptBlock(c, base)
 	for bit := 0; bit < 128; bit++ {
 		mod := base
 		mod[bit/8] ^= 1 << (bit % 8)
-		ct1 := c.EncryptBlock(mod)
+		ct1 := encryptBlock(c, mod)
 		diff := 0
 		for i := range ct0 {
 			x := ct0[i] ^ ct1[i]
@@ -221,7 +235,7 @@ func BenchmarkEncryptAES128(b *testing.B) {
 	var blk [16]byte
 	b.SetBytes(16)
 	for i := 0; i < b.N; i++ {
-		blk = c.EncryptBlock(blk)
+		blk = encryptBlock(c, blk)
 	}
 	_ = blk
 }
@@ -231,46 +245,7 @@ func BenchmarkEncryptAES256(b *testing.B) {
 	var blk [16]byte
 	b.SetBytes(16)
 	for i := 0; i < b.N; i++ {
-		blk = c.EncryptBlock(blk)
+		blk = encryptBlock(c, blk)
 	}
 	_ = blk
-}
-
-// The T-table fast path must agree with the textbook reference on
-// random inputs for every key size.
-func TestFastMatchesTextbook(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for _, keyLen := range []int{16, 24, 32} {
-		for trial := 0; trial < 100; trial++ {
-			key := make([]byte, keyLen)
-			rng.Read(key)
-			c, err := New(key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := make([]byte, 16)
-			rng.Read(src)
-			fast := make([]byte, 16)
-			slow := make([]byte, 16)
-			c.encryptFast(fast, src)
-			c.encryptSlow(slow, src)
-			if !bytes.Equal(fast, slow) {
-				t.Fatalf("keyLen=%d: encrypt fast/slow mismatch", keyLen)
-			}
-			c.decryptFast(fast, src)
-			c.decryptSlow(slow, src)
-			if !bytes.Equal(fast, slow) {
-				t.Fatalf("keyLen=%d: decrypt fast/slow mismatch", keyLen)
-			}
-		}
-	}
-}
-
-func BenchmarkEncryptSlowAES128(b *testing.B) {
-	c, _ := New(make([]byte, 16))
-	blk := make([]byte, 16)
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		c.encryptSlow(blk, blk)
-	}
 }

@@ -2,92 +2,45 @@ package aes
 
 // The backend seam: every consumer of AES in this repository (the XTS
 // and CTR engines in internal/cipher, and through them the functional
-// engine and the mcpool shards) reaches the block cipher through the
-// Backend interface instead of a concrete implementation. Three
-// backends register here:
+// engine and the mcpool shards) builds its block cipher through
+// NewBackend and holds it as a crypto/cipher.Block. Two backends exist:
 //
-//   - "ref": the textbook round-by-round cipher (encryptSlow), the
-//     bit-exactness anchor everything else is compared against. The
-//     differential oracle in internal/check always recomputes through
-//     this backend regardless of what the engine under test runs.
-//   - "ttable": the T-table path (encryptFast), the repo's historical
-//     default — selecting it reproduces the seed behavior bit for bit
-//     at the seed's speed.
 //   - "stdlib": crypto/aes from the standard library, which dispatches
 //     to AES-NI/NEON on real hardware — the hardware-class pad
-//     generator the paper's latency model assumes.
+//     generator the paper's latency model assumes, and the default.
+//   - "ref": the textbook round-by-round *Cipher, the bit-exactness
+//     anchor. The differential oracle in internal/check always
+//     recomputes through this backend regardless of what the engine
+//     under test runs.
 //
-// All three are bit-exact (FIPS-197 AES is AES); the conformance
-// goldens, FuzzCipherBackends, and the check harness's independent
+// Both are bit-exact (FIPS-197 AES is AES); the conformance goldens,
+// FuzzCipherBackends, and the check harness's independent
 // recomputation enforce that continuously.
 
 import (
 	stdaes "crypto/aes"
-	stdcipher "crypto/cipher"
+	"crypto/cipher"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 )
 
-// Backend is a block cipher with an expanded key schedule. Encrypt and
-// Decrypt process exactly one 16-byte block; EncryptBlocks and
-// DecryptBlocks process len/16 independent blocks in one call, the
-// entry point batched pad generation rides on. dst and src must be
-// multiples of BlockSize and may alias exactly (dst == src) but not
-// partially overlap. Implementations never retain dst or src.
-type Backend interface {
-	// Rounds reports the AES round count (10/12/14), the latency
-	// model's cipher-delay input.
-	Rounds() int
-	Encrypt(dst, src []byte)
-	Decrypt(dst, src []byte)
-	EncryptBlocks(dst, src []byte)
-	DecryptBlocks(dst, src []byte)
-}
-
-// Registered backend names.
+// Backend names.
 const (
 	BackendRef    = "ref"
-	BackendTTable = "ttable"
 	BackendStdlib = "stdlib"
 )
 
-// builders maps a backend name to its constructor. The map is written
-// only by this file's init; lookups are read-only afterwards.
-var builders = map[string]func(key []byte) (Backend, error){
-	BackendRef: func(key []byte) (Backend, error) {
-		c, err := New(key)
-		if err != nil {
-			return nil, err
-		}
-		return refBackend{c}, nil
-	},
-	BackendTTable: func(key []byte) (Backend, error) {
-		c, err := New(key)
-		if err != nil {
-			return nil, err
-		}
-		return ttableBackend{c}, nil
-	},
-	BackendStdlib: func(key []byte) (Backend, error) {
-		b, err := stdaes.NewCipher(key)
-		if err != nil {
-			return nil, fmt.Errorf("aes: %w", err)
-		}
-		return stdBackend{b: b, rounds: 6 + len(key)/4}, nil
-	},
-}
-
 // defaultBackend is the process-wide backend used when a caller
 // passes an empty name. It starts from the CL_CIPHER environment
-// variable (empty means "ttable", the seed behavior) and is overridden
-// by the CLIs' -cipher flag via SetDefaultBackend. Set it before
-// building engines; it is not synchronized for concurrent mutation.
+// variable (empty means "stdlib") and is overridden by the CLIs'
+// -cipher flag via SetDefaultBackend. Set it before building engines;
+// it is not synchronized for concurrent mutation.
 var defaultBackend = func() string {
 	if v := os.Getenv("CL_CIPHER"); v != "" {
 		return v
 	}
-	return BackendTTable
+	return BackendStdlib
 }()
 
 // DefaultBackend returns the current process-wide default backend
@@ -99,97 +52,41 @@ func DefaultBackend() string { return defaultBackend }
 // SetDefaultBackend installs the process-wide default, rejecting
 // unknown names. Call it once at startup, before engines are built.
 func SetDefaultBackend(name string) error {
-	if _, ok := builders[name]; !ok {
-		return fmt.Errorf("aes: unknown cipher backend %q (have %v)", name, BackendNames())
+	if !slices.Contains(BackendNames(), name) {
+		return unknownBackend(name)
 	}
 	defaultBackend = name
 	return nil
 }
 
-// BackendNames lists the registered backends, sorted.
-func BackendNames() []string {
-	names := make([]string, 0, len(builders))
-	for n := range builders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+// BackendNames lists the backend names, sorted.
+func BackendNames() []string { return []string{BackendRef, BackendStdlib} }
+
+// unknownBackend is the error for a name that is not a backend; it
+// lists the valid ones.
+func unknownBackend(name string) error {
+	return fmt.Errorf("aes: unknown cipher backend %q (have %v)", name, BackendNames())
 }
 
 // NewBackend builds the named backend for a 16, 24, or 32 byte key.
 // An empty name selects the process default (DefaultBackend).
-func NewBackend(name string, key []byte) (Backend, error) {
+func NewBackend(name string, key []byte) (cipher.Block, error) {
 	if name == "" {
 		name = defaultBackend
 	}
-	build, ok := builders[name]
-	if !ok {
-		return nil, fmt.Errorf("aes: unknown cipher backend %q (have %v)", name, BackendNames())
+	switch name {
+	case BackendRef:
+		c, err := New(key)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	case BackendStdlib:
+		b, err := stdaes.NewCipher(key)
+		if err != nil {
+			return nil, fmt.Errorf("aes: %w", err)
+		}
+		return b, nil
 	}
-	return build(key)
-}
-
-// checkBlocks validates a batch call's geometry once, so the per-block
-// loops can index without re-checking.
-func checkBlocks(dst, src []byte) int {
-	if len(src)%BlockSize != 0 || len(dst) < len(src) {
-		panic("aes: batch length not a multiple of the block size")
-	}
-	return len(src) / BlockSize
-}
-
-// refBackend dispatches to the textbook cipher.
-type refBackend struct{ c *Cipher }
-
-func (b refBackend) Rounds() int             { return b.c.rounds }
-func (b refBackend) Encrypt(dst, src []byte) { b.c.encryptSlow(dst, src) }
-func (b refBackend) Decrypt(dst, src []byte) { b.c.decryptSlow(dst, src) }
-
-func (b refBackend) EncryptBlocks(dst, src []byte) {
-	n := checkBlocks(dst, src)
-	for i := 0; i < n; i++ {
-		b.c.encryptSlow(dst[i*BlockSize:], src[i*BlockSize:])
-	}
-}
-
-func (b refBackend) DecryptBlocks(dst, src []byte) {
-	n := checkBlocks(dst, src)
-	for i := 0; i < n; i++ {
-		b.c.decryptSlow(dst[i*BlockSize:], src[i*BlockSize:])
-	}
-}
-
-// ttableBackend dispatches to the T-table cipher.
-type ttableBackend struct{ c *Cipher }
-
-func (b ttableBackend) Rounds() int             { return b.c.rounds }
-func (b ttableBackend) Encrypt(dst, src []byte) { b.c.encryptFast(dst, src) }
-func (b ttableBackend) Decrypt(dst, src []byte) { b.c.decryptFast(dst, src) }
-
-func (b ttableBackend) EncryptBlocks(dst, src []byte) { b.c.EncryptBlocks(dst, src) }
-func (b ttableBackend) DecryptBlocks(dst, src []byte) { b.c.DecryptBlocks(dst, src) }
-
-// stdBackend wraps crypto/aes, which uses the hardware AES
-// instructions where the platform has them.
-type stdBackend struct {
-	b      stdcipher.Block
-	rounds int
-}
-
-func (b stdBackend) Rounds() int             { return b.rounds }
-func (b stdBackend) Encrypt(dst, src []byte) { b.b.Encrypt(dst, src) }
-func (b stdBackend) Decrypt(dst, src []byte) { b.b.Decrypt(dst, src) }
-
-func (b stdBackend) EncryptBlocks(dst, src []byte) {
-	n := checkBlocks(dst, src)
-	for i := 0; i < n; i++ {
-		b.b.Encrypt(dst[i*BlockSize:(i+1)*BlockSize], src[i*BlockSize:(i+1)*BlockSize])
-	}
-}
-
-func (b stdBackend) DecryptBlocks(dst, src []byte) {
-	n := checkBlocks(dst, src)
-	for i := 0; i < n; i++ {
-		b.b.Decrypt(dst[i*BlockSize:(i+1)*BlockSize], src[i*BlockSize:(i+1)*BlockSize])
-	}
+	return nil, unknownBackend(name)
 }

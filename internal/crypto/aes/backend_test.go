@@ -1,8 +1,11 @@
 package aes
 
 import (
-	"bytes"
+	stdaes "crypto/aes"
 	"math/rand"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -43,52 +46,11 @@ func TestBackendsBitExact(t *testing.T) {
 	}
 }
 
-// TestBackendBatchMatchesSingle checks EncryptBlocks/DecryptBlocks
-// against a loop of single-block calls, including the dst == src
-// aliasing the contract allows.
-func TestBackendBatchMatchesSingle(t *testing.T) {
-	key := make([]byte, 16)
-	for i := range key {
-		key[i] = byte(i * 7)
-	}
-	src := make([]byte, 6*BlockSize)
-	for i := range src {
-		src[i] = byte(i * 31)
-	}
-	for _, name := range BackendNames() {
-		b, err := NewBackend(name, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]byte, len(src))
-		for i := 0; i < len(src); i += BlockSize {
-			b.Encrypt(want[i:], src[i:])
-		}
-		got := make([]byte, len(src))
-		b.EncryptBlocks(got, src)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: EncryptBlocks != per-block Encrypt", name)
-		}
-		// In-place batch.
-		inplace := append([]byte(nil), src...)
-		b.EncryptBlocks(inplace, inplace)
-		if !bytes.Equal(inplace, want) {
-			t.Fatalf("%s: in-place EncryptBlocks diverges", name)
-		}
-		b.DecryptBlocks(inplace, inplace)
-		if !bytes.Equal(inplace, src) {
-			t.Fatalf("%s: DecryptBlocks does not invert EncryptBlocks", name)
-		}
-		if b.Rounds() != 10 {
-			t.Fatalf("%s: Rounds() = %d for AES-128, want 10", name, b.Rounds())
-		}
-	}
-}
-
-// TestBackendRegistry pins the registry surface: the three names, the
-// default, and loud errors for unknown names and bad keys.
+// TestBackendRegistry pins the registry surface: the two names, the
+// default, and loud errors for unknown names (including the retired
+// T-table backend) and bad keys.
 func TestBackendRegistry(t *testing.T) {
-	want := []string{BackendRef, BackendStdlib, BackendTTable}
+	want := []string{BackendRef, BackendStdlib}
 	got := BackendNames()
 	if len(got) != len(want) {
 		t.Fatalf("BackendNames() = %v, want %v", got, want)
@@ -98,16 +60,27 @@ func TestBackendRegistry(t *testing.T) {
 			t.Fatalf("BackendNames() = %v, want %v", got, want)
 		}
 	}
-	if _, err := NewBackend("nope", make([]byte, 16)); err == nil {
-		t.Fatal("NewBackend(nope) did not error")
-	}
-	if err := SetDefaultBackend("nope"); err == nil {
-		t.Fatal("SetDefaultBackend(nope) did not error")
+	for _, name := range []string{"nope", "ttable"} {
+		_, err := NewBackend(name, make([]byte, 16))
+		if err == nil || !strings.Contains(err.Error(), "[ref stdlib]") {
+			t.Fatalf("NewBackend(%q) error = %v, want one naming [ref stdlib]", name, err)
+		}
+		err = SetDefaultBackend(name)
+		if err == nil || !strings.Contains(err.Error(), "[ref stdlib]") {
+			t.Fatalf("SetDefaultBackend(%q) error = %v, want one naming [ref stdlib]", name, err)
+		}
 	}
 	for _, name := range BackendNames() {
 		if _, err := NewBackend(name, make([]byte, 7)); err == nil {
 			t.Fatalf("%s: 7-byte key did not error", name)
 		}
+	}
+	if os.Getenv("CL_CIPHER") == "" && DefaultBackend() != BackendStdlib {
+		t.Fatalf("DefaultBackend() = %q with CL_CIPHER unset, want %q", DefaultBackend(), BackendStdlib)
+	}
+	std, err := stdaes.NewCipher(make([]byte, 16))
+	if err != nil {
+		t.Fatal(err)
 	}
 	old := DefaultBackend()
 	defer func() {
@@ -115,14 +88,22 @@ func TestBackendRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if err := SetDefaultBackend(BackendStdlib); err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBackend("", make([]byte, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(stdBackend); !ok {
-		t.Fatalf("empty name resolved to %T, want stdBackend", b)
+	for _, tc := range []struct {
+		def  string
+		want reflect.Type
+	}{
+		{BackendRef, reflect.TypeOf(&Cipher{})},
+		{BackendStdlib, reflect.TypeOf(std)},
+	} {
+		if err := SetDefaultBackend(tc.def); err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBackend("", make([]byte, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reflect.TypeOf(b); got != tc.want {
+			t.Fatalf("default %s: empty name resolved to %v, want %v", tc.def, got, tc.want)
+		}
 	}
 }

@@ -150,38 +150,3 @@ func TestSubmitWaitNoAllocs(t *testing.T) {
 		t.Errorf("SubmitBatchWait allocates %.1f per batch, want 0", allocs)
 	}
 }
-
-// TestPrecomputeBitIdentity replays one trace through a precomputing
-// pool and a DisablePrecompute pool: pad precompute is a pure
-// prefetch, so every response must be bit-identical, and the
-// batch-read path must actually engage it (reads arriving as one
-// batch hit precomputed pads).
-func TestPrecomputeBitIdentity(t *testing.T) {
-	opts := testEngineOptions()
-	sched := Schedule(ScheduleConfig{Ops: 4000, Blocks: 512, ReadFraction: 0.6, VMs: 2, Seed: 99})
-
-	run := func(disable bool) []Response {
-		p, err := New(Config{Shards: 4, BatchMax: 16, Watermark: -1, DisablePrecompute: disable, Engine: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		// workers == shards: each submitter feeds exactly one shard
-		// FIFO, so batching (and with it the precompute stage) kicks in
-		// while the apply order stays deterministic.
-		resps, err := RunPartitioned(p, sched, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resps
-	}
-
-	with := run(false)
-	without := run(true)
-	for i := range with {
-		a, b := with[i], without[i]
-		if (a.Err == nil) != (b.Err == nil) || a.Plain != b.Plain || a.Mode != b.Mode {
-			t.Fatalf("op %d: precompute on %+v, off %+v", i, a, b)
-		}
-	}
-}

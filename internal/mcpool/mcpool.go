@@ -188,15 +188,6 @@ type Config struct {
 	// strictly an observer — enabling it changes no engine result and
 	// no journal entry (check.ConcurrentReplay proves this).
 	Attribution bool
-	// DisablePrecompute turns off the pad-precompute stage: by default
-	// a shard worker, before applying a batch, collects the batch's
-	// read addresses and derives their counter-mode pads with one
-	// batched AES call (core.Engine.PrecomputeReadPads), so each
-	// subsequent Read hits the engine's pad cache. Precompute is
-	// result-invariant — pads are pure functions of (counter, address)
-	// — so this switch only trades batching efficiency for latency of
-	// the first op in a batch.
-	DisablePrecompute bool
 	// Engine configures each shard's core.Engine. The zero value
 	// means core.DefaultEngineOptions(). Every shard engine spans the
 	// full address space; routing keeps their written sets disjoint.
@@ -586,15 +577,14 @@ func (p *Pool) Close() {
 }
 
 // worker drains one shard's queue in FIFO batches, applying each
-// batch under a single acquisition of the shard lock. Its batch,
-// response, and precompute buffers are allocated once and reused for
-// the worker's lifetime: the steady-state loop performs no allocation,
+// batch under a single acquisition of the shard lock. Its batch and
+// response buffers are allocated once and reused for the worker's
+// lifetime: the steady-state loop performs no allocation,
 // which is what keeps the SubmitWait round trip at zero allocs/op.
 func (p *Pool) worker(s *shard) {
 	defer p.wg.Done()
 	batch := make([]submission, 0, p.cfg.BatchMax)
 	resps := make([]Response, p.cfg.BatchMax)
-	readAddrs := make([]uint64, 0, p.cfg.BatchMax)
 	for sub := range s.q {
 		sub.span.Mark(stageQueue)
 		batch = append(batch[:0], sub)
@@ -618,22 +608,6 @@ func (p *Pool) worker(s *shard) {
 		}
 		for i := range batch {
 			batch[i].span.Mark(stageBatch)
-		}
-		// Pad-precompute stage (§IV-B's "start the OTP AES while data
-		// is in flight", batched): derive every counter-mode pad the
-		// batch's reads will need with one AES call before applying.
-		// A single read gains nothing over the engine's own inline
-		// derivation, so the stage only runs for two or more.
-		if !p.cfg.DisablePrecompute {
-			readAddrs = readAddrs[:0]
-			for i := range batch {
-				if batch[i].req.Kind == OpRead {
-					readAddrs = append(readAddrs, batch[i].req.Addr)
-				}
-			}
-			if len(readAddrs) > 1 {
-				s.eng.PrecomputeReadPads(readAddrs)
-			}
 		}
 		work := 0 // non-barrier requests; Flush fences don't count
 		t0 := p.pService.Start()

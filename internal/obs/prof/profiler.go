@@ -18,8 +18,8 @@ const (
 // the hot path, and nothing more.
 //
 //   - PadBatch: per-pad latency of the batched AES pad path (cipher
-//     layer, DoneN over batch size) — the measured replacement for the
-//     static Rounds() cost model.
+//     layer, DoneN over batch size) — measured on the running
+//     backend, not derived from the AES round count.
 //   - MAC: MAC64 latency (counter-mode OTP finalize and counterless
 //     keccak alike).
 //   - Service: per-op shard service time (mcpool worker, batch
