@@ -78,11 +78,12 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Execute the hot-path micro-benchmarks (MAC64, GF multiply and dot
-# product, counter-tree increment/verify, engine read/write) for a
-# fixed 100 iterations each: a smoke run that they still build, run
-# and pass their own checks, not a measurement.
+# product, counter-tree increment/verify, engine read/write, pool
+# throughput with and without the persistent journal) for a fixed 100
+# iterations each: a smoke run that they still build, run and pass
+# their own checks, not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'MAC64|Mul|DotProduct|Increment|VerifyCounter|Engine' -benchtime 100x ./internal/crypto/... ./internal/ctrblock ./internal/core
+	$(GO) test -run '^$$' -bench 'MAC64|Mul|DotProduct|Increment|VerifyCounter|Engine|PoolThroughput' -benchtime 100x ./internal/crypto/... ./internal/ctrblock ./internal/core ./internal/mcpool
 
 # Append the next BENCH_<n>.json perf-trajectory snapshot: runs the
 # pinned suite (cmd/clbench -bench-json) at full measurement windows
@@ -104,6 +105,7 @@ fuzz:
 	$(GO) test ./internal/check -run '^$$' -fuzz FuzzCrashPoints -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/check -run '^$$' -fuzz FuzzReproToken -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mcpool -run '^$$' -fuzz FuzzJournalDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/nvm -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzMetadataDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzEccRecovery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/entropy -run '^$$' -fuzz FuzzEntropyClassifier -fuzztime $(FUZZTIME)

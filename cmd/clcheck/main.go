@@ -103,7 +103,7 @@ func parse(args []string) (config, error) {
 	faultRate := fs.Float64("fault-rate", 0, "per-op fault injection probability (0 = the campaign's generator default)")
 	campaignFile := fs.String("campaign", "", "load a classic campaign spec from this JSON file; -seeds, -seed-start, -ops, -blocks and -fault-rate given explicitly override its values")
 	repro := fs.String("repro", "", "replay one repro token instead of running a campaign")
-	concurrent := fs.Bool("concurrent", false, "run the concurrent differential campaign: race each program through the sharded mcpool engine, then verify the applied-op journals against serialized replays")
+	concurrent := fs.Bool("concurrent", false, "run the concurrent differential campaign: race each program through the sharded mcpool engine, then verify every response against a serialized replay in each shard journal's apply order")
 	crash := fs.Bool("crash", false, "run the crash-injection campaign: each program runs on the NVM persistence engine, power fails at a seed-derived step, and the recovered state is diffed against a never-crashed oracle")
 	crashBreak := fs.Bool("crash-break", false, "run the crash campaign with the intentional recovery bug armed; it must be caught (teeth check, exit 0 iff a verified minimized divergence was found)")
 	clusterMode := fs.Bool("cluster", false, "run the cluster chaos campaign: each program races through a multi-node cluster while a node is killed and restarted mid-traffic, then the full acknowledged history is verified bit-identical")

@@ -92,10 +92,10 @@ func main() {
 	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "how long to drive load (0 = until SIGINT/SIGTERM)")
 	flag.IntVar(&cfg.nodes, "nodes", 1, "controller nodes; addresses interleave across them in shard-sized stripes")
 	flag.Float64Var(&cfg.maxDegFrac, "max-degraded-frac", 0, "cluster admission knee: shed new requests once MORE than this fraction of nodes is degraded or down (0 = auto: disabled for -nodes 1, 0.5 otherwise; negative disables)")
-	flag.BoolVar(&cfg.chaos, "chaos", false, "kill one node -chaos-at into the run and restart it -chaos-down later; implies journaling+persistence so the node recovers through the NVM path (needs -nodes >= 2)")
+	flag.BoolVar(&cfg.chaos, "chaos", false, "kill one node -chaos-at into the run and restart it -chaos-down later; implies the persistent journal so the node recovers through the NVM path (needs -nodes >= 2)")
 	flag.DurationVar(&cfg.chaosAt, "chaos-at", time.Second, "when to kill the chaos target node")
 	flag.DurationVar(&cfg.chaosDown, "chaos-down", 500*time.Millisecond, "how long the killed node stays down before restart")
-	flag.BoolVar(&cfg.verify, "verify", false, "journal every applied op and replay each node's full segment history bit-for-bit after the drain (implies journaling+persistence; memory grows with ops)")
+	flag.BoolVar(&cfg.verify, "verify", false, "journal every applied op and replay each node's full segment history bit-for-bit after the drain (implies the persistent journal; memory grows with ops)")
 	flag.IntVar(&cfg.shards, "shards", 8, "pool shards per node")
 	flag.IntVar(&cfg.queue, "queue", 256, "per-shard queue depth")
 	flag.IntVar(&cfg.batch, "batch", 32, "per-lock-acquisition batch cap")
@@ -181,7 +181,7 @@ func run(rc runConfig) int {
 	// interrogate after the fact is a run wasted. The cluster clones
 	// the profiler per node so estimates don't mix across controllers.
 	rec := flight.NewRing(4096)
-	journal := rc.chaos || rc.verify
+	persist := rc.chaos || rc.verify
 	maxDeg := rc.maxDegFrac
 	if maxDeg == 0 && rc.nodes == 1 {
 		// A single node keeps the paper's pure §IV-B behavior: degrade
@@ -201,8 +201,7 @@ func run(rc runConfig) int {
 			TargetDelayNs:     rc.targetDelay.Nanoseconds(),
 			Attribution:       rc.attrib,
 			Profile:           prof.New(aes.DefaultBackend()),
-			Journal:           journal,
-			Persist:           journal,
+			Persist:           persist,
 			Engine:            opts,
 		},
 	})

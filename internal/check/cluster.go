@@ -2,7 +2,6 @@ package check
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +31,7 @@ import (
 //     this is what catches cluster.Config.BreakRecovery even when the
 //     lost record was a read.
 //  4. Bit-identity: cluster.Verify re-executes every segment from its
-//     durable baseline and demands journaled responses reproduce
+//     durable baseline and demands journaled outcomes reproduce
 //     exactly (internal/cluster/verify.go).
 //  5. Read-back: after the chaos settles, the last acknowledged write
 //     of every fault-free block must read back bit-identically — lost
@@ -109,13 +108,8 @@ func ClusterReplay(prog Program, ccfg ClusterConfig) (ClusterResult, error) {
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	for i, op := range prog.Ops {
-		if op.Kind == OpFault && op.Stuck {
-			return ClusterResult{}, fmt.Errorf("check: op %d: stuck-at faults are not replayable concurrently", i)
-		}
-		if op.Kind == OpFlush {
-			return ClusterResult{}, fmt.Errorf("check: op %d: NVM flush ops are not replayable concurrently", i)
-		}
+	if err := checkReplayable(prog); err != nil {
+		return ClusterResult{}, err
 	}
 	cl, err := cluster.New(cluster.Config{
 		Nodes:           ccfg.Nodes,
@@ -127,7 +121,6 @@ func ClusterReplay(prog Program, ccfg ClusterConfig) (ClusterResult, error) {
 			QueueDepth: ccfg.QueueDepth,
 			BatchMax:   ccfg.BatchMax,
 			Watermark:  -1, // explicit modes only
-			Journal:    true,
 			Persist:    true,
 			Engine:     v.Options(false),
 		},
@@ -143,6 +136,7 @@ func ClusterReplay(prog Program, ccfg ClusterConfig) (ClusterResult, error) {
 	// single-writer (one goroutine per block), so no locking.
 	acked := make([]bool, len(prog.Ops))
 	rejected := make([]bool, len(prog.Ops))
+	reqs := poolRequests(prog, v.VMs)
 	var submitted atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < ccfg.Submitters; g++ {
@@ -153,21 +147,7 @@ func ClusterReplay(prog Program, ccfg ClusterConfig) (ClusterResult, error) {
 				if int(op.Block)%ccfg.Submitters != g {
 					continue
 				}
-				req := mcpool.Request{Addr: uint64(op.Block) * 64, Tag: i}
-				switch op.Kind {
-				case OpWrite:
-					req.Kind = mcpool.OpWrite
-					req.VM = int(op.VM) % v.VMs
-					req.Mode = op.Mode
-					req.Data = op.Payload()
-				case OpRead:
-					req.Kind = mcpool.OpRead
-				case OpFault:
-					req.Kind = mcpool.OpFault
-					req.Chip = int(op.Chip)
-					req.Pattern = op.Pattern
-				}
-				resp := cl.SubmitWait(req)
+				resp := cl.SubmitWait(reqs[i])
 				submitted.Add(1)
 				if errors.Is(resp.Err, cluster.ErrNodeDown) || errors.Is(resp.Err, cluster.ErrOverloaded) || errors.Is(resp.Err, cluster.ErrDraining) {
 					rejected[i] = true // shed in the dark window, never applied
@@ -278,7 +258,9 @@ func clusterReadBack(cl *cluster.Cluster, prog Program, acked []bool) *Divergenc
 
 // clusterHistoryCheck walks every node's segment history enforcing
 // oracle layers 1–3: exactly-once tagged coverage, per-block program
-// order, and per-shard seq continuity across restarts.
+// order, and per-shard seq continuity across restarts. A segment's
+// journal opens with the baseline records it was recovered from;
+// only the records after them are the segment's own.
 func clusterHistoryCheck(cl *cluster.Cluster, ccfg ClusterConfig, prog Program, acked, rejected []bool) *Divergence {
 	covered := make([]bool, len(prog.Ops))
 	lastTag := map[uint32]int{} // block → last tag seen in its stream
@@ -286,22 +268,30 @@ func clusterHistoryCheck(cl *cluster.Cluster, ccfg ClusterConfig, prog Program, 
 		for sh := 0; sh < ccfg.Shards; sh++ {
 			var lastSeq uint64
 			for segIdx, seg := range cl.History(node) {
-				if sh >= len(seg.Journals) {
+				if sh >= len(seg.Plogs) {
 					continue
 				}
-				for _, entry := range seg.Journals[sh] {
+				entries, _, err := mcpool.DecodeJournal(seg.Plogs[sh])
+				if err != nil && err != mcpool.ErrTorn {
+					return div("cluster-journal-corrupt", "node %d shard %d seg %d: %v", node, sh, segIdx, err)
+				}
+				if seg.Baseline != nil {
+					baseline, _, _ := mcpool.DecodeJournal(seg.Baseline[sh])
+					entries = entries[min(len(baseline), len(entries)):]
+				}
+				for _, entry := range entries {
 					if entry.Seq <= lastSeq {
 						return div("cluster-seq-reuse",
 							"node %d shard %d seg %d: seq %d after %d — recovery lost durable entries and reused sequence numbers",
 							node, sh, segIdx, entry.Seq, lastSeq)
 					}
 					lastSeq = entry.Seq
-					i, ok := entry.Req.Tag.(int)
-					if !ok {
+					if !entry.HasTag {
 						continue // untagged read-back traffic
 					}
+					i := int(entry.Tag)
 					if i < 0 || i >= len(prog.Ops) {
-						return div("cluster-journal-tag", "node %d shard %d seq %d: unmappable tag %v", node, sh, entry.Seq, entry.Req.Tag)
+						return div("cluster-journal-tag", "node %d shard %d seq %d: unmappable tag %d", node, sh, entry.Seq, entry.Tag)
 					}
 					if covered[i] {
 						d := div("cluster-journal-duplicate", "op applied twice (node %d shard %d seq %d)", node, sh, entry.Seq)
@@ -309,10 +299,10 @@ func clusterHistoryCheck(cl *cluster.Cluster, ccfg ClusterConfig, prog Program, 
 						return d
 					}
 					covered[i] = true
-					block := uint32(entry.Req.Addr / cipher.BlockSize)
+					block := uint32(entry.Addr / cipher.BlockSize)
 					if last, ok := lastTag[block]; ok && i < last {
 						d := div("cluster-order", "block %#x: op %d journaled after op %d — program order lost across the restart",
-							entry.Req.Addr, i, last)
+							entry.Addr, i, last)
 						d.OpIndex = i
 						return d
 					}

@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sync"
 
 	"counterlight/internal/core"
 	"counterlight/internal/epoch"
@@ -14,12 +13,13 @@ import (
 // This file is the concurrent differential mode: the same generated
 // programs the serial harness replays, but driven through the
 // mcpool sharded engine by racing submitter goroutines, then checked
-// by replaying each shard's applied-op journal through a fresh serial
-// engine + oracle. The journal pins the exact interleaving the pool
-// chose, so the serialized replay must match it bit for bit —
-// plaintexts, ReadInfo, applied modes, and the shard engine's final
-// EngineStats. Run under -race this doubles as a data-race probe of
-// the whole submit/batch/apply path.
+// by replaying each shard's ops through a fresh serial engine + oracle
+// in the order its journal records. The journal pins the exact
+// interleaving the pool chose, so the serialized replay must match the
+// submitters' responses bit for bit — plaintexts, ReadInfo, applied
+// modes, errors — and the shard engine's final EngineStats. Run under
+// -race this doubles as a data-race probe of the whole
+// submit/batch/apply path.
 //
 // Ops are partitioned by block across submitters (block ≡ g mod G),
 // so each block's program order survives any thread interleaving —
@@ -108,111 +108,112 @@ type ConcurrentResult struct {
 	WatermarkMoves uint64
 }
 
-// ConcurrentReplay drives prog through a sharded mcpool with racing
-// submitters, then proves the concurrent execution equivalent to a
-// serial one: each shard's journal is replayed on a fresh engine with
-// the oracle in lockstep, and every journaled response — plaintext,
-// ReadInfo, applied mode, error — must match the serial replay
-// exactly, as must the shard's final EngineStats.
-func ConcurrentReplay(prog Program, ccfg ConcurrentConfig) (ConcurrentResult, error) {
-	ccfg = ccfg.withDefaults()
-	v, err := VariantByName(ccfg.Variant)
-	if err != nil {
-		return ConcurrentResult{}, err
-	}
-	for i, op := range prog.Ops {
-		if op.Kind == OpFault && op.Stuck {
-			return ConcurrentResult{}, fmt.Errorf("check: op %d: stuck-at faults are not replayable concurrently", i)
-		}
-		if op.Kind == OpFlush {
-			return ConcurrentResult{}, fmt.Errorf("check: op %d: NVM flush ops are not replayable concurrently", i)
-		}
-	}
+// poolConfig is the pool a concurrent replay drives: explicit modes
+// only, persisted journals on, shaped by c.
+func (c ConcurrentConfig) poolConfig(v Variant) mcpool.Config {
 	pcfg := mcpool.Config{
-		Shards:      ccfg.Shards,
-		QueueDepth:  ccfg.QueueDepth,
-		BatchMax:    ccfg.BatchMax,
+		Shards:      c.Shards,
+		QueueDepth:  c.QueueDepth,
+		BatchMax:    c.BatchMax,
 		Watermark:   -1, // explicit modes only: no load-dependent degradation
-		Journal:     true,
-		Attribution: ccfg.Attribution,
-		Flight:      ccfg.Flight,
-		Engine:      v.Options(ccfg.ECCOff),
+		Persist:     true,
+		Attribution: c.Attribution,
+		Flight:      c.Flight,
+		Engine:      v.Options(c.ECCOff),
 	}
-	if ccfg.AdaptiveWatermark {
+	if c.AdaptiveWatermark {
 		// Adapt as often as the pool allows so watermark moves race
 		// the submitters; the replay's explicit modes must make every
 		// move invisible in the journals.
 		pcfg.AdaptiveWatermark = true
 		pcfg.AdaptEvery = 2
 	}
-	pool, err := mcpool.New(pcfg)
+	return pcfg
+}
+
+// poolRequests maps every program op to a pool request, tagged with
+// its op index so its journal entry maps back to the program.
+func poolRequests(prog Program, vms int) []mcpool.Request {
+	reqs := make([]mcpool.Request, len(prog.Ops))
+	for i, op := range prog.Ops {
+		req := &reqs[i]
+		req.Addr, req.Tag = uint64(op.Block)*64, i
+		switch op.Kind {
+		case OpWrite:
+			req.Kind = mcpool.OpWrite
+			req.VM = int(op.VM) % vms
+			req.Mode = op.Mode
+			req.Data = op.Payload()
+		case OpRead:
+			req.Kind = mcpool.OpRead
+		case OpFault:
+			req.Kind = mcpool.OpFault
+			req.Chip = int(op.Chip)
+			req.Pattern = op.Pattern
+		}
+	}
+	return reqs
+}
+
+// checkReplayable refuses the ops no concurrent frontend can replay.
+func checkReplayable(prog Program) error {
+	for i, op := range prog.Ops {
+		if op.Kind == OpFault && op.Stuck {
+			return fmt.Errorf("check: op %d: stuck-at faults are not replayable concurrently", i)
+		}
+		if op.Kind == OpFlush {
+			return fmt.Errorf("check: op %d: NVM flush ops are not replayable concurrently", i)
+		}
+	}
+	return nil
+}
+
+// ConcurrentReplay drives prog through a sharded mcpool with racing
+// submitters, then proves the concurrent execution equivalent to a
+// serial one: each shard's persisted journal gives the order the pool
+// applied its ops in, those ops are replayed in that order on a fresh
+// engine with the oracle in lockstep, and every response the
+// submitters received — plaintext, ReadInfo, applied mode, error —
+// must match the serial replay exactly, as must the shard's final
+// EngineStats.
+func ConcurrentReplay(prog Program, ccfg ConcurrentConfig) (ConcurrentResult, error) {
+	ccfg = ccfg.withDefaults()
+	v, err := VariantByName(ccfg.Variant)
 	if err != nil {
 		return ConcurrentResult{}, err
 	}
-	res := ConcurrentResult{Variant: v.Name, Ops: len(prog.Ops)}
-
-	// Fan the program out: submitter g owns every block ≡ g (mod G)
-	// and submits its ops in program order, pipelined.
-	var wg sync.WaitGroup
-	subErrs := make([]error, ccfg.Submitters)
-	for g := 0; g < ccfg.Submitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var futs []*mcpool.Future
-			for i, op := range prog.Ops {
-				if int(op.Block)%ccfg.Submitters != g {
-					continue
-				}
-				req := mcpool.Request{Addr: uint64(op.Block) * 64, Tag: i}
-				switch op.Kind {
-				case OpWrite:
-					req.Kind = mcpool.OpWrite
-					req.VM = int(op.VM) % v.VMs
-					req.Mode = op.Mode
-					req.Data = op.Payload()
-				case OpRead:
-					req.Kind = mcpool.OpRead
-				case OpFault:
-					req.Kind = mcpool.OpFault
-					req.Chip = int(op.Chip)
-					req.Pattern = op.Pattern
-				}
-				fut, err := pool.Submit(req)
-				if err != nil {
-					subErrs[g] = err
-					return
-				}
-				futs = append(futs, fut)
-			}
-			for _, fut := range futs {
-				fut.Wait()
-			}
-		}(g)
+	if err := checkReplayable(prog); err != nil {
+		return ConcurrentResult{}, err
 	}
-	wg.Wait()
-	pool.Flush()
-	for _, err := range subErrs {
-		if err != nil {
-			pool.Close()
-			return res, err
-		}
+	pool, err := mcpool.New(ccfg.poolConfig(v))
+	if err != nil {
+		return ConcurrentResult{}, err
+	}
+	defer pool.Close()
+	res := ConcurrentResult{Variant: v.Name, Ops: len(prog.Ops)}
+	// Submitter g owns every block ≡ g (mod Submitters) and submits its
+	// ops in program order, pipelined.
+	resps, err := mcpool.RunPartitioned(pool, poolRequests(prog, v.VMs), ccfg.Submitters)
+	if err != nil {
+		return res, err
 	}
 
 	// Serialized oracle replay, shard by shard, in the exact order the
 	// pool applied the ops.
 	covered := make([]bool, len(prog.Ops))
 	for s := 0; s < pool.NumShards() && res.Div == nil; s++ {
-		journal := pool.JournalOf(s)
+		journal, _, err := mcpool.DecodeJournal(pool.PersistedJournal(s))
+		if err != nil {
+			return res, fmt.Errorf("check: shard %d journal: %w", s, err)
+		}
 		c, err := newCheckerFor(v, ccfg.ECCOff)
 		if err != nil {
-			pool.Close()
 			return res, err
 		}
 		for _, entry := range journal {
-			i, ok := entry.Req.Tag.(int)
-			if !ok || i < 0 || i >= len(prog.Ops) {
-				res.Div = div("journal-tag", "shard %d seq %d: unmappable tag %v", s, entry.Seq, entry.Req.Tag)
+			i := int(entry.Tag)
+			if !entry.HasTag || i < 0 || i >= len(prog.Ops) || entry.Addr != uint64(prog.Ops[i].Block)*64 {
+				res.Div = div("journal-tag", "shard %d seq %d: unmappable tag %d (present %v) at %#x", s, entry.Seq, entry.Tag, entry.HasTag, entry.Addr)
 				break
 			}
 			if covered[i] {
@@ -221,23 +222,23 @@ func ConcurrentReplay(prog Program, ccfg ConcurrentConfig) (ConcurrentResult, er
 				break
 			}
 			covered[i] = true
-			op := prog.Ops[i]
+			op, resp := prog.Ops[i], resps[i]
 			var d *Divergence
 			switch op.Kind {
 			case OpWrite:
 				d = c.write(op)
 				if d == nil {
-					if entry.Resp.Err != nil {
-						d = div("concurrent-write-error", "pool write failed where serial replay succeeded: %v", entry.Resp.Err)
+					if resp.Err != nil {
+						d = div("concurrent-write-error", "pool write failed where serial replay succeeded: %v", resp.Err)
 					} else {
 						applied := op.Mode
 						if c.e.IsPermanentCounterless(uint64(op.Block) * 64) {
 							applied = epoch.Counterless
 						}
-						if entry.Resp.Mode != applied {
+						if resp.Mode != applied {
 							d = div("concurrent-mode-mismatch",
 								"pool stored block %#x in %v, serial replay of the same order stored %v",
-								uint64(op.Block)*64, entry.Resp.Mode, applied)
+								uint64(op.Block)*64, resp.Mode, applied)
 						}
 					}
 				}
@@ -246,19 +247,19 @@ func ConcurrentReplay(prog Program, ccfg ConcurrentConfig) (ConcurrentResult, er
 				out, d = c.read(op)
 				if d == nil {
 					switch {
-					case out.OK != (entry.Resp.Err == nil):
+					case out.OK != (resp.Err == nil):
 						d = div("concurrent-read-status", "pool read ok=%v, serial replay ok=%v (pool err: %v)",
-							entry.Resp.Err == nil, out.OK, entry.Resp.Err)
-					case out.Plain != entry.Resp.Plain:
+							resp.Err == nil, out.OK, resp.Err)
+					case out.Plain != resp.Plain:
 						d = div("concurrent-plaintext", "pool plaintext differs from serial replay at block %#x", uint64(op.Block)*64)
-					case out.Info != entry.Resp.Info:
-						d = div("concurrent-readinfo", "pool ReadInfo %+v, serial replay %+v", entry.Resp.Info, out.Info)
+					case out.Info != resp.Info:
+						d = div("concurrent-readinfo", "pool ReadInfo %+v, serial replay %+v", resp.Info, out.Info)
 					}
 				}
 			case OpFault:
 				wantErr := !c.oracle.block(op.Block).written
-				if (entry.Resp.Err != nil) != wantErr {
-					d = div("concurrent-fault-status", "pool fault err=%v, oracle written=%v", entry.Resp.Err, !wantErr)
+				if (resp.Err != nil) != wantErr {
+					d = div("concurrent-fault-status", "pool fault err=%v, oracle written=%v", resp.Err, !wantErr)
 				} else {
 					d = c.fault(op)
 				}
@@ -277,17 +278,7 @@ func ConcurrentReplay(prog Program, ccfg ConcurrentConfig) (ConcurrentResult, er
 			if pStats, sStats := pool.ShardStats(s), c.e.Stats(); pStats != sStats {
 				res.Div = div("concurrent-stats", "shard %d stats %+v, serial replay %+v", s, pStats, sStats)
 			}
-			st := c.e.Stats()
-			res.Stats.Reads += st.Reads
-			res.Stats.Writes += st.Writes
-			res.Stats.CounterModeWrites += st.CounterModeWrites
-			res.Stats.CounterlessWrites += st.CounterlessWrites
-			res.Stats.MemoHits += st.MemoHits
-			res.Stats.MemoMisses += st.MemoMisses
-			res.Stats.Corrections += st.Corrections
-			res.Stats.EntropyResolved += st.EntropyResolved
-			res.Stats.DUEs += st.DUEs
-			res.Stats.MACFailures += st.MACFailures
+			res.Stats.Add(c.e.Stats())
 		}
 		if res.Div != nil {
 			// The failing shard's journal tail goes into the ring
@@ -300,15 +291,14 @@ func ConcurrentReplay(prog Program, ccfg ConcurrentConfig) (ConcurrentResult, er
 			}
 			for _, entry := range tail {
 				tag := int64(-1)
-				if t, ok := entry.Req.Tag.(int); ok {
-					tag = int64(t)
+				if entry.HasTag {
+					tag = entry.Tag
 				}
-				ccfg.Flight.Record(flight.KindJournal, int32(s), entry.Req.Addr, tag, int64(entry.Seq))
+				ccfg.Flight.Record(flight.KindJournal, int32(s), entry.Addr, tag, int64(entry.Seq))
 			}
 		}
 	}
 	res.WatermarkMoves = pool.WatermarkMoves()
-	pool.Close()
 	if res.Div == nil {
 		for i, ok := range covered {
 			if !ok {

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestConcurrentDifferentialCampaign(t *testing.T) {
 // demonstrates the run is deterministic when each submitter feeds
 // exactly one shard (Submitters == Shards makes block ≡ g (mod G)
 // the shard-routing function itself): two runs must produce
-// bit-identical journals, and the serialized replay must agree with
+// byte-identical journals, and the serialized replay must agree with
 // both.
 func TestConcurrentSaturationInterleaving(t *testing.T) {
 	ccfg := ConcurrentConfig{Submitters: 4, Shards: 4, Variant: "ctr-sat"}
@@ -56,7 +57,7 @@ func TestConcurrentSaturationInterleaving(t *testing.T) {
 	cfg.FaultRate = 0.01
 	prog := Generate(7, cfg)
 
-	var prev []mcpool.Applied
+	var prev [][]byte
 	for run := 0; run < 2; run++ {
 		res, err := ConcurrentReplay(prog, ccfg)
 		if err != nil {
@@ -67,29 +68,29 @@ func TestConcurrentSaturationInterleaving(t *testing.T) {
 		}
 		// Re-drive the pool directly to capture the journals (the
 		// replay API keeps its pool internal), same partitioning.
-		journal := concurrentJournal(t, prog, ccfg)
+		journals := concurrentJournal(t, prog, ccfg)
 		forced := 0
-		for _, e := range journal {
-			if e.Req.Kind == mcpool.OpWrite && e.Req.Mode == epoch.CounterMode && e.Resp.Mode == epoch.Counterless {
-				forced++
+		for _, raw := range journals {
+			entries, _, err := mcpool.DecodeJournal(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if e.Kind == mcpool.OpWrite && prog.Ops[e.Tag].Mode == epoch.CounterMode && e.Mode == epoch.Counterless {
+					forced++
+				}
 			}
 		}
 		if forced == 0 {
 			t.Fatal("no counter-mode write was forced counterless: the saturation handoff was never exercised")
 		}
 		if run == 0 {
-			prev = journal
+			prev = journals
 			continue
 		}
-		if len(journal) != len(prev) {
-			t.Fatalf("journal lengths differ across identical runs: %d vs %d", len(prev), len(journal))
-		}
-		for i := range journal {
-			a, b := prev[i], journal[i]
-			if a.Seq != b.Seq || a.Req.Tag != b.Req.Tag || a.Req.Mode != b.Req.Mode ||
-				a.Resp.Mode != b.Resp.Mode || a.Resp.Plain != b.Resp.Plain ||
-				(a.Resp.Err == nil) != (b.Resp.Err == nil) {
-				t.Fatalf("journal entry %d differs across identical runs:\n  %+v\n  %+v", i, a, b)
+		for s := range journals {
+			if !bytes.Equal(journals[s], prev[s]) {
+				t.Fatalf("shard %d journal bytes differ across identical runs (%d vs %d bytes)", s, len(prev[s]), len(journals[s]))
 			}
 		}
 	}
@@ -100,8 +101,8 @@ func TestConcurrentSaturationInterleaving(t *testing.T) {
 // zero divergences with attribution on (the full plaintext / ReadInfo
 // / mode / EngineStats differential check against the serial oracle
 // replay), and — on the deterministic Submitters == Shards
-// partitioning — the applied-op journals with attribution on and off
-// must be bit-identical. Spans observe the pipeline; they must not
+// partitioning — the persisted journals with attribution on and off
+// must be byte-identical. Spans observe the pipeline; they must not
 // steer it.
 func TestConcurrentReplayAttributionBitIdentical(t *testing.T) {
 	ccfg := ConcurrentConfig{Submitters: 4, Shards: 4, Attribution: true}
@@ -123,93 +124,39 @@ func TestConcurrentReplayAttributionBitIdentical(t *testing.T) {
 	prog := Generate(3, ConcurrentGenConfig())
 	off := concurrentJournal(t, prog, ConcurrentConfig{Submitters: 4, Shards: 4})
 	on := concurrentJournal(t, prog, ccfg)
-	if len(off) != len(on) {
-		t.Fatalf("journal lengths differ: %d off vs %d on", len(off), len(on))
-	}
-	for i := range off {
-		a, b := off[i], on[i]
-		if a.Seq != b.Seq || a.Req.Tag != b.Req.Tag || a.Req.Mode != b.Req.Mode ||
-			a.Resp.Mode != b.Resp.Mode || a.Resp.Plain != b.Resp.Plain ||
-			a.Resp.Info != b.Resp.Info || (a.Resp.Err == nil) != (b.Resp.Err == nil) {
-			t.Fatalf("journal entry %d differs with attribution on:\n  off: %+v\n  on:  %+v", i, a, b)
+	for s := range off {
+		if len(off[s]) == 0 {
+			t.Fatalf("shard %d journaled nothing", s)
+		}
+		if !bytes.Equal(off[s], on[s]) {
+			t.Fatalf("shard %d journal bytes differ with attribution on (%d off vs %d on)", s, len(off[s]), len(on[s]))
 		}
 	}
 }
 
-// concurrentJournal runs prog through a fresh pool with the same
-// partitioning ConcurrentReplay uses and returns the concatenated
-// per-shard journals (shard-major order — deterministic when
-// Submitters == Shards).
-func concurrentJournal(t *testing.T, prog Program, ccfg ConcurrentConfig) []mcpool.Applied {
+// concurrentJournal runs prog through a fresh pool the way
+// ConcurrentReplay does and returns each shard's persisted journal
+// bytes — deterministic when Submitters == Shards. The journal's
+// response digests and error bits cover every response, so equal
+// bytes mean equal responses too.
+func concurrentJournal(t *testing.T, prog Program, ccfg ConcurrentConfig) [][]byte {
 	t.Helper()
 	ccfg = ccfg.withDefaults()
 	v, err := VariantByName(ccfg.Variant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcfg := mcpool.Config{
-		Shards:      ccfg.Shards,
-		QueueDepth:  ccfg.QueueDepth,
-		BatchMax:    ccfg.BatchMax,
-		Watermark:   -1,
-		Journal:     true,
-		Attribution: ccfg.Attribution,
-		Flight:      ccfg.Flight,
-		Engine:      v.Options(false),
-	}
-	if ccfg.AdaptiveWatermark {
-		pcfg.AdaptiveWatermark = true
-		pcfg.AdaptEvery = 2
-	}
-	pool, err := mcpool.New(pcfg)
+	pool, err := mcpool.New(ccfg.poolConfig(v))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	done := make(chan error, ccfg.Submitters)
-	for g := 0; g < ccfg.Submitters; g++ {
-		go func(g int) {
-			var futs []*mcpool.Future
-			for i, op := range prog.Ops {
-				if int(op.Block)%ccfg.Submitters != g {
-					continue
-				}
-				req := mcpool.Request{Addr: uint64(op.Block) * 64, Tag: i}
-				switch op.Kind {
-				case OpWrite:
-					req.Kind = mcpool.OpWrite
-					req.VM = int(op.VM) % v.VMs
-					req.Mode = op.Mode
-					req.Data = op.Payload()
-				case OpRead:
-					req.Kind = mcpool.OpRead
-				case OpFault:
-					req.Kind = mcpool.OpFault
-					req.Chip = int(op.Chip)
-					req.Pattern = op.Pattern
-				}
-				fut, err := pool.Submit(req)
-				if err != nil {
-					done <- err
-					return
-				}
-				futs = append(futs, fut)
-			}
-			for _, fut := range futs {
-				fut.Wait()
-			}
-			done <- nil
-		}(g)
+	if _, err := mcpool.RunPartitioned(pool, poolRequests(prog, v.VMs), ccfg.Submitters); err != nil {
+		t.Fatal(err)
 	}
-	for g := 0; g < ccfg.Submitters; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+	journals := make([][]byte, pool.NumShards())
+	for s := range journals {
+		journals[s] = pool.PersistedJournal(s)
 	}
-	pool.Flush()
-	var journal []mcpool.Applied
-	for s := 0; s < pool.NumShards(); s++ {
-		journal = append(journal, pool.JournalOf(s)...)
-	}
-	return journal
+	return journals
 }

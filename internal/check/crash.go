@@ -33,7 +33,7 @@ import (
 type CrashResult struct {
 	Variant string
 	Ops     int    // program length
-	Applied int    // ops fully applied before power failed
+	Done    int    // ops fully applied before power failed
 	Crashed bool   // whether the armed crash point actually fired
 	Steps   uint64 // persistence steps the run executed
 	Report  nvm.RecoveryReport
@@ -126,7 +126,7 @@ func CrashReplay(r Repro, fl *flight.Ring) (CrashResult, error) {
 	if err != nil && err != nvm.ErrCrashed {
 		return res, err
 	}
-	res.Applied = applied
+	res.Done = applied
 	res.Crashed = nv.Crashed()
 	res.Steps = nv.Domain().Steps()
 

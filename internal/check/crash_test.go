@@ -53,8 +53,8 @@ func TestCrashStepBeyondEnd(t *testing.T) {
 	if res.Crashed {
 		t.Error("crash point past the end of the run fired")
 	}
-	if res.Applied != res.Ops {
-		t.Errorf("applied %d of %d ops without a crash", res.Applied, res.Ops)
+	if res.Done != res.Ops {
+		t.Errorf("applied %d of %d ops without a crash", res.Done, res.Ops)
 	}
 	if res.Div != nil {
 		t.Errorf("crash-free NVM run diverged from the oracle: %v", res.Div)

@@ -42,7 +42,7 @@ func decodeBody(t *testing.T, resp *http.Response, v any) {
 
 // The happy path over the wire: write a block, read it back, flush.
 func TestAPIWriteReadFlush(t *testing.T) {
-	_, srv := apiServer(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 1, Watermark: -1, Journal: true, Persist: true}})
+	_, srv := apiServer(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 1, Watermark: -1, Persist: true}})
 	payload := bytes.Repeat([]byte{0xAB}, 64)
 
 	resp := postJSON(t, srv.URL+"/v1/submit", submitRequest{Op: "write", Addr: 64, Data: hex.EncodeToString(payload)})

@@ -102,7 +102,7 @@ type Config struct {
 	// admission entirely (per-node behavior is unchanged).
 	MaxDegradedFrac float64
 	// Node is the per-node pool template. Shards, queue depths, the
-	// watermark policy, Journal/Persist, and engine options apply to
+	// watermark policy, Persist, and engine options apply to
 	// every node identically. When Profile is set or AdaptiveWatermark
 	// demands one, each node gets its OWN profiler (same backend) so
 	// per-node latency estimates don't mix across controllers.
@@ -132,11 +132,9 @@ type node struct {
 	reg      *obs.Registry
 
 	// Chaos-verification state (meaningful when the node template has
-	// Journal+Persist): plogs is the durable per-shard journal bytes
-	// captured at the last Kill (what the next Restart recovers from),
-	// baseline the durable bytes the CURRENT incarnation started from,
-	// segs the closed service segments (see Segment).
-	plogs    [][]byte
+	// Persist): baseline is the durable bytes the CURRENT incarnation
+	// started from, segs the closed service segments (see Segment); the
+	// last segment's Plogs are what the next Restart recovers from.
 	baseline [][]byte
 	segs     []Segment
 	recovery []nvm.ShardRecovery // last Restart's report
@@ -144,13 +142,12 @@ type node struct {
 
 // Segment is one uninterrupted service interval of a node: from pool
 // creation (or restart) to Kill. Baseline is the durable per-shard
-// journal state the interval's engines started from, Journals the
-// per-shard applied-op journals of the interval, and Plogs the
-// durable journal bytes at the interval's end. Verify replays each
+// journal state the interval's engines started from, and Plogs the
+// durable journal bytes at the interval's end — Baseline's records
+// followed by every op the interval applied. Verify replays each
 // segment from its baseline and demands bit-identical responses.
 type Segment struct {
 	Baseline [][]byte
-	Journals [][]mcpool.Applied
 	Plogs    [][]byte
 }
 
@@ -335,9 +332,9 @@ func (c *Cluster) Read(addr uint64) mcpool.Response {
 // responses deliver), volatile state — memoization tables, profiler
 // estimates — dies with it, and only the durable per-shard journal
 // bytes survive for Restart to recover from. Requests routed to the
-// node fail with ErrNodeDown until then. With Journal on, the
-// incarnation's applied-op journal is captured as a closed Segment
-// first, so chaos verification can still replay the killed interval.
+// node fail with ErrNodeDown until then. With Persist on, the
+// incarnation's journal bytes are captured as a closed Segment first,
+// so chaos verification can still replay the killed interval.
 func (c *Cluster) Kill(i int) error {
 	n := c.nodes[i]
 	n.mu.Lock()
@@ -349,12 +346,6 @@ func (c *Cluster) Kill(i int) error {
 	pool.Close()
 	shards := pool.NumShards()
 	seg := Segment{Baseline: n.baseline}
-	if c.cfg.Node.Journal {
-		seg.Journals = make([][]mcpool.Applied, shards)
-		for s := 0; s < shards; s++ {
-			seg.Journals[s] = pool.JournalOf(s)
-		}
-	}
 	if c.cfg.Node.Persist {
 		seg.Plogs = make([][]byte, shards)
 		for s := 0; s < shards; s++ {
@@ -362,7 +353,6 @@ func (c *Cluster) Kill(i int) error {
 		}
 	}
 	n.segs = append(n.segs, seg)
-	n.plogs = seg.Plogs
 	n.pool = nil
 	n.profiler = nil
 	c.kills.Inc()
@@ -382,10 +372,7 @@ func (c *Cluster) Restart(i int) ([]nvm.ShardRecovery, error) {
 	if n.pool != nil {
 		return nil, fmt.Errorf("cluster: node %d is already up", i)
 	}
-	plogs := n.plogs
-	if plogs == nil && c.cfg.Node.Persist {
-		plogs = make([][]byte, c.shardCount())
-	}
+	plogs := n.segs[len(n.segs)-1].Plogs // a down node was killed
 	if c.cfg.BreakRecovery && plogs != nil {
 		plogs = dropNewestRecords(plogs)
 	}
@@ -519,16 +506,7 @@ func (c *Cluster) Aggregate() Aggregate {
 		}
 		na := pool.Aggregate()
 		a.NodesUp++
-		a.Reads += na.Reads
-		a.Writes += na.Writes
-		a.CounterModeWrites += na.CounterModeWrites
-		a.CounterlessWrites += na.CounterlessWrites
-		a.MemoHits += na.MemoHits
-		a.MemoMisses += na.MemoMisses
-		a.Corrections += na.Corrections
-		a.EntropyResolved += na.EntropyResolved
-		a.DUEs += na.DUEs
-		a.MACFailures += na.MACFailures
+		a.EngineStats.Add(na.EngineStats)
 		a.ModeSwitches += na.ModeSwitches
 		a.DegradedWrites += na.DegradedWrites
 		a.Submitted += na.Submitted

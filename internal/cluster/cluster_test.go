@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"counterlight/internal/core"
+	"counterlight/internal/epoch"
 	"counterlight/internal/mcpool"
 	"counterlight/internal/obs/flight"
 )
@@ -113,7 +114,7 @@ func TestAdmissionPolicy(t *testing.T) {
 // Drain fences: in-flight work is flushed durable, new submissions
 // are refused, and the fence is permanent until Close.
 func TestDrain(t *testing.T) {
-	c := testCluster(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 2, Watermark: -1, Journal: true, Persist: true}})
+	c := testCluster(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 2, Watermark: -1, Persist: true}})
 	for _, req := range mcpool.Schedule(mcpool.ScheduleConfig{Ops: 300, Blocks: 128, Seed: 9}) {
 		if resp := c.SubmitWait(req); resp.Err != nil {
 			t.Fatal(resp.Err)
@@ -150,7 +151,7 @@ func TestKillRestartVerify(t *testing.T) {
 		Nodes:           2,
 		MaxDegradedFrac: -1,
 		Flight:          rec,
-		Node:            mcpool.Config{Shards: 2, Watermark: -1, Journal: true, Persist: true},
+		Node:            mcpool.Config{Shards: 2, Watermark: -1, Persist: true},
 	})
 	sched := mcpool.Schedule(mcpool.ScheduleConfig{Ops: 3000, Blocks: 256, ReadFraction: 0.25, Seed: 21})
 	last := map[uint64][64]byte{}
@@ -232,7 +233,7 @@ func TestRestartBreakRecoveryDetected(t *testing.T) {
 		Nodes:           1,
 		MaxDegradedFrac: -1,
 		BreakRecovery:   true,
-		Node:            mcpool.Config{Shards: 1, Watermark: -1, Journal: true, Persist: true},
+		Node:            mcpool.Config{Shards: 1, Watermark: -1, Persist: true},
 	})
 	w := func(b byte) {
 		t.Helper()
@@ -268,7 +269,7 @@ func TestClusterChaosConcurrent(t *testing.T) {
 	c := testCluster(t, Config{
 		Nodes:           2,
 		MaxDegradedFrac: -1,
-		Node:            mcpool.Config{Shards: 2, QueueDepth: 64, Watermark: -1, Journal: true, Persist: true},
+		Node:            mcpool.Config{Shards: 2, QueueDepth: 64, Watermark: -1, Persist: true},
 	})
 	sched := mcpool.Schedule(mcpool.ScheduleConfig{Ops: 4000, Blocks: 256, ReadFraction: 0.3, Seed: 33})
 	const workers = 4
@@ -340,5 +341,67 @@ func TestSampleStableColumns(t *testing.T) {
 	}
 	if wm := c.Watermarks(); wm[0] != -1 {
 		t.Fatalf("dead node watermark %d, want -1", wm[0])
+	}
+}
+
+// The verifier still catches a bad op with no plaintext in the
+// journal: re-encode one record of a closed segment with one field
+// altered, and Verify must name that record's seq.
+func TestVerifyCatchesTamperedEntry(t *testing.T) {
+	c := testCluster(t, Config{Nodes: 1, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 1, Watermark: -1, Persist: true}})
+	for _, req := range []mcpool.Request{
+		{Kind: mcpool.OpWrite, Addr: 0, Data: [64]byte{1}},
+		{Kind: mcpool.OpWrite, Addr: 64, Mode: epoch.Counterless, Data: [64]byte{2}},
+		{Kind: mcpool.OpRead, Addr: 0},
+		{Kind: mcpool.OpFault, Addr: 64, Chip: 2, Pattern: 1},
+		{Kind: mcpool.OpRead, Addr: 64},
+	} {
+		if resp := c.SubmitWait(req); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	if err := c.Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	seg := &c.nodes[0].segs[0]
+	clean := seg.Plogs
+	entries, _, err := mcpool.DecodeJournal(clean[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms, err := c.Verify(); err != nil || len(ms) > 0 {
+		t.Fatalf("clean history: err %v, mismatches %v", err, ms)
+	}
+	for _, tc := range []struct {
+		name   string
+		kind   mcpool.OpKind
+		tamper func(*mcpool.Entry)
+	}{
+		{"read Sum", mcpool.OpRead, func(e *mcpool.Entry) { e.Sum ^= 1 }},
+		{"write codeword", mcpool.OpWrite, func(e *mcpool.Entry) { e.CW.Data[0] ^= 1 }},
+		{"write mode", mcpool.OpWrite, func(e *mcpool.Entry) { e.Mode = 1 - e.Mode }},
+		{"fault error bit", mcpool.OpFault, func(e *mcpool.Entry) { e.Err = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var plog []byte
+			var seq uint64
+			for _, e := range entries {
+				if seq == 0 && e.Kind == tc.kind {
+					tc.tamper(&e)
+					seq = e.Seq
+				}
+				plog = mcpool.AppendEntry(plog, e)
+			}
+			seg.Plogs = [][]byte{plog}
+			defer func() { seg.Plogs = clean }()
+			ms, err := c.Verify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) == 0 || ms[0].Seq != seq {
+				t.Fatalf("tampered seq %d: mismatches %v", seq, ms)
+			}
+			t.Log(ms[0])
+		})
 	}
 }

@@ -2,22 +2,24 @@ package cluster
 
 // Chaos verification: prove that a cluster's history — including
 // every kill/restart — replays bit-identically. Each node's life is a
-// sequence of Segments (incarnations); within one segment the
-// per-shard journal is a total order over that shard's blocks, and
-// the incarnation began either empty (gen 0) or from an Entry.Apply
-// redo of its durable baseline. Both starting states have EMPTY
-// volatile tables (memoization, profiler estimates), so re-executing
-// the segment's journal on a fresh engine seeded the same way is
-// fully deterministic and must reproduce every journaled response —
-// plaintext, ReadInfo, and stored mode — bit for bit.
+// sequence of Segments (incarnations); within one segment each shard's
+// journal is a total order over that shard's blocks, and the
+// incarnation began either empty (gen 0) or from an Entry.Apply redo
+// of its durable baseline. Both starting states have EMPTY volatile
+// tables (memoization, profiler estimates), so re-executing the
+// segment's ops on a fresh engine seeded the same way is fully
+// deterministic and must reproduce every journaled outcome bit for bit.
 //
-// Cross-checking re-execution (semantic redo of requests) against the
-// durable journal (Entry.Apply of snapshotted codewords) is the
-// point: the former proves the pool applied what it acknowledged, the
-// latter proves the durable log captured exactly the state a restart
-// will rebuild. A divergence in either direction is a Mismatch.
+// Two engines walk the journal in lockstep: durable redoes each entry
+// (Entry.Apply, exactly what recovery does) and replay re-executes it.
+// The journal holds no plaintext, so a write's payload is read back
+// from durable and must match the entry's Sum. The former proves the
+// pool applied what it acknowledged, the latter that the durable log
+// captured exactly the state a restart will rebuild. A divergence in
+// either direction is a Mismatch.
 
 import (
+	"errors"
 	"fmt"
 
 	"counterlight/internal/core"
@@ -40,7 +42,7 @@ func (m Mismatch) String() string {
 }
 
 // Verify replays every node's full segment history. Requires the node
-// template to run with Journal and Persist on.
+// template to run with Persist on.
 func (c *Cluster) Verify() ([]Mismatch, error) {
 	var all []Mismatch
 	for i := range c.nodes {
@@ -55,11 +57,9 @@ func (c *Cluster) Verify() ([]Mismatch, error) {
 
 // History returns node i's full segment history: every closed
 // segment plus — when the node is live — a snapshot of the current
-// incarnation, its journal trimmed to the durable log's last seq so
-// the pair is consistent even under traffic. The live snapshot is
-// capped by snapshot order: apply() appends to the in-memory journal
-// and the durable log under one shard lock, so a journal snapshot
-// taken after the plog snapshot covers every seq the plog has.
+// incarnation, whose Plogs are each shard's journal bytes as of the
+// call: a complete-record prefix of the shard's apply order, even
+// under traffic.
 func (c *Cluster) History(i int) []Segment {
 	n := c.nodes[i]
 	n.mu.RLock()
@@ -68,11 +68,9 @@ func (c *Cluster) History(i int) []Segment {
 	if n.pool == nil {
 		return segs
 	}
-	shards := n.pool.NumShards()
-	live := Segment{Baseline: n.baseline, Plogs: make([][]byte, shards), Journals: make([][]mcpool.Applied, shards)}
-	for sh := 0; sh < shards; sh++ {
+	live := Segment{Baseline: n.baseline, Plogs: make([][]byte, n.pool.NumShards())}
+	for sh := range live.Plogs {
 		live.Plogs[sh] = n.pool.PersistedJournal(sh)
-		live.Journals[sh], live.Plogs[sh] = trimToPlog(n.pool.JournalOf(sh), live.Plogs[sh])
 	}
 	return append(segs, live)
 }
@@ -81,11 +79,10 @@ func (c *Cluster) History(i int) []Segment {
 // live — its current incarnation. The live segment's final-state diff
 // against the live shard engines runs only once the cluster is
 // draining (quiesced); under traffic the replay still checks every
-// journaled response against the durable log captured at the same
-// seq.
+// journaled op up to the snapshot History took.
 func (c *Cluster) VerifyNode(i int) ([]Mismatch, error) {
-	if !c.cfg.Node.Journal || !c.cfg.Node.Persist {
-		return nil, fmt.Errorf("cluster: verification needs Journal and Persist in the node config")
+	if !c.cfg.Node.Persist {
+		return nil, fmt.Errorf("cluster: verification needs Persist in the node config")
 	}
 	n := c.nodes[i]
 	n.mu.RLock()
@@ -100,136 +97,140 @@ func (c *Cluster) VerifyNode(i int) ([]Mismatch, error) {
 		if pool != nil && segIdx == nsegs && c.draining.Load() {
 			finalEng = func(sh int, fn func(*core.Engine)) { pool.WithShardEngine(sh, fn) }
 		}
-		for sh := range seg.Journals {
+		for sh := range seg.Plogs {
 			var base []byte
 			if seg.Baseline != nil {
 				base = seg.Baseline[sh]
 			}
-			ms = append(ms, c.verifyShard(i, segIdx, sh, base, seg.Journals[sh], seg.Plogs[sh], finalEng)...)
+			ms = append(ms, c.verifyShard(i, segIdx, sh, base, seg.Plogs[sh], finalEng)...)
 		}
 	}
 	return ms, nil
 }
 
-// trimToPlog drops journal entries newer than the plog's last durable
-// seq, pairing the two snapshots at a single point in the shard's
-// apply order.
-func trimToPlog(journal []mcpool.Applied, plog []byte) ([]mcpool.Applied, []byte) {
-	entries, off, err := mcpool.DecodeJournal(plog)
-	if err != nil && err != mcpool.ErrTorn {
-		return journal, plog
+// verifyShard checks one (segment, shard). Both engines start from the
+// baseline: replay redoes base, durable the plog's first as many
+// records (recovery seeded the plog with them). The segment's own
+// records then run in lockstep, each redone on durable and
+// re-executed on replay; the end states must agree with each other
+// and, when finalEng is set, with the live engine. base is nil for a
+// first incarnation.
+func (c *Cluster) verifyShard(nodeID, segIdx, sh int, base, plog []byte, finalEng func(int, func(*core.Engine))) []Mismatch {
+	mm := func(seq uint64, format string, args ...any) []Mismatch {
+		return []Mismatch{{Node: nodeID, Seg: segIdx, Shard: sh, Seq: seq, Detail: fmt.Sprintf(format, args...)}}
 	}
-	plog = plog[:off]
-	var last uint64
-	if len(entries) > 0 {
-		last = entries[len(entries)-1].Seq
-	}
-	for len(journal) > 0 && journal[len(journal)-1].Seq > last {
-		journal = journal[:len(journal)-1]
-	}
-	return journal, plog
-}
-
-// verifyShard checks one (segment, shard): re-execute the in-memory
-// journal from the baseline, demanding bit-identical responses, then
-// diff the re-executed end state against an engine rebuilt purely
-// from the durable journal bytes — and, when finalEng is set, against
-// the live engine itself. base is the shard's durable baseline bytes
-// (nil for a first incarnation).
-func (c *Cluster) verifyShard(nodeID, segIdx, sh int, base []byte, journal []mcpool.Applied, plog []byte, finalEng func(int, func(*core.Engine))) []Mismatch {
-	mm := func(seq uint64, format string, args ...any) Mismatch {
-		return Mismatch{Node: nodeID, Seg: segIdx, Shard: sh, Seq: seq, Detail: fmt.Sprintf(format, args...)}
-	}
-	replay, err := c.freshEngine()
+	baseline, err := decodeDurable(base)
 	if err != nil {
-		return []Mismatch{mm(0, "replay engine: %v", err)}
+		return mm(0, "baseline: %v", err)
 	}
-	if err := applyRaw(replay, base); err != nil {
-		return []Mismatch{mm(0, "baseline redo: %v", err)}
+	entries, err := decodeDurable(plog)
+	if err != nil {
+		return mm(0, "durable log: %v", err)
 	}
-	for _, a := range journal {
-		if d := reexecute(replay, a); d != "" {
+	if len(entries) < len(baseline) {
+		return mm(0, "durable log has %d records, fewer than its %d-record baseline", len(entries), len(baseline))
+	}
+	replay, err := core.NewEngine(c.cfg.Node.Engine)
+	durable, err2 := core.NewEngine(c.cfg.Node.Engine)
+	if err = errors.Join(err, err2); err != nil {
+		return mm(0, "engines: %v", err)
+	}
+	for k, e := range baseline {
+		if err := e.Apply(replay); err != nil {
+			return mm(e.Seq, "baseline redo: %v", err)
+		}
+		if err := entries[k].Apply(durable); err != nil {
+			return mm(entries[k].Seq, "durable redo: %v", err)
+		}
+	}
+	for _, e := range entries[len(baseline):] {
+		if err := e.Apply(durable); err != nil {
+			return mm(e.Seq, "durable redo: %v", err)
+		}
+		if d := reexecute(replay, durable, e); d != "" {
 			// The shard's state has diverged; later ops would cascade.
-			return []Mismatch{mm(a.Seq, "%s", d)}
+			return mm(e.Seq, "%s", d)
 		}
 	}
 	var ms []Mismatch
-	durable, err := c.freshEngine()
-	if err != nil {
-		return []Mismatch{mm(0, "durable engine: %v", err)}
-	}
-	if err := applyRaw(durable, plog); err != nil {
-		ms = append(ms, mm(0, "durable redo: %v", err))
-	} else if d := diffState(replay, durable); d != "" {
-		ms = append(ms, mm(0, "re-executed state vs durable log: %s", d))
+	if d := diffState(replay, durable); d != "" {
+		ms = append(ms, mm(0, "re-executed state vs durable log: %s", d)...)
 	}
 	if finalEng != nil {
 		finalEng(sh, func(liveE *core.Engine) {
 			if d := diffState(replay, liveE); d != "" {
-				ms = append(ms, mm(0, "re-executed state vs live engine: %s", d))
+				ms = append(ms, mm(0, "re-executed state vs live engine: %s", d)...)
 			}
 		})
 	}
 	return ms
 }
 
-func (c *Cluster) freshEngine() (*core.Engine, error) {
-	return core.NewEngine(c.cfg.Node.Engine)
-}
-
-// applyRaw redoes a raw durable journal onto eng, tolerating a torn
-// tail (truncated, exactly as recovery would).
-func applyRaw(eng *core.Engine, raw []byte) error {
+// decodeDurable decodes a raw durable journal, dropping a torn tail
+// exactly as recovery would.
+func decodeDurable(raw []byte) ([]mcpool.Entry, error) {
 	entries, _, err := mcpool.DecodeJournal(raw)
 	if err != nil && err != mcpool.ErrTorn {
-		return err
+		return nil, err
 	}
-	for _, e := range entries {
-		if err := e.Apply(eng); err != nil {
-			return err
-		}
-	}
-	return nil
+	return entries, nil
 }
 
-// reexecute applies one journaled request to the replay engine and
-// compares against the journaled response. Returns "" on bit-identity
-// or a mismatch description. Mirrors mcpool's apply: the journal
-// records the RESOLVED mode for Auto writes, so replay never needs
-// the queue state; Degraded is the one load-dependent field and is
-// not compared.
-func reexecute(eng *core.Engine, a mcpool.Applied) string {
-	req, want := a.Req, a.Resp
-	switch req.Kind {
+// reexecute runs one journaled op on replay — durable has already
+// redone it — and compares the outcome with the entry: error bit
+// always; Sum (plaintext and ReadInfo) for a read; codeword for a
+// fault; and for a write, Sum (payload, read back from durable, and
+// applied mode), then codeword, counter, permanent-counterless flag
+// and mode. Returns "" on bit-identity or a mismatch description.
+func reexecute(replay, durable *core.Engine, e mcpool.Entry) string {
+	var err error
+	switch e.Kind {
 	case mcpool.OpRead:
-		plain, info, err := eng.Read(req.Addr)
-		switch {
-		case (err == nil) != (want.Err == nil):
-			return fmt.Sprintf("read %#x: replay err=%v, journaled err=%v", req.Addr, err, want.Err)
-		case plain != want.Plain:
-			return fmt.Sprintf("read %#x: plaintext differs from journaled response", req.Addr)
-		case info != want.Info:
-			return fmt.Sprintf("read %#x: ReadInfo %+v, journaled %+v", req.Addr, info, want.Info)
+		var resp mcpool.Response
+		resp.Plain, resp.Info, err = replay.Read(e.Addr)
+		if (err != nil) == e.Err && (!e.HasSum || mcpool.ResponseSum(mcpool.Request{Kind: mcpool.OpRead}, resp) != e.Sum) {
+			return fmt.Sprintf("read %#x: replay plaintext or ReadInfo %+v differs from the journaled response", e.Addr, resp.Info)
 		}
 	case mcpool.OpWrite:
-		err := eng.WriteAs(req.VM, req.Addr, req.Data, req.Mode)
-		if (err == nil) != (want.Err == nil) {
-			return fmt.Sprintf("write %#x: replay err=%v, journaled err=%v", req.Addr, err, want.Err)
+		req := mcpool.Request{Kind: mcpool.OpWrite}
+		if !e.Err {
+			if req.Data, _, err = durable.Read(e.Addr); err != nil {
+				return fmt.Sprintf("write %#x: journaled codeword does not read back: %v", e.Addr, err)
+			}
+			if !e.HasSum || mcpool.ResponseSum(req, mcpool.Response{Mode: e.Mode}) != e.Sum {
+				return fmt.Sprintf("write %#x: journaled codeword and mode %v do not match the acknowledged write", e.Addr, e.Mode)
+			}
 		}
-		applied := req.Mode
-		if err == nil && eng.IsPermanentCounterless(req.Addr) {
-			applied = epoch.Counterless
+		mode := e.Mode
+		if e.PermCL && !replay.IsPermanentCounterless(e.Addr) {
+			mode = epoch.CounterMode // this write saturated the counter (§IV-C): it must again
 		}
-		if applied != want.Mode {
-			return fmt.Sprintf("write %#x: replay stored %v, journal says %v", req.Addr, applied, want.Mode)
+		if err = replay.WriteAs(e.VM, e.Addr, req.Data, mode); err == nil {
+			if replay.IsPermanentCounterless(e.Addr) {
+				mode = epoch.Counterless
+			}
+			cw, _ := replay.Snapshot(e.Addr)
+			switch {
+			case mode != e.Mode:
+				return fmt.Sprintf("write %#x: replay stored %v, journal says %v", e.Addr, mode, e.Mode)
+			case !e.HasCW || cw != e.CW:
+				return fmt.Sprintf("write %#x: replay codeword differs from the journaled one", e.Addr)
+			case replay.Counters().Counter(e.Addr) != e.Ctr || replay.IsPermanentCounterless(e.Addr) != e.PermCL:
+				return fmt.Sprintf("write %#x: replay counter %d, journal says %d (permanent-counterless %v)",
+					e.Addr, replay.Counters().Counter(e.Addr), e.Ctr, e.PermCL)
+			}
 		}
 	case mcpool.OpFault:
-		err := eng.InjectFault(req.Addr, req.Chip, req.Pattern)
-		if (err == nil) != (want.Err == nil) {
-			return fmt.Sprintf("fault %#x: replay err=%v, journaled err=%v", req.Addr, err, want.Err)
+		err = replay.InjectFault(e.Addr, e.Chip, e.Pattern)
+		if cw, _ := replay.Snapshot(e.Addr); err == nil && (!e.HasCW || cw != e.CW) {
+			return fmt.Sprintf("fault %#x: replay codeword differs from the journaled one", e.Addr)
 		}
 	default:
-		return fmt.Sprintf("unknown journaled op kind %d", req.Kind)
+		return fmt.Sprintf("unknown journaled op kind %d", e.Kind)
+	}
+	if (err != nil) != e.Err {
+		return fmt.Sprintf("%s %#x: replay err=%v, journaled error bit %v",
+			[...]string{"read", "write", "fault"}[e.Kind], e.Addr, err, e.Err)
 	}
 	return ""
 }

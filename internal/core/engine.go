@@ -135,6 +135,20 @@ type EngineStats struct {
 	MACFailures          uint64 // reads whose fast-path MAC check failed
 }
 
+// Add accumulates o into s.
+func (s *EngineStats) Add(o EngineStats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.CounterModeWrites += o.CounterModeWrites
+	s.CounterlessWrites += o.CounterlessWrites
+	s.MemoHits += o.MemoHits
+	s.MemoMisses += o.MemoMisses
+	s.Corrections += o.Corrections
+	s.EntropyResolved += o.EntropyResolved
+	s.DUEs += o.DUEs
+	s.MACFailures += o.MACFailures
+}
+
 // padCacheSize is the number of direct-mapped pad-cache slots (a
 // power of two; 64 bytes of pad plus tags per slot ≈ 24 KB total,
 // comparable to the paper's on-chip table budgets).
@@ -394,7 +408,6 @@ func (e *Engine) WriteAs(vm int, addr uint64, plain cipher.Block, mode epoch.Mod
 		return fmt.Errorf("core: VM %d out of range [0,%d)", vm, len(e.cls))
 	}
 	e.m.writes.Inc()
-	e.vmOf[addr] = vm
 	if e.permanentCounterless[addr] {
 		mode = epoch.Counterless
 	}
@@ -430,11 +443,13 @@ func (e *Engine) WriteAs(vm int, addr uint64, plain cipher.Block, mode epoch.Mod
 			ct := e.cm.Encrypt(uint64(next), addr, plain)
 			mac := e.cm.MAC(uint64(next), addr, plain, next)
 			e.mem[addr] = ecc.Encode(ct, mac, uint64(next))
+			e.vmOf[addr] = vm
 			e.m.counterModeWrites.Inc()
 			return nil
 		}
 	}
 	// Counterless writeback: EncryptionMetadata is the all-ones flag.
+	e.vmOf[addr] = vm
 	cls := e.cls[vm]
 	ct := cls.Encrypt(addr, plain)
 	mac := cls.MAC(addr, ct, uint32(ctrblock.CounterlessFlag))

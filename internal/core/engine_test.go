@@ -254,6 +254,40 @@ func TestCounterReplayDetectedOnWrite(t *testing.T) {
 	}
 }
 
+// A write the integrity tree rejects leaves no state behind: the block
+// keeps its codeword and its owning VM, so a journal that skips the
+// failed op redoes exactly the engine's state.
+func TestRejectedWriteLeavesNoState(t *testing.T) {
+	opts := DefaultEngineOptions()
+	opts.VMs = 2
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain cipher.Block
+	const addr = 64 * 1000
+	if err := e.WriteAs(0, addr, plain, epoch.CounterMode); err != nil {
+		t.Fatal(err)
+	}
+	oldVal := e.Counters().Counter(addr)
+	oldMAC := e.Counters().CounterBlockMAC(addr)
+	if err := e.WriteAs(0, addr, plain, epoch.CounterMode); err != nil {
+		t.Fatal(err)
+	}
+	cw, _ := e.Snapshot(addr)
+	e.Counters().ReplayCounter(addr, oldVal, oldMAC)
+	plain[0] = 1
+	if err := e.WriteAs(1, addr, plain, epoch.CounterMode); err == nil {
+		t.Fatal("write proceeded over a replayed counter")
+	}
+	if vm := e.VMOf(addr); vm != 0 {
+		t.Errorf("rejected write moved the block to VM %d", vm)
+	}
+	if got, _ := e.Snapshot(addr); got != cw {
+		t.Error("rejected write changed the stored codeword")
+	}
+}
+
 // Whole-block replay is NOT detected — matching counterless security
 // (§IV-F: "an attacker can always replay the whole data block").
 func TestWholeBlockReplayUndetected(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 
 // benchPool builds a pool at a fixed shard/batch configuration — the
 // same shapes cmd/clbench -bench-json pins for the perf trajectory.
-func benchPool(b *testing.B, shards, batchMax int, attribution bool) *Pool {
+func benchPool(b *testing.B, shards, batchMax int, attribution, persist bool) *Pool {
 	b.Helper()
 	opts := core.DefaultEngineOptions()
 	opts.MemSize = 1 << 22
@@ -17,6 +17,7 @@ func benchPool(b *testing.B, shards, batchMax int, attribution bool) *Pool {
 		Shards:      shards,
 		BatchMax:    batchMax,
 		Attribution: attribution,
+		Persist:     persist,
 		Engine:      opts,
 	})
 	if err != nil {
@@ -26,8 +27,8 @@ func benchPool(b *testing.B, shards, batchMax int, attribution bool) *Pool {
 	return pool
 }
 
-func benchmarkThroughput(b *testing.B, shards, batchMax int, attribution bool) {
-	pool := benchPool(b, shards, batchMax, attribution)
+func benchmarkThroughput(b *testing.B, shards, batchMax int, attribution, persist bool) {
+	pool := benchPool(b, shards, batchMax, attribution, persist)
 	sched := Schedule(ScheduleConfig{Ops: 4096, Blocks: 1024, ReadFraction: 0.5, Seed: 42})
 	workers := runtime.GOMAXPROCS(0)
 	// Warm up so engine table builds don't land in the timed region.
@@ -46,22 +47,27 @@ func benchmarkThroughput(b *testing.B, shards, batchMax int, attribution bool) {
 
 // BenchmarkPoolThroughputS4B8 drives the mixed fixed-seed schedule
 // through a 4-shard pool with small batches.
-func BenchmarkPoolThroughputS4B8(b *testing.B) { benchmarkThroughput(b, 4, 8, false) }
+func BenchmarkPoolThroughputS4B8(b *testing.B) { benchmarkThroughput(b, 4, 8, false, false) }
 
 // BenchmarkPoolThroughputS8B32 is the default-shaped pool: 8 shards,
 // full batches.
-func BenchmarkPoolThroughputS8B32(b *testing.B) { benchmarkThroughput(b, 8, 32, false) }
+func BenchmarkPoolThroughputS8B32(b *testing.B) { benchmarkThroughput(b, 8, 32, false, false) }
 
 // BenchmarkPoolThroughputAttributed is S8B32 with latency attribution
 // on — the delta against BenchmarkPoolThroughputS8B32 is the span
 // overhead, which is supposed to be noise.
-func BenchmarkPoolThroughputAttributed(b *testing.B) { benchmarkThroughput(b, 8, 32, true) }
+func BenchmarkPoolThroughputAttributed(b *testing.B) { benchmarkThroughput(b, 8, 32, true, false) }
+
+// BenchmarkPoolThroughputPersist is S8B32 with the persistent journal
+// on: its B/op over BenchmarkPoolThroughputS8B32 is what journaling
+// costs per 4096 ops (encoded records plus the log's growth).
+func BenchmarkPoolThroughputPersist(b *testing.B) { benchmarkThroughput(b, 8, 32, false, true) }
 
 // BenchmarkPoolSubmitWait measures one closed-loop submit→wait round
 // trip on a warm pool — the per-request latency floor, on the pooled
 // zero-alloc SubmitWait path clserve uses.
 func BenchmarkPoolSubmitWait(b *testing.B) {
-	pool := benchPool(b, 8, 32, false)
+	pool := benchPool(b, 8, 32, false, false)
 	var req Request
 	req.Kind = OpWrite
 	b.ReportAllocs()
@@ -79,7 +85,7 @@ func BenchmarkPoolSubmitWait(b *testing.B) {
 // future-based Submit path; the delta against BenchmarkPoolSubmitWait
 // is the future allocation cost the pooled path removes.
 func BenchmarkPoolSubmitFuture(b *testing.B) {
-	pool := benchPool(b, 8, 32, false)
+	pool := benchPool(b, 8, 32, false, false)
 	var req Request
 	req.Kind = OpWrite
 	b.ReportAllocs()

@@ -1,14 +1,14 @@
 package mcpool
 
-// Persistent journal wire format. Where the in-memory []Applied
-// journal exists for serialized replay within one process, this
-// encoding is what survives a power failure: a length-prefixed,
-// CRC-protected record per applied op, carrying the *resolved*
-// outcome (concrete mode, counter value, permanent-counterless flag,
-// resulting codeword) so recovery can force state instead of
-// re-deriving it — the memoization table's shared write value W dies
-// with power, so a fresh engine replaying the same ops would pick
-// different counters.
+// Persistent journal wire format, the pool's only journal: a
+// length-prefixed, CRC-protected record per applied op, carrying the
+// *resolved* outcome (concrete mode, counter value,
+// permanent-counterless flag, resulting codeword) so recovery can
+// force state instead of re-deriving it — the memoization table's
+// shared write value W dies with power, so a fresh engine replaying
+// the same ops would pick different counters. No plaintext enters it:
+// an error bit and Sum, a digest of the response (ResponseSum), let a
+// verifier that re-executes the log check every response.
 //
 // The format is strictly prefix-recoverable: a crash can tear the
 // last record (the NVM model persists each append in two halves), so
@@ -24,8 +24,10 @@ import (
 	"math"
 
 	"counterlight/internal/core"
+	"counterlight/internal/crypto/keccak"
 	"counterlight/internal/ecc"
 	"counterlight/internal/epoch"
+	"counterlight/internal/wire"
 )
 
 // ErrTorn marks a journal whose final record is incomplete — the
@@ -59,14 +61,47 @@ type Entry struct {
 
 	CW    ecc.CodeWord // resulting codeword; valid only when HasCW
 	HasCW bool
+
+	// Err marks an op the engine rejected: it changed no durable
+	// state, so Apply skips it.
+	Err bool
+
+	Sum    uint64 // ResponseSum of the op; valid only when HasSum
+	HasSum bool
 }
 
 const (
 	entryFlagPermCL = 1 << 0
 	entryFlagHasCW  = 1 << 1
 	entryFlagHasTag = 1 << 2
-	entryFlagsKnown = entryFlagPermCL | entryFlagHasCW | entryFlagHasTag
+	entryFlagErr    = 1 << 3
+	entryFlagHasSum = 1 << 4
+	entryFlagsKnown = entryFlagPermCL | entryFlagHasCW | entryFlagHasTag | entryFlagErr | entryFlagHasSum
 )
+
+// sumKey keys ResponseSum. Like nvm's snapshot commit key it is a
+// constant: Sum detects a log that disagrees with re-execution.
+var sumKey = []byte("mcpool-response-sum-key")
+
+// ResponseSum is the digest an Entry carries of what the client saw:
+// the payload and applied mode of a write, the plaintext and ReadInfo
+// of a read. The pool computes it at apply time; a verifier recomputes
+// it from re-executed responses.
+func ResponseSum(req Request, resp Response) uint64 {
+	if req.Kind == OpWrite {
+		return keccak.MAC64(sumKey, req.Data[:], []byte{byte(resp.Mode)})
+	}
+	i := resp.Info
+	return keccak.MAC64(sumKey, resp.Plain[:], []byte{byte(i.Mode), byte(i.BadChip),
+		flagByte(i.MemoHit), flagByte(i.Corrected), flagByte(i.EntropyResolved)})
+}
+
+func flagByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
 
 // AppendEntry appends e's wire encoding to buf and returns the
 // extended slice. Layout: uint32 body length, uint32 CRC32(body),
@@ -90,6 +125,12 @@ func AppendEntry(buf []byte, e Entry) []byte {
 	if e.HasTag {
 		flags |= entryFlagHasTag
 	}
+	if e.Err {
+		flags |= entryFlagErr
+	}
+	if e.HasSum {
+		flags |= entryFlagHasSum
+	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, e.Meta)
 	buf = binary.AppendUvarint(buf, uint64(e.Ctr))
@@ -107,64 +148,13 @@ func AppendEntry(buf []byte, e Entry) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, e.CW.MAC)
 		buf = binary.LittleEndian.AppendUint64(buf, e.CW.Parity)
 	}
+	if e.HasSum {
+		buf = binary.LittleEndian.AppendUint64(buf, e.Sum)
+	}
 	body := buf[start+8:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(body))
 	return buf
-}
-
-// entryReader is a sticky-error cursor over one record body; every
-// accessor returns zero after the first out-of-bounds read.
-type entryReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *entryReader) u8() byte {
-	if r.bad || r.off >= len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *entryReader) uvarint() uint64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *entryReader) varint() int64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *entryReader) u64() uint64 {
-	if r.bad || r.off+8 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
 }
 
 // DecodeEntry decodes one record from the front of data, returning
@@ -185,54 +175,59 @@ func DecodeEntry(data []byte) (Entry, int, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(data[4:]); got != want {
 		return Entry{}, 0, fmt.Errorf("mcpool: journal record CRC mismatch (%08x != %08x)", got, want)
 	}
-	r := &entryReader{b: body}
+	r := wire.NewReader(body)
 	var e Entry
-	e.Seq = r.uvarint()
-	e.Kind = OpKind(r.u8())
+	e.Seq = r.Uvarint()
+	e.Kind = OpKind(r.U8())
 	switch e.Kind {
 	case OpRead, OpWrite, OpFault:
 	default:
 		return Entry{}, 0, fmt.Errorf("mcpool: journal record has unknown op kind %d", e.Kind)
 	}
-	e.Addr = r.uvarint()
-	e.VM = int(r.varint())
-	mode := r.u8()
+	e.Addr = r.Uvarint()
+	e.VM = int(r.Varint())
+	mode := r.U8()
 	if mode > 1 {
 		return Entry{}, 0, fmt.Errorf("mcpool: journal record has unknown mode %d", mode)
 	}
 	e.Mode = epoch.Mode(mode)
-	flags := r.u8()
+	flags := r.U8()
 	if flags&^byte(entryFlagsKnown) != 0 {
 		return Entry{}, 0, fmt.Errorf("mcpool: journal record has unknown flags %#x", flags)
 	}
 	e.PermCL = flags&entryFlagPermCL != 0
 	e.HasCW = flags&entryFlagHasCW != 0
 	e.HasTag = flags&entryFlagHasTag != 0
-	e.Meta = r.uvarint()
-	ctr := r.uvarint()
+	e.Err = flags&entryFlagErr != 0
+	e.HasSum = flags&entryFlagHasSum != 0
+	e.Meta = r.Uvarint()
+	ctr := r.Uvarint()
 	if ctr > math.MaxUint32 {
 		return Entry{}, 0, fmt.Errorf("mcpool: journal record counter %d overflows uint32", ctr)
 	}
 	e.Ctr = uint32(ctr)
 	if e.HasTag {
-		e.Tag = r.varint()
+		e.Tag = r.Varint()
 	}
 	if e.Kind == OpFault {
-		e.Chip = int(r.varint())
-		e.Pattern = r.uvarint()
+		e.Chip = int(r.Varint())
+		e.Pattern = r.Uvarint()
 	}
 	if e.HasCW {
 		for i := range e.CW.Data {
-			e.CW.Data[i] = r.u64()
+			e.CW.Data[i] = r.U64()
 		}
-		e.CW.MAC = r.u64()
-		e.CW.Parity = r.u64()
+		e.CW.MAC = r.U64()
+		e.CW.Parity = r.U64()
 	}
-	if r.bad {
-		return Entry{}, 0, fmt.Errorf("mcpool: journal record body truncated")
+	if e.HasSum {
+		e.Sum = r.U64()
 	}
-	if r.off != len(body) {
-		return Entry{}, 0, fmt.Errorf("mcpool: journal record has %d trailing bytes", len(body)-r.off)
+	if r.Bad() {
+		return Entry{}, 0, fmt.Errorf("mcpool: journal record body truncated or has a non-minimal varint")
+	}
+	if n := r.Rest(); n != 0 {
+		return Entry{}, 0, fmt.Errorf("mcpool: journal record has %d trailing bytes", n)
 	}
 	return e, 8 + int(n), nil
 }
@@ -257,11 +252,15 @@ func DecodeJournal(data []byte) ([]Entry, int, error) {
 // Apply forces the entry's resolved state onto a fresh engine — the
 // recovery path's redo step. Writes and faults restore the journaled
 // codeword and force the journaled counter / permanent-counterless /
-// VM-ownership state; reads are no-ops (they never mutate durable
-// state). Apply is idempotent: re-applying an entry whose effects are
-// already present (snapshot overlap after a crash between a metadata
-// commit and the journal truncation) changes nothing observable.
+// VM-ownership state; reads and rejected ops are no-ops (they never
+// mutate durable state). Apply is idempotent: re-applying an entry
+// whose effects are already present (snapshot overlap after a crash
+// between a metadata commit and the journal truncation) changes
+// nothing observable.
 func (e Entry) Apply(eng *core.Engine) error {
+	if e.Err {
+		return nil
+	}
 	switch e.Kind {
 	case OpRead:
 		return nil

@@ -29,6 +29,12 @@ func sampleEntries() []Entry {
 		{Seq: 5, Kind: OpFault, Addr: 192, Chip: 0, Pattern: 1},
 		{Seq: 1 << 40, Kind: OpWrite, Addr: 1 << 30, VM: 7, Mode: epoch.CounterMode,
 			Meta: 1<<32 - 2, Ctr: 1<<32 - 2, Tag: 1 << 50, HasTag: true},
+		// The pool's records: response digests, and error bits on
+		// rejected ops.
+		{Seq: 6, Kind: OpRead, Addr: 64, Mode: epoch.CounterMode, Tag: 12, HasTag: true,
+			Sum: 0xfedcba9876543210, HasSum: true},
+		{Seq: 7, Kind: OpWrite, Addr: 1 << 40, VM: 99, Err: true, Sum: 1, HasSum: true},
+		{Seq: 8, Kind: OpFault, Addr: 256, Chip: 3, Pattern: 5, Err: true, Tag: 13, HasTag: true},
 	}
 }
 
@@ -191,9 +197,10 @@ func TestPoolPersistLifecycle(t *testing.T) {
 	}
 	defer p.Close()
 	sched := Schedule(ScheduleConfig{Ops: 2000, Blocks: 256, ReadFraction: 0.4, VMs: 2, Seed: 7})
+	futs := make([]*Future, len(sched))
 	for i := range sched {
 		sched[i].Tag = i
-		if _, err := p.Submit(sched[i]); err != nil {
+		if futs[i], err = p.Submit(sched[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,6 +233,14 @@ func TestPoolPersistLifecycle(t *testing.T) {
 				t.Fatalf("shard %d journal seq not increasing at %d", s, e.Seq)
 			}
 			maxSeq = e.Seq
+			// Each record binds the response its submitter received.
+			resp := futs[e.Tag].Wait()
+			if e.Err != (resp.Err != nil) {
+				t.Fatalf("shard %d seq %d: error bit %v, response err %v", s, e.Seq, e.Err, resp.Err)
+			}
+			if want := ResponseSum(sched[e.Tag], resp); !e.HasSum || e.Sum != want {
+				t.Fatalf("shard %d seq %d: Sum %#x (present %v), response digests to %#x", s, e.Seq, e.Sum, e.HasSum, want)
+			}
 			if err := e.Apply(rebuilt); err != nil {
 				t.Fatalf("shard %d replay: %v", s, err)
 			}

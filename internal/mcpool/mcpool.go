@@ -112,16 +112,6 @@ func (f *Future) Wait() Response {
 	return f.resp
 }
 
-// Applied is one journal entry: the request as actually applied (Auto
-// resolved to a concrete mode) and its response, in the shard's apply
-// order. Replaying a shard's journal through a fresh serial engine
-// reproduces the shard engine's state and outputs bit for bit.
-type Applied struct {
-	Seq  uint64 // 1-based per-shard apply sequence number
-	Req  Request
-	Resp Response
-}
-
 // Config sizes the pool.
 type Config struct {
 	// Shards is the number of engine shards (default 8). Shard
@@ -169,16 +159,17 @@ type Config struct {
 	// moves, stored-mode switches, fault injections, and sampled
 	// submits are recorded into the ring. Nil disables recording.
 	Flight *flight.Ring
-	// Journal records every applied op per shard for serialized
-	// replay (the concurrent differential harness). Off by default:
-	// journals grow with traffic.
+	// Journal has no effect. The persistent journal (Persist) is the
+	// pool's only journal; the field remains until its last setter
+	// drops it.
 	Journal bool
-	// Persist additionally keeps each shard's journal in the
-	// persistent wire format (journal.go): every applied op is encoded
-	// with its resolved counter/metadata state and resulting codeword,
-	// so a fresh engine can be rebuilt from the bytes alone after a
-	// crash (Entry.Apply). Independent of Journal. Off by default for
-	// the same reason.
+	// Persist keeps each shard's journal in the persistent wire format
+	// (journal.go): every applied op is encoded with its resolved
+	// counter/metadata state, resulting codeword, error bit and
+	// response digest, so a fresh engine can be rebuilt from the bytes
+	// alone after a crash (Entry.Apply) and a verifier can replay the
+	// shard's apply order against its responses. Off by default:
+	// journals grow with traffic.
 	Persist bool
 	// Attribution enables per-op latency attribution: every Submit
 	// gets a pooled obs.Span that decomposes its end-to-end latency
@@ -237,12 +228,10 @@ type shard struct {
 	// count §IV-B-style mode switches under concurrent traffic.
 	lastMode map[uint64]epoch.Mode
 
-	journal []Applied
-	seq     uint64
-
-	// Persistent-journal state (Config.Persist): the encoded journal
-	// bytes and the seq covered by the last FlushBarrier — the durable
-	// flush epoch a recovery would rebuild from.
+	// Journal state (Config.Persist): the apply seq, the encoded
+	// journal bytes and the seq covered by the last FlushBarrier — the
+	// durable flush epoch a recovery would rebuild from.
+	seq        uint64
 	plog       []byte
 	durableSeq uint64
 
@@ -694,7 +683,6 @@ func (p *Pool) adapt(s *shard) {
 // the shard lock.
 func (p *Pool) apply(s *shard, req Request) Response {
 	var resp Response
-	journal := p.cfg.Journal
 	switch req.Kind {
 	case OpRead:
 		plain, info, err := s.eng.Read(req.Addr)
@@ -712,8 +700,6 @@ func (p *Pool) apply(s *shard, req Request) Response {
 				p.degraded.Inc()
 				p.rec.Record(flight.KindDegrade, int32(s.id), req.Addr, int64(len(s.q)), int64(w))
 			}
-			req.Auto = false
-			req.Mode = mode // journal the resolved mode, not Auto
 		}
 		err := s.eng.WriteAs(req.VM, req.Addr, req.Data, mode)
 		applied := mode
@@ -733,18 +719,14 @@ func (p *Pool) apply(s *shard, req Request) Response {
 		resp = Response{Err: s.eng.InjectFault(req.Addr, req.Chip, req.Pattern)}
 		p.rec.Record(flight.KindFault, int32(s.id), req.Addr, int64(req.Chip), int64(req.Pattern))
 	case opBarrier:
-		journal = false
+		return resp
 	default:
-		resp = Response{Err: fmt.Errorf("mcpool: unknown op kind %d", req.Kind)}
+		// Never reaches an engine, so there is nothing to journal.
+		return Response{Err: fmt.Errorf("mcpool: unknown op kind %d", req.Kind)}
 	}
-	if req.Kind != opBarrier && (journal || p.cfg.Persist) {
+	if p.cfg.Persist {
 		s.seq++
-		if journal {
-			s.journal = append(s.journal, Applied{Seq: s.seq, Req: req, Resp: resp})
-		}
-		if p.cfg.Persist {
-			s.plog = AppendEntry(s.plog, p.persistEntry(s, req, resp))
-		}
+		s.plog = AppendEntry(s.plog, persistEntry(s, req, resp))
 	}
 	return resp
 }
@@ -752,7 +734,7 @@ func (p *Pool) apply(s *shard, req Request) Response {
 // persistEntry captures the resolved state of one applied op for the
 // persistent journal. Caller holds the shard lock, so the engine
 // probes see exactly the post-op state.
-func (p *Pool) persistEntry(s *shard, req Request, resp Response) Entry {
+func persistEntry(s *shard, req Request, resp Response) Entry {
 	e := Entry{
 		Seq:     s.seq,
 		Kind:    req.Kind,
@@ -761,6 +743,10 @@ func (p *Pool) persistEntry(s *shard, req Request, resp Response) Entry {
 		Mode:    resp.Mode,
 		Chip:    req.Chip,
 		Pattern: req.Pattern,
+		Err:     resp.Err != nil,
+	}
+	if req.Kind != OpFault {
+		e.Sum, e.HasSum = ResponseSum(req, resp), true
 	}
 	if t, ok := req.Tag.(int); ok {
 		e.Tag, e.HasTag = int64(t), true
@@ -861,15 +847,6 @@ func (p *Pool) RestoreShard(i int, plog []byte, seq uint64, fn func(*core.Engine
 	return nil
 }
 
-// JournalOf returns a copy of shard i's applied-op journal (empty
-// unless Config.Journal was set).
-func (p *Pool) JournalOf(i int) []Applied {
-	s := p.shards[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Applied(nil), s.journal...)
-}
-
 // ShardStats returns shard i's engine counters.
 func (p *Pool) ShardStats(i int) core.EngineStats {
 	s := p.shards[i]
@@ -895,17 +872,7 @@ type Aggregate struct {
 func (p *Pool) Aggregate() Aggregate {
 	var a Aggregate
 	for i, s := range p.shards {
-		st := p.ShardStats(i)
-		a.Reads += st.Reads
-		a.Writes += st.Writes
-		a.CounterModeWrites += st.CounterModeWrites
-		a.CounterlessWrites += st.CounterlessWrites
-		a.MemoHits += st.MemoHits
-		a.MemoMisses += st.MemoMisses
-		a.Corrections += st.Corrections
-		a.EntropyResolved += st.EntropyResolved
-		a.DUEs += st.DUEs
-		a.MACFailures += st.MACFailures
+		a.EngineStats.Add(p.ShardStats(i))
 		a.ModeSwitches += s.modeSwitches.Value()
 		a.Batches += s.batches.Value()
 		a.Contention += s.contention.Value()

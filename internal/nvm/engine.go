@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"counterlight/internal/cipher"
@@ -13,6 +14,7 @@ import (
 	"counterlight/internal/fault"
 	"counterlight/internal/mcpool"
 	"counterlight/internal/obs/flight"
+	"counterlight/internal/wire"
 )
 
 // ErrCrashed is returned by every Engine entry point once the domain
@@ -141,7 +143,7 @@ func (n *Engine) Write(tag int64, vm int, addr uint64, plain cipher.Block, mode 
 	if err := n.eng.WriteAs(vm, addr, plain, mode); err != nil {
 		return err
 	}
-	return n.logApplied(tag, mcpool.Entry{Kind: mcpool.OpWrite, Addr: addr})
+	return n.logEntry(tag, mcpool.Entry{Kind: mcpool.OpWrite, Addr: addr})
 }
 
 // InjectFault applies one fault op with NVM persistence: the
@@ -153,7 +155,7 @@ func (n *Engine) InjectFault(tag int64, addr uint64, chip int, pattern uint64) e
 	if err := n.eng.InjectFault(addr, chip, pattern); err != nil {
 		return err
 	}
-	return n.logApplied(tag, mcpool.Entry{Kind: mcpool.OpFault, Addr: addr, Chip: chip, Pattern: pattern})
+	return n.logEntry(tag, mcpool.Entry{Kind: mcpool.OpFault, Addr: addr, Chip: chip, Pattern: pattern})
 }
 
 // Read serves a read from the volatile engine; reads touch no durable
@@ -165,9 +167,9 @@ func (n *Engine) Read(addr uint64) (cipher.Block, core.ReadInfo, error) {
 	return n.eng.Read(addr)
 }
 
-// logApplied journals one applied mutation with its resolved state,
+// logEntry journals one applied mutation with its resolved state,
 // persists the data codeword, and marks the metadata dirty.
-func (n *Engine) logApplied(tag int64, e mcpool.Entry) error {
+func (n *Engine) logEntry(tag int64, e mcpool.Entry) error {
 	cw, ok := n.eng.Snapshot(e.Addr)
 	n.seq++
 	e.Seq = n.seq
@@ -216,7 +218,7 @@ func (n *Engine) Flush() error {
 }
 
 func (n *Engine) flush() {
-	n.dom.writeSnapshot(n.encodeSnapshot(), n.seq, n.cfg.SnapshotChunk)
+	n.dom.writeSnapshot(n.snapshot().encode(), n.seq, n.cfg.SnapshotChunk)
 	if !n.dom.crashed {
 		clear(n.pending)
 	}
@@ -224,44 +226,12 @@ func (n *Engine) flush() {
 
 // Snapshot wire format: "nvs1", seq, lastTag, flags (bit0 = monitor
 // state present), optional monitor timeline, block count, then per
-// block (sorted by address) addr/ctr/vm/flags.
-const snapFlagMonitor = 1 << 0
-
-func (n *Engine) encodeSnapshot() []byte {
-	buf := []byte{'n', 'v', 's', '1'}
-	buf = binary.AppendUvarint(buf, n.seq)
-	buf = binary.AppendVarint(buf, n.lastTag)
-	var flags byte
-	if n.mon != nil {
-		flags |= snapFlagMonitor
-	}
-	buf = append(buf, flags)
-	if n.mon != nil {
-		st := n.mon.ExportState()
-		buf = binary.AppendVarint(buf, st.EpochStart)
-		buf = binary.AppendUvarint(buf, st.Accesses)
-		buf = append(buf, byte(st.Mode), byte(st.StartMode), byte(st.NextFromStart))
-		buf = binary.AppendUvarint(buf, st.Closed)
-	}
-	addrs := make([]uint64, 0, len(n.meta))
-	for a := range n.meta {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(addrs)))
-	for _, a := range addrs {
-		m := n.meta[a]
-		buf = binary.AppendUvarint(buf, a)
-		buf = binary.AppendUvarint(buf, uint64(m.ctr))
-		buf = binary.AppendUvarint(buf, uint64(m.vm))
-		var bf byte
-		if m.permCL {
-			bf |= 1
-		}
-		buf = append(buf, bf)
-	}
-	return buf
-}
+// block (sorted by address) addr/ctr/vm/flags (bit0 = permanently
+// counterless).
+const (
+	snapFlagMonitor = 1 << 0
+	snapBlockPermCL = 1 << 0
+)
 
 type snapBlock struct {
 	addr uint64
@@ -275,88 +245,105 @@ type snapshot struct {
 	blocks  []snapBlock
 }
 
+// snapshot captures the metadata table (plus the epoch monitor's
+// timeline, if attached) as of now, blocks sorted by address.
+func (n *Engine) snapshot() snapshot {
+	s := snapshot{seq: n.seq, lastTag: n.lastTag, blocks: make([]snapBlock, 0, len(n.meta))}
+	if n.mon != nil {
+		st := n.mon.ExportState()
+		s.monitor = &st
+	}
+	for a, m := range n.meta {
+		s.blocks = append(s.blocks, snapBlock{addr: a, meta: m})
+	}
+	sort.Slice(s.blocks, func(i, j int) bool { return s.blocks[i].addr < s.blocks[j].addr })
+	return s
+}
+
+func (s snapshot) encode() []byte {
+	buf := []byte{'n', 'v', 's', '1'}
+	buf = binary.AppendUvarint(buf, s.seq)
+	buf = binary.AppendVarint(buf, s.lastTag)
+	var flags byte
+	if s.monitor != nil {
+		flags |= snapFlagMonitor
+	}
+	buf = append(buf, flags)
+	if st := s.monitor; st != nil {
+		buf = binary.AppendVarint(buf, st.EpochStart)
+		buf = binary.AppendUvarint(buf, st.Accesses)
+		buf = append(buf, byte(st.Mode), byte(st.StartMode), byte(st.NextFromStart))
+		buf = binary.AppendUvarint(buf, st.Closed)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(s.blocks)))
+	for _, b := range s.blocks {
+		buf = binary.AppendUvarint(buf, b.addr)
+		buf = binary.AppendUvarint(buf, uint64(b.meta.ctr))
+		buf = binary.AppendUvarint(buf, uint64(b.meta.vm))
+		var bf byte
+		if b.meta.permCL {
+			bf |= snapBlockPermCL
+		}
+		buf = append(buf, bf)
+	}
+	return buf
+}
+
+// decodeSnapshot is encode's inverse. It accepts only what encode
+// writes — minimal varints, 32-bit counters, known flag bits and
+// monitor modes — so every accepted slot re-encodes byte-identically.
 func decodeSnapshot(data []byte) (snapshot, error) {
 	var s snapshot
 	if len(data) < 4 || string(data[:4]) != "nvs1" {
 		return s, errors.New("nvm: snapshot magic mismatch")
 	}
-	r := &snapReader{b: data, off: 4}
-	s.seq = r.uvarint()
-	s.lastTag = r.varint()
-	flags := r.u8()
+	r := wire.NewReader(data[4:])
+	s.seq = r.Uvarint()
+	s.lastTag = r.Varint()
+	flags := r.U8()
 	if flags&^byte(snapFlagMonitor) != 0 {
 		return s, fmt.Errorf("nvm: snapshot has unknown flags %#x", flags)
 	}
 	if flags&snapFlagMonitor != 0 {
-		st := epoch.State{EpochStart: r.varint(), Accesses: r.uvarint()}
-		st.Mode = epoch.Mode(r.u8())
-		st.StartMode = epoch.Mode(r.u8())
-		st.NextFromStart = epoch.Mode(r.u8())
-		st.Closed = r.uvarint()
+		st := epoch.State{EpochStart: r.Varint(), Accesses: r.Uvarint()}
+		modes := [3]byte{r.U8(), r.U8(), r.U8()}
+		for _, m := range modes {
+			if m > byte(epoch.Counterless) {
+				return s, fmt.Errorf("nvm: snapshot has unknown monitor mode %d", m)
+			}
+		}
+		st.Mode, st.StartMode, st.NextFromStart = epoch.Mode(modes[0]), epoch.Mode(modes[1]), epoch.Mode(modes[2])
+		st.Closed = r.Uvarint()
 		s.monitor = &st
 	}
-	nb := r.uvarint()
+	nb := r.Uvarint()
 	if nb > uint64(len(data)) { // ≥4 bytes per block: cheap sanity bound
 		return s, fmt.Errorf("nvm: snapshot block count %d implausible", nb)
 	}
 	s.blocks = make([]snapBlock, 0, nb)
-	for i := uint64(0); i < nb; i++ {
+	for i := uint64(0); i < nb && !r.Bad(); i++ {
 		var b snapBlock
-		b.addr = r.uvarint()
-		b.meta.ctr = uint32(r.uvarint())
-		b.meta.vm = int(r.uvarint())
-		b.meta.permCL = r.u8()&1 != 0
+		b.addr = r.Uvarint()
+		ctr := r.Uvarint()
+		if ctr > math.MaxUint32 {
+			return s, fmt.Errorf("nvm: snapshot block %#x counter %d overflows uint32", b.addr, ctr)
+		}
+		b.meta.ctr = uint32(ctr)
+		b.meta.vm = int(r.Uvarint())
+		bf := r.U8()
+		if bf&^byte(snapBlockPermCL) != 0 {
+			return s, fmt.Errorf("nvm: snapshot block %#x has unknown flags %#x", b.addr, bf)
+		}
+		b.meta.permCL = bf&snapBlockPermCL != 0
 		s.blocks = append(s.blocks, b)
 	}
-	if r.bad {
-		return s, errors.New("nvm: snapshot truncated")
+	if r.Bad() {
+		return s, errors.New("nvm: snapshot truncated or has a non-minimal varint")
 	}
-	if r.off != len(data) {
-		return s, fmt.Errorf("nvm: snapshot has %d trailing bytes", len(data)-r.off)
+	if n := r.Rest(); n != 0 {
+		return s, fmt.Errorf("nvm: snapshot has %d trailing bytes", n)
 	}
 	return s, nil
-}
-
-type snapReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *snapReader) u8() byte {
-	if r.bad || r.off >= len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *snapReader) uvarint() uint64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *snapReader) varint() int64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.off += n
-	return v
 }
 
 // RecoveryReport describes what recovery found and rebuilt.

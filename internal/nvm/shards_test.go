@@ -148,3 +148,51 @@ func TestRecoverShardsRejects(t *testing.T) {
 		t.Error("corrupt journal record accepted")
 	}
 }
+
+// An op the engine rejects — both fields arrive unvalidated through
+// HTTP /v1 — is journaled with its error bit and skipped by recovery:
+// one bad request must not make the whole shard unrecoverable.
+func TestRecoverShardsSkipsRejectedOps(t *testing.T) {
+	opts := core.DefaultEngineOptions()
+	for _, tc := range []struct {
+		name string
+		req  mcpool.Request
+	}{
+		{"write with VM 99", mcpool.Request{Kind: mcpool.OpWrite, Addr: 64, VM: 99}},
+		{"write past MemSize", mcpool.Request{Kind: mcpool.OpWrite, Addr: opts.MemSize}},
+		{"fault past MemSize", mcpool.Request{Kind: mcpool.OpFault, Addr: opts.MemSize, Chip: 1, Pattern: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dead := shardPool(t, opts)
+			good := mcpool.Request{Kind: mcpool.OpWrite, Addr: 64}
+			good.Data[0] = 0x5a
+			if resp := dead.SubmitWait(good); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			if resp := dead.SubmitWait(tc.req); resp.Err == nil {
+				t.Fatal("engine accepted the bad op")
+			}
+			dead.FlushBarrier()
+			journals := make([][]byte, dead.NumShards())
+			for s := range journals {
+				journals[s] = dead.PersistedJournal(s)
+			}
+			alive := shardPool(t, opts)
+			defer alive.Close()
+			if _, err := RecoverShards(alive, journals, nil); err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			for s := 0; s < dead.NumShards(); s++ {
+				dead.WithShardEngine(s, func(want *core.Engine) {
+					alive.WithShardEngine(s, func(got *core.Engine) {
+						diffEngines(t, got, want)
+					})
+				})
+			}
+			dead.Close()
+			if resp := alive.SubmitWait(mcpool.Request{Kind: mcpool.OpRead, Addr: 64}); resp.Err != nil || resp.Plain != good.Data {
+				t.Fatalf("read after recovery: err %v, plaintext intact %v", resp.Err, resp.Plain == good.Data)
+			}
+		})
+	}
+}
