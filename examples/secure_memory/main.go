@@ -57,14 +57,18 @@ func main() {
 	if err := engine.Write(victim, secret, epoch.CounterMode); err != nil {
 		log.Fatal(err)
 	}
-	// Attacker snapshots the counter state from the bus...
+	// The counter block reaches DRAM when the controller's metadata
+	// cache evicts it; the attacker snapshots it from the bus...
+	engine.Counters().Evict(victim)
 	oldCtr := engine.Counters().Counter(victim)
 	oldMAC := engine.Counters().CounterBlockMAC(victim)
-	// ...the victim writes again (counter advances)...
+	// ...the victim writes again (counter advances, and is written
+	// back on the next eviction)...
 	if err := engine.Write(victim, secret, epoch.CounterMode); err != nil {
 		log.Fatal(err)
 	}
-	// ...and the attacker reverts the counter block.
+	engine.Counters().Evict(victim)
+	// ...and the attacker reverts the counter block in DRAM.
 	engine.Counters().ReplayCounter(victim, oldCtr, oldMAC)
 	if err := engine.Write(victim, secret, epoch.CounterMode); err != nil {
 		fmt.Printf("replayed counter caught on the writeback path: %v\n\n", err)

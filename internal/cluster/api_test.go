@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"counterlight/internal/core"
 	"counterlight/internal/mcpool"
 )
 
@@ -165,4 +166,32 @@ func TestAPICapacityStatus(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining flush: status %d, want 503", resp.StatusCode)
 	}
+}
+
+// FuzzAPIRequest drives arbitrary methods, targets and bodies through
+// the /v1 request plane of a live two-node cluster. The plane must not
+// panic, and the only server-side status it may answer with is 503
+// (draining or a node down): every malformed request is the client's
+// 4xx.
+func FuzzAPIRequest(f *testing.F) {
+	opts := core.DefaultEngineOptions()
+	opts.MemSize = 1 << 20
+	c, err := New(Config{Nodes: 2, Node: mcpool.Config{Shards: 2, Watermark: -1, Engine: opts}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer c.Close()
+	h := NewAPI(c).Handler()
+
+	f.Fuzz(func(t *testing.T, method, target string, body []byte) {
+		req, err := http.NewRequest(method, target, bytes.NewReader(body))
+		if err != nil {
+			return // not an HTTP request the server could receive
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if code := rec.Code; code >= 500 && code != http.StatusServiceUnavailable {
+			t.Fatalf("%s %q with body %q: status %d: %s", method, target, body, code, rec.Body)
+		}
+	})
 }

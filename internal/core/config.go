@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 
+	"counterlight/internal/ctrblock"
 	"counterlight/internal/epoch"
 	"counterlight/internal/obs"
 )
@@ -156,8 +157,8 @@ func DefaultConfig(scheme Scheme) Config {
 		BlockSize:       64,
 		PrefetchEnabled: true,
 
-		CounterCacheSize: 64 << 10,
-		CounterCacheWays: 32,
+		CounterCacheSize: ctrblock.CacheBytes,
+		CounterCacheWays: ctrblock.CacheWays,
 		CounterCacheLat:  2 * ns,
 		MemoEntries:      128,
 		MemoLat:          2 * ns,

@@ -277,6 +277,7 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.RegisterCounter("engine_dues_total", &e.m.dues, labels...)
 	reg.RegisterCounter("engine_mac_failures_total", &e.m.macFailures, labels...)
 	reg.RegisterHistogram("engine_ecc_trials", &e.m.eccTrials, labels...)
+	e.ctrs.RegisterMetrics(reg, append(labels[:len(labels):len(labels)], obs.L("cache", "ctrblock"))...)
 }
 
 // SetTracer installs (or clears, with nil) the event tracer. Events

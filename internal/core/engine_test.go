@@ -9,6 +9,7 @@ import (
 	"counterlight/internal/ctrblock"
 	"counterlight/internal/ecc"
 	"counterlight/internal/epoch"
+	"counterlight/internal/obs"
 )
 
 func newEngine(t *testing.T) *Engine {
@@ -238,12 +239,16 @@ func TestCounterReplayDetectedOnWrite(t *testing.T) {
 	if err := e.Write(addr, plain, epoch.CounterMode); err != nil {
 		t.Fatal(err)
 	}
+	// The counter block is captured and replayed in DRAM, so it is
+	// evicted from the on-chip metadata cache before each.
+	e.Counters().Evict(addr)
 	oldVal := e.Counters().Counter(addr)
 	oldMAC := e.Counters().CounterBlockMAC(addr)
 	if err := e.Write(addr, plain, epoch.CounterMode); err != nil {
 		t.Fatal(err)
 	}
 	// Attacker replays the counter block to its pre-write state.
+	e.Counters().Evict(addr)
 	e.Counters().ReplayCounter(addr, oldVal, oldMAC)
 	err := e.Write(addr, plain, epoch.CounterMode)
 	if err == nil {
@@ -269,12 +274,14 @@ func TestRejectedWriteLeavesNoState(t *testing.T) {
 	if err := e.WriteAs(0, addr, plain, epoch.CounterMode); err != nil {
 		t.Fatal(err)
 	}
+	e.Counters().Evict(addr)
 	oldVal := e.Counters().Counter(addr)
 	oldMAC := e.Counters().CounterBlockMAC(addr)
 	if err := e.WriteAs(0, addr, plain, epoch.CounterMode); err != nil {
 		t.Fatal(err)
 	}
 	cw, _ := e.Snapshot(addr)
+	e.Counters().Evict(addr)
 	e.Counters().ReplayCounter(addr, oldVal, oldMAC)
 	plain[0] = 1
 	if err := e.WriteAs(1, addr, plain, epoch.CounterMode); err == nil {
@@ -285,6 +292,40 @@ func TestRejectedWriteLeavesNoState(t *testing.T) {
 	}
 	if got, _ := e.Snapshot(addr); got != cw {
 		t.Error("rejected write changed the stored codeword")
+	}
+}
+
+// The engine's metadata cache is Table I's and reports on /metrics
+// under cache="ctrblock": a hot loop over one counter block hits, and
+// a footprint of twice the cache's 1024 nodes writes dirty nodes back.
+func TestCounterCacheMetrics(t *testing.T) {
+	e := newEngine(t)
+	if got := e.Counters().CacheSets(); got != 32 {
+		t.Errorf("standalone engine cache has %d sets, want Table I's 32", got)
+	}
+	reg := obs.NewRegistry()
+	e.RegisterMetrics(reg, obs.L("shard", "0"))
+	lbl := []obs.Label{obs.L("shard", "0"), obs.L("cache", "ctrblock")}
+	var plain cipher.Block
+	for i := 0; i < 64; i++ {
+		if err := e.Write(uint64(i%8)*64, plain, epoch.CounterMode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	if hits := snap.Value("cache_hits_total", lbl...); hits < 63 {
+		t.Errorf("hot loop reported %v metadata cache hits, want at least 63", hits)
+	}
+	if wb := snap.Value("cache_writebacks_total", lbl...); wb != 0 {
+		t.Errorf("hot loop reported %v writebacks, want 0", wb)
+	}
+	for cb := uint64(0); cb < 2048; cb++ {
+		if err := e.Write(cb*ctrblock.CountersPerBlock*64, plain, epoch.CounterMode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wb := reg.Snapshot().Value("cache_writebacks_total", lbl...); wb == 0 {
+		t.Error("oversized footprint reported no metadata cache writebacks")
 	}
 }
 

@@ -186,7 +186,8 @@ func TestVerifyAfterIncrements(t *testing.T) {
 
 // Reproduce the Fig. 10 replay attack: capture {counter, MAC}, let the
 // victim write (incrementing the counter), then replay the old pair.
-// The tree must detect it.
+// The tree must detect it. The pair lives in DRAM, so each side of the
+// attack first evicts the counter block from the on-chip cache.
 func TestReplayDetected(t *testing.T) {
 	s := newStore(t)
 	const addr = 512 * 64
@@ -194,6 +195,7 @@ func TestReplayDetected(t *testing.T) {
 	if err := s.Increment(addr, 5); err != nil {
 		t.Fatal(err)
 	}
+	s.Evict(addr)
 	oldVal := s.Counter(addr)
 	oldMAC := s.CounterBlockMAC(addr)
 	// Victim writes again; counter advances and the tree path updates.
@@ -204,6 +206,7 @@ func TestReplayDetected(t *testing.T) {
 		t.Fatal("legitimate state must verify")
 	}
 	// Attacker replays the old counter and counter-block MAC.
+	s.Evict(addr)
 	s.ReplayCounter(addr, oldVal, oldMAC)
 	if s.VerifyCounter(addr) {
 		t.Error("replayed counter passed verification — replay undetected")
@@ -218,6 +221,7 @@ func TestCounterTamperDetected(t *testing.T) {
 	if err := s.Increment(addr, 3); err != nil {
 		t.Fatal(err)
 	}
+	s.Evict(addr)
 	mac := s.CounterBlockMAC(addr)
 	s.ReplayCounter(addr, 2, mac) // stale value, current MAC
 	if s.VerifyCounter(addr) {
@@ -236,28 +240,38 @@ func TestReplayIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s.Evict(a1)
 	old := s.Counter(a1)
 	oldMAC := s.CounterBlockMAC(a1)
 	if err := s.Increment(a1, 9); err != nil {
 		t.Fatal(err)
 	}
+	s.Evict(a1)
 	s.ReplayCounter(a1, old, oldMAC)
 	if s.VerifyCounter(a1) {
 		t.Error("replay undetected")
 	}
+	// The siblings verify from DRAM too, not from the cache.
+	s.Evict(a2)
+	s.Evict(a3)
 	if !s.VerifyCounter(a2) || !s.VerifyCounter(a3) {
 		t.Error("replay of one block broke verification of others")
 	}
 }
 
-// The root must change on every writeback — that is the anti-replay
-// anchor the CPU keeps on chip.
+// The root must change whenever a write reaches the top of the tree —
+// that is the anti-replay anchor the CPU keeps on chip. An increment
+// stays in the on-chip cache; evicting its path writes it back.
 func TestRootAdvances(t *testing.T) {
 	s := newStore(t)
 	r0 := s.RootCounter()
 	if err := s.Increment(0, 1); err != nil {
 		t.Fatal(err)
 	}
+	if s.RootCounter() != r0 {
+		t.Error("root counter advanced before the write left the cache")
+	}
+	s.Evict(0)
 	if s.RootCounter() == r0 {
 		t.Error("root counter did not advance on writeback")
 	}
@@ -292,11 +306,13 @@ func TestTinyMemorySingleLevel(t *testing.T) {
 	if !s.VerifyCounter(0) {
 		t.Error("verification fails on tiny store")
 	}
+	s.Evict(0)
 	old := s.Counter(0)
 	oldMAC := s.CounterBlockMAC(0)
 	if err := s.Increment(0, 2); err != nil {
 		t.Fatal(err)
 	}
+	s.Evict(0)
 	s.ReplayCounter(0, old, oldMAC)
 	if s.VerifyCounter(0) {
 		t.Error("replay undetected on tiny store")
@@ -306,7 +322,7 @@ func TestTinyMemorySingleLevel(t *testing.T) {
 // Reads never create a counter page: Counter and VerifyCounter on
 // never-written blocks see the shared zero block, and a store sized
 // for a whole 128 GiB channel, used only for its address layout,
-// holds no pages at all.
+// holds no pages and no metadata cache at all.
 func TestReadsAllocateNoPage(t *testing.T) {
 	s := newStore(t)
 	rng := rand.New(rand.NewSource(31))
@@ -341,6 +357,9 @@ func TestReadsAllocateNoPage(t *testing.T) {
 	}
 	if len(big.counters) != 0 {
 		t.Errorf("layout-only store holds %d counter pages, want 0", len(big.counters))
+	}
+	if big.tags != nil {
+		t.Error("layout-only store allocated a metadata cache")
 	}
 }
 
@@ -378,10 +397,12 @@ func TestCounterPageEdges(t *testing.T) {
 		}
 	}
 
+	s.Evict(last)
 	oldMAC := s.CounterBlockMAC(last)
 	if err := s.Increment(last, 3); err != nil {
 		t.Fatal(err)
 	}
+	s.Evict(last)
 	s.ReplayCounter(last, 2, oldMAC)
 	if s.Counter(last) != 2 || s.Counter(first) != 9 {
 		t.Errorf("after ReplayCounter: %d, %d; want 2, 9", s.Counter(last), s.Counter(first))
@@ -428,6 +449,7 @@ func TestQuickIncrementAndReplay(t *testing.T) {
 			t.Fatalf("step %d: legitimate state fails verification", i)
 		}
 		if rng.Intn(4) == 0 {
+			s.Evict(addr)
 			snaps = append(snaps, snapshot{addr, s.Counter(addr), s.CounterBlockMAC(addr)})
 		}
 	}
@@ -438,14 +460,14 @@ func TestQuickIncrementAndReplay(t *testing.T) {
 		}
 	}
 	for i, sn := range snaps {
+		s.Evict(sn.addr)
 		s.ReplayCounter(sn.addr, sn.val, sn.mac)
 		if s.VerifyCounter(sn.addr) {
 			t.Fatalf("replay %d at %#x undetected", i, sn.addr)
 		}
-		// Repair by a legitimate write (fresh increment re-MACs the path).
-		if err := s.Increment(sn.addr, s.Counter(sn.addr)+100); err != nil {
-			t.Fatal(err)
-		}
+		// Repair through the recovery hook, which re-MACs the path
+		// eagerly (Increment refuses the unverified block).
+		s.ForceCounter(sn.addr, s.Counter(sn.addr)+100)
 		if !s.VerifyCounter(sn.addr) {
 			t.Fatalf("replay %d: repair failed", i)
 		}

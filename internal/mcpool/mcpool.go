@@ -35,6 +35,7 @@ import (
 
 	"counterlight/internal/cipher"
 	"counterlight/internal/core"
+	"counterlight/internal/ctrblock"
 	"counterlight/internal/epoch"
 	"counterlight/internal/obs"
 	"counterlight/internal/obs/flight"
@@ -352,6 +353,9 @@ func New(cfg Config) (*Pool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mcpool: shard %d: %w", i, err)
 		}
+		// The pool is one memory controller: its shards split Table I's
+		// counter cache.
+		eng.Counters().SetCacheSize(ctrblock.CacheBytes / uint64(cfg.Shards))
 		var attrib *obs.Attributor
 		if cfg.Attribution {
 			attrib = obs.NewAttributor(StageNames)

@@ -45,6 +45,24 @@ func TestShardRouting(t *testing.T) {
 	}
 }
 
+// TestShardCounterCacheGeometry pins how the pool, one memory
+// controller, splits Table I's 64 KB counter cache across its shard
+// engines: a power-of-two set count of 32 ways each, at least one.
+func TestShardCounterCacheGeometry(t *testing.T) {
+	for _, tc := range []struct{ shards, sets int }{{8, 4}, {3, 8}, {64, 1}} {
+		p, err := New(Config{Shards: tc.shards, Engine: testEngineOptions()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range p.shards {
+			if got := s.eng.Counters().CacheSets(); got != tc.sets {
+				t.Errorf("%d shards: shard %d cache has %d sets, want %d", tc.shards, i, got, tc.sets)
+			}
+		}
+		p.Close()
+	}
+}
+
 // serialReplay drives the same trace through a single bare engine,
 // tracking per-block mode switches the way the pool does.
 func serialReplay(t *testing.T, opts core.EngineOptions, sched []Request) (core.EngineStats, []Response, uint64) {
