@@ -83,7 +83,7 @@ bench:
 # iterations each: a smoke run that they still build, run and pass
 # their own checks, not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'MAC64|Mul|DotProduct|Increment|VerifyCounter|Engine|PoolThroughput' -benchtime 100x ./internal/crypto/... ./internal/ctrblock ./internal/core ./internal/mcpool
+	$(GO) test -run '^$$' -bench 'MAC64|Mul|DotProduct|Increment|VerifyCounter|Engine|PoolThroughput|PoolSubmit' -benchtime 100x ./internal/crypto/... ./internal/ctrblock ./internal/core ./internal/mcpool
 
 # Append the next BENCH_<n>.json perf-trajectory snapshot: runs the
 # pinned suite (cmd/clbench -bench-json) at full measurement windows

@@ -6,7 +6,6 @@
 //	clbench                 # run everything (paper order)
 //	clbench -fig 16         # one figure: 3, 5, 8, 9, 16..23, A (no-switch ablation), M (memo ablation), T (Table I)
 //	clbench -quick          # halved measurement windows (~2x faster)
-//	clbench -concurrent -j 8 # sharded concurrent engine vs serial, bit-identical check
 //	clbench -j 8            # up to 8 concurrent simulations per sweep
 //	clbench -v              # log each simulation as it starts
 //	clbench -serve :8080    # watch the sweep live in a browser
@@ -42,7 +41,6 @@ func main() {
 	verbose := flag.Bool("v", false, "log each simulation run")
 	serveAddr := flag.String("serve", "", "serve live telemetry over HTTP on this address while the sweep runs (e.g. :8080)")
 	snapshots := flag.String("snapshots", "", "write one metrics-JSON snapshot per simulated cell into this directory (clreport -compare input)")
-	concurrent := flag.Bool("concurrent", false, "benchmark the sharded concurrent engine against a serial engine on a fixed-seed trace and verify bit-identical aggregates")
 	benchJSON := flag.String("bench-json", "", "run the pinned perf suite and write a BENCH-schema snapshot to this path (clreport -bench-compare input)")
 	benchQuick := flag.Bool("bench-quick", false, "with -bench-json: reduced measurement windows for CI smoke runs")
 	cipherName := flag.String("cipher", "", "AES backend for every engine: ref | stdlib (empty = $CL_CIPHER, else stdlib)")
@@ -57,10 +55,6 @@ func main() {
 
 	if *benchJSON != "" {
 		os.Exit(runBenchJSON(*benchJSON, *benchQuick))
-	}
-
-	if *concurrent {
-		os.Exit(runConcurrentBench(*quick, *jobs))
 	}
 
 	r := figures.NewRunner(*quick)

@@ -111,7 +111,7 @@ func parse(args []string) (config, error) {
 	nodes := fs.Int("nodes", 2, "with -cluster: controller nodes in the chaos cluster")
 	adaptive := fs.Bool("adaptive", false, "with -concurrent: enable the measurement-driven adaptive watermark so its moves race the replay")
 	flightPath := fs.String("flight", "", "with -concurrent, -crash or -cluster: write the flight recorder dump to this path when a divergence is found")
-	schemes := fs.Bool("schemes", false, "also sweep every registered timing scheme's Result invariants over the seeds")
+	schemes := fs.Bool("schemes", false, "also sweep every timing scheme's Result invariants over the seeds")
 	metricsPath := fs.String("metrics", "", "write a Prometheus-text snapshot of the campaign counters to this file")
 	tokensPath := fs.String("tokens", "", "write minimized repro tokens (one per line) to this file on divergence")
 	cipherName := fs.String("cipher", "", "AES backend the engines under test run on: ref | stdlib (the oracle always recomputes through ref)")

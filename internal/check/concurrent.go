@@ -26,9 +26,11 @@ import (
 // the same single-writer-per-address discipline a real MC's
 // per-bank queues enforce. Cross-block order is genuinely racy; the
 // oracle's invariants are per-block, so every legal interleaving must
-// still check clean. In particular the §IV-C saturation handoff and
-// the split-counter RMW window (ctrblock.SplitBlock.Increment's
-// contract) are replayed under whatever interleaving the race chose.
+// still check clean. In particular the §IV-C saturation handoff is
+// replayed under whatever interleaving the race chose. A counter
+// block's data blocks span every shard, but no counter state is shared:
+// each shard engine has its own private ctrblock.Store, touched only by
+// that shard's worker under the shard lock.
 
 // ConcurrentConfig shapes one concurrent differential replay.
 type ConcurrentConfig struct {

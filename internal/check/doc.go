@@ -30,7 +30,7 @@
 //     entropy off) and demands bit-identical plaintext and mode
 //     sequences within each comparable group.
 //
-//   - SchemeSweep (scheme.go) runs all registered timing schemes over
+//   - SchemeSweep (scheme.go) runs all timing schemes over
 //     shared seeds on a short Table-I window and cross-checks Result
 //     invariants plus bit-exact determinism.
 //

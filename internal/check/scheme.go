@@ -28,7 +28,7 @@ func (i SchemeIssue) String() string {
 // fast.
 const schemeWindowDivisor = 8
 
-// SchemeSweep runs every registered timing scheme across the seeds on
+// SchemeSweep runs every timing scheme across the seeds on
 // the §III pointer-chase microbenchmark and cross-checks Result
 // invariants no scheme may break:
 //

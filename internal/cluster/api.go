@@ -152,7 +152,7 @@ func (a *API) handleTopology(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"nodes":      nodes,
-		"shards":     a.c.shardCount(),
+		"shards":     a.c.cfg.Node.Shards,
 		"draining":   a.c.Draining(),
 		"interleave": "striped",
 	})

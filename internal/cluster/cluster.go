@@ -5,10 +5,12 @@
 // cluster-level admission policy, and survives node kill/restart
 // through the internal/nvm sharded-journal recovery path.
 //
-// Routing is address-interleaved with a pluggable InterleaveFunc:
-// every block — data, counter block, tree path — is owned by exactly
-// one node, and within the node by exactly one mcpool shard, so the
-// single-owner discipline that makes the sharded pool sound extends
+// Routing stripes blocks across the nodes in runs of the per-node
+// shard count — node = (block / shards) mod nodes — so a node's blocks
+// cycle through all of its mcpool shards instead of aliasing onto a
+// subset. Every data block has exactly one node, and within the node
+// exactly one shard, whose private engine only that shard's worker
+// touches; the discipline that makes the sharded pool sound extends
 // unchanged to the cluster.
 //
 // Degradation composes in two stages. A node whose queues sit past
@@ -55,46 +57,10 @@ var (
 	ErrNodeDown = errors.New("cluster: node down")
 )
 
-// InterleaveFunc maps a block-aligned byte address to the node that
-// owns it. It must be pure: the same address must always route to the
-// same node for a given node count.
-type InterleaveFunc func(addr uint64, nodes int) int
-
-// BlockInterleave routes consecutive 64-byte blocks round-robin
-// across the nodes, the cluster-level analogue of the DRAM channel
-// interleave.
-//
-// It is usually the wrong default: mcpool interleaves its shards by
-// block too, so when gcd(nodes, shards) > 1 the two levels alias —
-// with 2 nodes of 2 shards, node 1 only ever receives odd blocks,
-// which all land on its shard 1, and shard 0 starves. New therefore
-// defaults to StripedInterleave(shards) instead.
-func BlockInterleave(addr uint64, nodes int) int {
-	return int((addr / cipher.BlockSize) % uint64(nodes))
-}
-
-// StripedInterleave assigns runs of stripe consecutive blocks to each
-// node in turn: node = (block/stripe) mod nodes. With stripe equal to
-// the per-node shard count, a node's owned blocks cycle through all
-// of its shards, so the cluster- and pool-level interleaves compose
-// instead of aliasing.
-func StripedInterleave(stripe int) InterleaveFunc {
-	if stripe < 1 {
-		stripe = 1
-	}
-	return func(addr uint64, nodes int) int {
-		return int((addr / cipher.BlockSize / uint64(stripe)) % uint64(nodes))
-	}
-}
-
 // Config sizes the cluster.
 type Config struct {
 	// Nodes is the controller count (default 2).
 	Nodes int
-	// Interleave routes addresses to nodes. Default:
-	// StripedInterleave(Node.Shards), which composes with the pool's
-	// own block interleave instead of aliasing it.
-	Interleave InterleaveFunc
 	// MaxDegradedFrac is the admission knee: once MORE than this
 	// fraction of the nodes is degraded (shedding past its watermark)
 	// or down, new submissions are rejected with ErrOverloaded. 0
@@ -137,7 +103,6 @@ type node struct {
 	// last segment's Plogs are what the next Restart recovers from.
 	baseline [][]byte
 	segs     []Segment
-	recovery []nvm.ShardRecovery // last Restart's report
 }
 
 // Segment is one uninterrupted service interval of a node: from pool
@@ -175,13 +140,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 2
 	}
-	if cfg.Interleave == nil {
-		stripe := cfg.Node.Shards
-		if stripe <= 0 {
-			stripe = 8 // mcpool's default shard count
-		}
-		cfg.Interleave = StripedInterleave(stripe)
-	}
 	if cfg.MaxDegradedFrac == 0 {
 		cfg.MaxDegradedFrac = 0.5
 	}
@@ -189,9 +147,13 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Flight = cfg.Node.Flight
 	}
 	cfg.Node.Flight = cfg.Flight
-	// Pin the engine options now: verification rebuilds engines from
-	// the same options, so the mcpool defaulting must happen once,
-	// here, not invisibly inside each mcpool.New.
+	// Pin the shard count and engine options now: routing strides by
+	// the shard count and verification rebuilds engines from the same
+	// options, so the mcpool defaulting must happen once, here, not
+	// invisibly inside each mcpool.New.
+	if cfg.Node.Shards <= 0 {
+		cfg.Node.Shards = mcpool.DefaultShards
+	}
 	if cfg.Node.Engine == (core.EngineOptions{}) {
 		cfg.Node.Engine = core.DefaultEngineOptions()
 	}
@@ -199,7 +161,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.registerMetrics()
 	for i := range c.nodes {
 		n := &node{id: i, reg: obs.NewRegistry()}
-		if err := c.startNode(n, nil); err != nil {
+		if _, err := c.startNode(n, nil); err != nil {
 			for _, m := range c.nodes {
 				if m != nil && m.pool != nil {
 					m.pool.Close()
@@ -214,8 +176,9 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // startNode builds node n's pool (a fresh incarnation), recovering
-// from plogs when non-nil. Caller holds n.mu or owns n exclusively.
-func (c *Cluster) startNode(n *node, plogs [][]byte) error {
+// from plogs when non-nil, and returns the recovery report. Caller
+// holds n.mu or owns n exclusively.
+func (c *Cluster) startNode(n *node, plogs [][]byte) ([]nvm.ShardRecovery, error) {
 	ncfg := c.cfg.Node
 	if ncfg.Profile != nil || ncfg.AdaptiveWatermark {
 		backend := ncfg.Engine.Cipher
@@ -227,29 +190,30 @@ func (c *Cluster) startNode(n *node, plogs [][]byte) error {
 	}
 	pool, err := mcpool.New(ncfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var rep []nvm.ShardRecovery
 	if plogs != nil {
-		rep, err := nvm.RecoverShards(pool, plogs, c.rec)
-		if err != nil {
+		if rep, err = nvm.RecoverShards(pool, plogs, c.rec); err != nil {
 			pool.Close()
-			return err
+			return nil, err
 		}
-		n.recovery = rep
 	}
 	labels := []obs.Label{obs.L("node", strconv.Itoa(n.id)), obs.L("gen", strconv.Itoa(n.gen))}
 	pool.RegisterMetrics(n.reg, labels...)
 	n.pool = pool
 	n.baseline = plogs
-	return nil
+	return rep, nil
 }
 
 // Nodes returns the node count.
 func (c *Cluster) Nodes() int { return len(c.nodes) }
 
-// NodeOf returns the node that owns addr.
+// NodeOf returns the node that owns addr: runs of Node.Shards
+// consecutive blocks go to each node in turn, so the cluster stripe
+// composes with the pool's own block interleave instead of aliasing it.
 func (c *Cluster) NodeOf(addr uint64) int {
-	return c.cfg.Interleave(addr, len(c.nodes))
+	return int((addr / cipher.BlockSize / uint64(c.cfg.Node.Shards)) % uint64(len(c.nodes)))
 }
 
 // degraded reports whether node i is down or shedding past its
@@ -377,14 +341,15 @@ func (c *Cluster) Restart(i int) ([]nvm.ShardRecovery, error) {
 		plogs = dropNewestRecords(plogs)
 	}
 	n.gen++
-	if err := c.startNode(n, plogs); err != nil {
+	rep, err := c.startNode(n, plogs)
+	if err != nil {
 		n.gen--
 		return nil, fmt.Errorf("cluster: node %d restart: %w", i, err)
 	}
 	c.restarts.Inc()
 	c.nodesUp.Set(c.countUp())
 	c.rec.Record(flight.KindNote, -1, uint64(i), int64(n.gen), int64(len(n.segs)))
-	return n.recovery, nil
+	return rep, nil
 }
 
 // dropNewestRecords is BreakRecovery's intentional bug: every shard's
@@ -406,13 +371,6 @@ func dropNewestRecords(plogs [][]byte) [][]byte {
 	return out
 }
 
-func (c *Cluster) shardCount() int {
-	if c.cfg.Node.Shards > 0 {
-		return c.cfg.Node.Shards
-	}
-	return 8 // mcpool's default
-}
-
 func (c *Cluster) countUp() int64 {
 	var up int64
 	for _, n := range c.nodes {
@@ -423,21 +381,9 @@ func (c *Cluster) countUp() int64 {
 	return up
 }
 
-// Flush fences every live node (mcpool.Flush semantics per node).
-func (c *Cluster) Flush() {
-	for _, n := range c.nodes {
-		n.mu.RLock()
-		pool := n.pool
-		n.mu.RUnlock()
-		if pool != nil {
-			pool.Flush()
-		}
-	}
-}
-
-// FlushBarrier flushes every live node and marks its durable epoch,
+// FlushBarrier fences every live node (mcpool.Pool.FlushBarrier),
 // returning per-node per-shard durable seqs (nil entry for a node
-// that is down — its durable epoch is whatever its Kill captured).
+// that is down — its durable state is whatever its Kill captured).
 func (c *Cluster) FlushBarrier() [][]uint64 {
 	out := make([][]uint64, len(c.nodes))
 	for i, n := range c.nodes {
@@ -531,7 +477,7 @@ func (c *Cluster) Aggregate() Aggregate {
 // timelines), plus the summed counters.
 func (c *Cluster) Sample() mcpool.Sample {
 	var out mcpool.Sample
-	shards := c.shardCount()
+	shards := c.cfg.Node.Shards
 	for _, n := range c.nodes {
 		n.mu.RLock()
 		pool := n.pool
@@ -643,15 +589,6 @@ func (c *Cluster) Registry() *obs.Registry { return c.reg }
 // so a killed incarnation's series stay visible, frozen at their
 // final values.
 func (c *Cluster) NodeRegistry(i int) *obs.Registry { return c.nodes[i].reg }
-
-// LastRecovery returns node i's most recent restart recovery report
-// (nil if the node never restarted).
-func (c *Cluster) LastRecovery(i int) []nvm.ShardRecovery {
-	n := c.nodes[i]
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.recovery
-}
 
 func (c *Cluster) registerMetrics() {
 	c.reg.RegisterCounter("cluster_admitted_total", &c.admitted)

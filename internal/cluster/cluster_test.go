@@ -25,17 +25,30 @@ func testCluster(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
-// Routing is pure and total: every address maps to exactly one node,
-// and consecutive blocks interleave round-robin.
-func TestBlockInterleave(t *testing.T) {
-	for nodes := 1; nodes <= 5; nodes++ {
-		for b := uint64(0); b < 64; b++ {
-			if got, want := BlockInterleave(b*64, nodes), int(b%uint64(nodes)); got != want {
-				t.Fatalf("block %d over %d nodes routed to %d, want %d", b, nodes, got, want)
-			}
-			// Intra-block offsets stay on the block's node.
-			if BlockInterleave(b*64+63, nodes) != BlockInterleave(b*64, nodes) {
-				t.Fatalf("block %d: offsets split across nodes", b)
+// Routing splits consecutive blocks evenly across the nodes, and
+// every node's blocks reach all of its shards: with 2 nodes of 2
+// shards, a plain block interleave would send node 1 only odd blocks,
+// all on its shard 1.
+func TestNodeOfSpreadsShards(t *testing.T) {
+	c := testCluster(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 2, Watermark: -1}})
+	const blocks = 4096
+	var perNode [2]int
+	var perShard [2][2]int
+	for b := uint64(0); b < blocks; b++ {
+		n := c.NodeOf(b * 64)
+		if c.NodeOf(b*64+63) != n {
+			t.Fatalf("block %d: offsets split across nodes", b)
+		}
+		perNode[n]++
+		perShard[n][c.nodes[n].pool.ShardOf(b*64)]++
+	}
+	for n := range perNode {
+		if perNode[n] != blocks/2 {
+			t.Errorf("node %d owns %d of %d blocks, want half", n, perNode[n], blocks)
+		}
+		for s, got := range perShard[n] {
+			if got == 0 {
+				t.Errorf("node %d shard %d receives no blocks: the two interleaves alias", n, s)
 			}
 		}
 	}

@@ -153,12 +153,12 @@ func (c *Cluster) verifyShard(nodeID, segIdx, sh int, base, plog []byte, finalEn
 		}
 	}
 	var ms []Mismatch
-	if d := diffState(replay, durable); d != "" {
+	if d := core.DiffState(replay, durable); d != "" {
 		ms = append(ms, mm(0, "re-executed state vs durable log: %s", d)...)
 	}
 	if finalEng != nil {
 		finalEng(sh, func(liveE *core.Engine) {
-			if d := diffState(replay, liveE); d != "" {
+			if d := core.DiffState(replay, liveE); d != "" {
 				ms = append(ms, mm(0, "re-executed state vs live engine: %s", d)...)
 			}
 		})
@@ -231,31 +231,6 @@ func reexecute(replay, durable *core.Engine, e mcpool.Entry) string {
 	if (err != nil) != e.Err {
 		return fmt.Sprintf("%s %#x: replay err=%v, journaled error bit %v",
 			[...]string{"read", "write", "fault"}[e.Kind], e.Addr, err, e.Err)
-	}
-	return ""
-}
-
-// diffState compares two engines' full durable state surface:
-// presence, stored codeword, counter, VM ownership, and
-// permanent-counterless marking of every block.
-func diffState(got, want *core.Engine) string {
-	gb, wb := got.Blocks(), want.Blocks()
-	if len(gb) != len(wb) {
-		return fmt.Sprintf("%d blocks vs %d", len(gb), len(wb))
-	}
-	for _, a := range wb {
-		wcw, wok := want.Snapshot(a)
-		gcw, gok := got.Snapshot(a)
-		switch {
-		case wok != gok || wcw != gcw:
-			return fmt.Sprintf("block %#x codeword differs", a)
-		case want.Counters().Counter(a) != got.Counters().Counter(a):
-			return fmt.Sprintf("block %#x counter %d vs %d", a, got.Counters().Counter(a), want.Counters().Counter(a))
-		case want.IsPermanentCounterless(a) != got.IsPermanentCounterless(a):
-			return fmt.Sprintf("block %#x permanent-counterless differs", a)
-		case want.VMOf(a) != got.VMOf(a):
-			return fmt.Sprintf("block %#x vm %d vs %d", a, got.VMOf(a), want.VMOf(a))
-		}
 	}
 	return ""
 }

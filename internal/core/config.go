@@ -45,11 +45,10 @@ const (
 	CounterLight
 )
 
-// String names the scheme for reports (the name it was registered
-// under; see RegisterScheme).
+// String names the scheme for reports (its row in the scheme table).
 func (s Scheme) String() string {
-	if e, ok := lookupScheme(s); ok {
-		return e.name
+	if s.known() {
+		return schemes[s].name
 	}
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
@@ -206,7 +205,7 @@ func (c Config) Validate() error {
 	if c.WindowTime <= 0 {
 		return fmt.Errorf("core: window must be positive")
 	}
-	if _, ok := lookupScheme(c.Scheme); !ok {
+	if !c.Scheme.known() {
 		return fmt.Errorf("core: unknown scheme %d", int(c.Scheme))
 	}
 	return nil

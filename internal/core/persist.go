@@ -38,3 +38,29 @@ func (e *Engine) Blocks() []uint64 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
+
+// DiffState compares two engines' durable state block for block —
+// presence, stored codeword, counter, permanent-counterless flag and
+// VM ownership — and describes the first difference, or returns ""
+// when the states are identical.
+func DiffState(got, want *Engine) string {
+	gb, wb := got.Blocks(), want.Blocks()
+	if len(gb) != len(wb) {
+		return fmt.Sprintf("%d blocks vs %d", len(gb), len(wb))
+	}
+	for _, a := range wb {
+		wcw, wok := want.Snapshot(a)
+		gcw, gok := got.Snapshot(a)
+		switch {
+		case wok != gok || wcw != gcw:
+			return fmt.Sprintf("block %#x codeword differs", a)
+		case want.Counters().Counter(a) != got.Counters().Counter(a):
+			return fmt.Sprintf("block %#x counter %d vs %d", a, got.Counters().Counter(a), want.Counters().Counter(a))
+		case want.IsPermanentCounterless(a) != got.IsPermanentCounterless(a):
+			return fmt.Sprintf("block %#x permanent-counterless differs", a)
+		case want.VMOf(a) != got.VMOf(a):
+			return fmt.Sprintf("block %#x vm %d vs %d", a, got.VMOf(a), want.VMOf(a))
+		}
+	}
+	return ""
+}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 
 	"counterlight/internal/cache"
 	"counterlight/internal/ctrblock"
@@ -109,75 +107,42 @@ func modeOf(meta uint64) epoch.Mode {
 	return epoch.CounterMode
 }
 
-// PipelineFactory builds a scheme's pipeline for one run.
-type PipelineFactory func(cfg *Config, ctx MCContext) SchemePipeline
-
-// schemeRegistry maps Scheme ids to their name and pipeline factory.
-// Guarded by a mutex so tests or future external schemes can register
-// at init time; every per-run lookup takes the read lock once, off the
-// hot paths.
-var schemeRegistry = struct {
-	sync.RWMutex
-	m map[Scheme]schemeEntry
-}{m: make(map[Scheme]schemeEntry)}
-
-type schemeEntry struct {
+// schemes is the scheme table, indexed by Scheme: each row names a
+// scheme and builds its pipeline for one run. Adding a design (a
+// Sealer-style in-SRAM AES, a BipBip-style low-latency cipher) is one
+// more Scheme constant and one more row; Scheme.String, SchemeByName,
+// SchemeNames, Config.Validate and Run all read this table.
+var schemes = [...]struct {
 	name  string
-	build PipelineFactory
+	build func(ctx MCContext) SchemePipeline
+}{
+	NoEnc:             {"noenc", func(ctx MCContext) SchemePipeline { return &noEncPipeline{ctx: ctx} }},
+	Counterless:       {"counterless", func(ctx MCContext) SchemePipeline { return &counterlessPipeline{ctx: ctx} }},
+	CounterMode:       {"countermode", func(ctx MCContext) SchemePipeline { return newCounterModePipeline(ctx, true) }},
+	CounterModeSingle: {"countermode-single", func(ctx MCContext) SchemePipeline { return newCounterModePipeline(ctx, false) }},
+	CounterLight:      {"counterlight", func(ctx MCContext) SchemePipeline { return newCounterLightPipeline(ctx) }},
 }
 
-// RegisterScheme installs a scheme's name and pipeline factory,
-// making it accepted by Config.Validate and runnable by Run. The
-// built-in schemes self-register; new designs (a Sealer-style in-SRAM
-// AES, a BipBip-style low-latency cipher) plug in here without
-// touching the simulator. Call it from an init function: registration
-// after simulations have started racing is not supported.
-func RegisterScheme(s Scheme, name string, build PipelineFactory) {
-	if build == nil || name == "" {
-		panic("core: RegisterScheme needs a name and a factory")
-	}
-	schemeRegistry.Lock()
-	defer schemeRegistry.Unlock()
-	if _, dup := schemeRegistry.m[s]; dup {
-		panic(fmt.Sprintf("core: scheme %d registered twice", int(s)))
-	}
-	schemeRegistry.m[s] = schemeEntry{name: name, build: build}
-}
+// known reports whether s is a row of the scheme table.
+func (s Scheme) known() bool { return s >= 0 && int(s) < len(schemes) }
 
-// lookupScheme returns the registry entry for s.
-func lookupScheme(s Scheme) (schemeEntry, bool) {
-	schemeRegistry.RLock()
-	defer schemeRegistry.RUnlock()
-	e, ok := schemeRegistry.m[s]
-	return e, ok
-}
-
-// SchemeByName resolves a registered scheme name (the Scheme.String
-// form) back to its id — the CLI-facing inverse of RegisterScheme.
+// SchemeByName resolves a scheme name (the Scheme.String form) back to
+// its id.
 func SchemeByName(name string) (Scheme, bool) {
-	schemeRegistry.RLock()
-	defer schemeRegistry.RUnlock()
-	for s, e := range schemeRegistry.m {
+	for s, e := range schemes {
 		if e.name == name {
-			return s, true
+			return Scheme(s), true
 		}
 	}
 	return 0, false
 }
 
-// SchemeNames lists every registered scheme name in id order, for
-// help text and error messages.
+// SchemeNames lists every scheme name in id order, for help text and
+// error messages.
 func SchemeNames() []string {
-	schemeRegistry.RLock()
-	defer schemeRegistry.RUnlock()
-	ids := make([]Scheme, 0, len(schemeRegistry.m))
-	for s := range schemeRegistry.m {
-		ids = append(ids, s)
-	}
-	slices.Sort(ids)
-	names := make([]string, len(ids))
-	for i, s := range ids {
-		names[i] = schemeRegistry.m[s].name
+	names := make([]string, len(schemes))
+	for s, e := range schemes {
+		names[s] = e.name
 	}
 	return names
 }
@@ -185,29 +150,10 @@ func SchemeNames() []string {
 // newSchemePipeline builds the run's pipeline — the single remaining
 // scheme dispatch on the MC paths, taken once per run.
 func newSchemePipeline(cfg *Config, ctx MCContext) (SchemePipeline, error) {
-	e, ok := lookupScheme(cfg.Scheme)
-	if !ok {
+	if !cfg.Scheme.known() {
 		return nil, fmt.Errorf("core: unknown scheme %d", int(cfg.Scheme))
 	}
-	return e.build(cfg, ctx), nil
-}
-
-func init() {
-	RegisterScheme(NoEnc, "noenc", func(_ *Config, ctx MCContext) SchemePipeline {
-		return &noEncPipeline{ctx: ctx}
-	})
-	RegisterScheme(Counterless, "counterless", func(_ *Config, ctx MCContext) SchemePipeline {
-		return &counterlessPipeline{ctx: ctx}
-	})
-	RegisterScheme(CounterMode, "countermode", func(_ *Config, ctx MCContext) SchemePipeline {
-		return newCounterModePipeline(ctx, true)
-	})
-	RegisterScheme(CounterModeSingle, "countermode-single", func(_ *Config, ctx MCContext) SchemePipeline {
-		return newCounterModePipeline(ctx, false)
-	})
-	RegisterScheme(CounterLight, "counterlight", func(_ *Config, ctx MCContext) SchemePipeline {
-		return newCounterLightPipeline(ctx)
-	})
+	return schemes[cfg.Scheme].build(ctx), nil
 }
 
 // counterTraffic is the counter-block machinery shared by every

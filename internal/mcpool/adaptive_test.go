@@ -115,7 +115,7 @@ func TestAdaptiveWatermarkMoves(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 	}
-	p.Flush()
+	p.FlushBarrier()
 
 	if p.WatermarkMoves() == 0 {
 		t.Fatalf("watermark never moved off its seed %d after 6000 ops", seed)
@@ -204,7 +204,7 @@ func TestAdaptiveWatermarkIsMeasurementDriven(t *testing.T) {
 				t.Fatal(resp.Err)
 			}
 		}
-		p.Flush()
+		p.FlushBarrier()
 		return p.Watermark(), p.Profiler().Service.EWMA()
 	}
 
@@ -232,7 +232,7 @@ func abs(x int) int {
 // recorder on, adaptive watermark on.
 func TestAdaptiveSubmitWaitNoAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops puts under -race; channel reuse cannot be alloc-free")
+		t.Skip("sync.Pool drops puts under -race; future reuse cannot be alloc-free")
 	}
 	p, err := New(Config{
 		Shards:            4,

@@ -1,7 +1,8 @@
 package mcpool
 
 import (
-	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"counterlight/internal/cipher"
@@ -9,7 +10,7 @@ import (
 )
 
 // TestSubmitWaitMatchesFutures replays the same trace through the
-// future-based Submit path and the pooled-channel SubmitWait path:
+// future-based Submit path and the pooled-future SubmitWait path:
 // responses must be identical op for op. Single submitter, so program
 // order is the same on both sides.
 func TestSubmitWaitMatchesFutures(t *testing.T) {
@@ -40,55 +41,52 @@ func TestSubmitWaitMatchesFutures(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchWait pins the batch submit contract: responses land
-// at the request's index, per-shard FIFO order is the slice order, and
-// a closed pool surfaces ErrClosed while still collecting the
-// already-submitted prefix.
-func TestSubmitBatchWait(t *testing.T) {
+// TestConcurrentSubmitWaitOwnFutures races SubmitWait callers on
+// disjoint blocks: each goroutine writes a payload naming itself and
+// the op, then reads it back. A pooled future handed to the wrong
+// caller would deliver another goroutine's response.
+func TestConcurrentSubmitWaitOwnFutures(t *testing.T) {
 	p, err := New(Config{Shards: 4, Watermark: -1, Engine: testEngineOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 64
-	reqs := make([]Request, 0, 2*n)
-	var data cipher.Block
-	for i := 0; i < n; i++ {
-		data[0] = byte(i)
-		reqs = append(reqs, Request{Kind: OpWrite, Addr: uint64(i) * 64, Mode: epoch.CounterMode, Data: data})
+	defer p.Close()
+	const goroutines, ops, blocks = 8, 2000, 16
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < ops/2; i++ {
+				addr := uint64(g*blocks+i%blocks) * 64
+				var data cipher.Block
+				data[0], data[1], data[2] = byte(g), byte(i), byte(i>>8)
+				if resp := p.SubmitWait(Request{Kind: OpWrite, Addr: addr, Mode: epoch.CounterMode, Data: data}); resp.Err != nil {
+					errs <- fmt.Errorf("goroutine %d write %d: %v", g, i, resp.Err)
+					return
+				}
+				if resp := p.SubmitWait(Request{Kind: OpRead, Addr: addr}); resp.Err != nil || resp.Plain != data {
+					errs <- fmt.Errorf("goroutine %d read %d: got %x (err %v), want its last payload %x", g, i, resp.Plain[:3], resp.Err, data[:3])
+					return
+				}
+			}
+		}(g)
 	}
-	for i := 0; i < n; i++ {
-		reqs = append(reqs, Request{Kind: OpRead, Addr: uint64(i) * 64})
-	}
-	resps := make([]Response, len(reqs))
-	if err := p.SubmitBatchWait(reqs, resps); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		w, r := resps[i], resps[n+i]
-		if w.Err != nil || r.Err != nil {
-			t.Fatalf("block %d: write err %v, read err %v", i, w.Err, r.Err)
-		}
-		if r.Plain[0] != byte(i) {
-			t.Fatalf("block %d: read back %#x, want %#x", i, r.Plain[0], byte(i))
-		}
-	}
-
-	p.Close()
-	if err := p.SubmitBatchWait(reqs[:2], resps[:2]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitBatchWait on closed pool = %v, want ErrClosed", err)
-	}
-	if got := p.SubmitWait(reqs[0]); !errors.Is(got.Err, ErrClosed) {
-		t.Fatalf("SubmitWait on closed pool err = %v, want ErrClosed", got.Err)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
-// The synchronous submit paths are the clserve hot path; once the
-// channel pools and worker buffers are warm they must not allocate.
+// The synchronous submit path is the clserve hot path; once the
+// future pool and worker buffers are warm it must not allocate.
 // This is the mcpool leg of the allocation-regression gate (the engine
 // legs live in internal/core and internal/cipher).
 func TestSubmitWaitNoAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops puts under -race; channel reuse cannot be alloc-free")
+		t.Skip("sync.Pool drops puts under -race; future reuse cannot be alloc-free")
 	}
 	p, err := New(Config{Shards: 4, Watermark: -1, Engine: testEngineOptions()})
 	if err != nil {
@@ -130,23 +128,5 @@ func TestSubmitWaitNoAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("SubmitWait read allocates %.1f per op, want 0", allocs)
-	}
-
-	// The batch path shares the channel pool plus a pooled slice; warm
-	// it once, then require zero steady-state allocations too.
-	reqs := make([]Request, 16)
-	resps := make([]Response, 16)
-	for j := range reqs {
-		reqs[j] = Request{Kind: OpRead, Addr: uint64(j) * 64}
-	}
-	if err := p.SubmitBatchWait(reqs, resps); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := p.SubmitBatchWait(reqs, resps); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("SubmitBatchWait allocates %.1f per batch, want 0", allocs)
 	}
 }

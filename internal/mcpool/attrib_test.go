@@ -39,7 +39,7 @@ func runJournaled(t *testing.T, attribution bool, sched []Request) [][]byte {
 			t.Fatal(resp.Err)
 		}
 	}
-	p.Flush()
+	p.FlushBarrier()
 	journals := make([][]byte, p.NumShards())
 	for s := range journals {
 		journals[s] = p.PersistedJournal(s)
@@ -114,7 +114,7 @@ func TestAttributionStageTotalsRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	p.Flush() // barrier fences must not show up in any histogram
+	p.FlushBarrier() // barrier fences must not show up in any histogram
 	completed := p.Aggregate().Completed
 	p.Close()
 

@@ -6,12 +6,12 @@
 //
 // Sharding follows the DRAM bank-group interleave (internal/dram maps
 // consecutive blocks to consecutive banks): shard = block index mod
-// shard count, so every address — data block, its counter block, and
-// its tree path — is owned by exactly one shard. That ownership is
-// what makes the striping sound: a split-counter overflow rewrites a
-// whole counter block (see ctrblock.SplitBlock.Increment's contract),
-// and routing all of a counter block's data blocks through one shard
-// serializes the read-modify-write that would otherwise lose updates.
+// shard count, so every data block has exactly one shard, and a
+// counter block's data blocks span every shard. What makes the
+// striping sound is that each shard owns a private core.Engine — its
+// own ctrblock.Store, counter cache and integrity tree — which only
+// that shard's worker touches, under the shard lock. No engine state
+// is shared between shards, so no counter update can be lost.
 // Each shard also owns a private RMCC memoization table, so the pool
 // as a whole is a sharded LRU over counter-AES results.
 //
@@ -58,8 +58,8 @@ const (
 	// differential harness's fault channel).
 	OpFault
 
-	// opBarrier is Flush's internal fence; it carries no work and is
-	// never journaled.
+	// opBarrier is FlushBarrier's internal fence; it carries no work
+	// and is never journaled.
 	opBarrier OpKind = 255
 )
 
@@ -115,8 +115,8 @@ func (f *Future) Wait() Response {
 
 // Config sizes the pool.
 type Config struct {
-	// Shards is the number of engine shards (default 8). Shard
-	// routing is block-interleaved: shard = (Addr/64) mod Shards.
+	// Shards is the number of engine shards (default DefaultShards).
+	// Shard routing is block-interleaved: shard = (Addr/64) mod Shards.
 	Shards int
 	// QueueDepth bounds each shard's request queue (default 256);
 	// Submit blocks — and TrySubmit refuses — beyond it.
@@ -229,12 +229,10 @@ type shard struct {
 	// count §IV-B-style mode switches under concurrent traffic.
 	lastMode map[uint64]epoch.Mode
 
-	// Journal state (Config.Persist): the apply seq, the encoded
-	// journal bytes and the seq covered by the last FlushBarrier — the
-	// durable flush epoch a recovery would rebuild from.
-	seq        uint64
-	plog       []byte
-	durableSeq uint64
+	// Journal state (Config.Persist): the apply seq and the encoded
+	// journal bytes a recovery would rebuild from.
+	seq  uint64
+	plog []byte
 
 	depth        obs.Gauge
 	batches      obs.Counter
@@ -249,12 +247,8 @@ type shard struct {
 }
 
 type submission struct {
-	req Request
-	fut *Future
-	// done, when fut is nil, is the pooled response channel of a
-	// SubmitWait/SubmitBatchWait caller (buffered, capacity 1 — the
-	// worker's send never blocks). Exactly one of fut/done is set.
-	done chan Response
+	req  Request
+	fut  *Future   // the response path; its channel is buffered, so the worker's send never blocks
 	span *obs.Span // nil unless attribution is on (barriers never carry one)
 }
 
@@ -275,6 +269,9 @@ const (
 
 // StageNames are the attribution stage names, in pipeline order.
 var StageNames = []string{"queue", "batch", "service", "writeback"}
+
+// DefaultShards is the shard count when Config.Shards is unset.
+const DefaultShards = 8
 
 // DefaultTargetDelayNs is the adaptive watermark's queueing-delay
 // objective when Config.TargetDelayNs is unset: 1ms of measured
@@ -303,7 +300,7 @@ func defaultWatermark(queueDepth int) int {
 // New builds and starts a pool; Close stops it.
 func New(cfg Config) (*Pool, error) {
 	if cfg.Shards <= 0 {
-		cfg.Shards = 8
+		cfg.Shards = DefaultShards
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
@@ -383,9 +380,8 @@ func (p *Pool) ShardOf(addr uint64) int {
 	return int((addr >> 6) % uint64(len(p.shards)))
 }
 
-// submit enqueues one request with either a future or a pooled done
-// channel as its response path.
-func (p *Pool) submit(req Request, fut *Future, done chan Response) error {
+// submit enqueues one request with fut as its response path.
+func (p *Pool) submit(req Request, fut *Future) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
@@ -393,7 +389,7 @@ func (p *Pool) submit(req Request, fut *Future, done chan Response) error {
 	}
 	s := p.shards[p.ShardOf(req.Addr)]
 	p.submitted.Inc()
-	s.q <- submission{req: req, fut: fut, done: done, span: s.attrib.Start()}
+	s.q <- submission{req: req, fut: fut, span: s.attrib.Start()}
 	d := int64(len(s.q))
 	p.noteDepth(d)
 	if p.rec != nil && p.recN.Add(1)&(flightSubmitSample-1) == 0 {
@@ -412,29 +408,26 @@ const flightSubmitSample = 64
 // the pool is closed (ErrClosed).
 func (p *Pool) Submit(req Request) (*Future, error) {
 	fut := newFuture()
-	if err := p.submit(req, fut, nil); err != nil {
+	if err := p.submit(req, fut); err != nil {
 		return nil, err
 	}
 	return fut, nil
 }
 
-// respChanPool recycles the buffered response channels of the
-// synchronous submit paths: a channel is taken per request, received
-// from exactly once, and returned — so the steady-state SubmitWait hot
-// path performs no allocation at all.
-var respChanPool = sync.Pool{New: func() any { return make(chan Response, 1) }}
-
-// chanSlicePool recycles SubmitBatchWait's per-call channel slices.
-var chanSlicePool = sync.Pool{New: func() any { return new([]chan Response) }}
+// futurePool recycles SubmitWait's futures. A pooled future never
+// leaves SubmitWait: it is received from exactly once through its
+// channel (never Wait, so its once and resp stay zero) and returned —
+// so the steady-state SubmitWait hot path performs no allocation.
+var futurePool = sync.Pool{New: func() any { return newFuture() }}
 
 // SubmitWait submits one request and blocks until its response — the
 // allocation-free synchronous counterpart of Submit+Wait. A closed
 // pool yields a Response with Err == ErrClosed.
 func (p *Pool) SubmitWait(req Request) Response {
 	t0 := p.pSubmit.Start()
-	ch := respChanPool.Get().(chan Response)
-	if err := p.submit(req, nil, ch); err != nil {
-		respChanPool.Put(ch)
+	fut := futurePool.Get().(*Future)
+	if err := p.submit(req, fut); err != nil {
+		futurePool.Put(fut)
 		// Errored submits are recorded too: every Start is matched by
 		// a Done, so refused requests (ErrClosed — a shutdown burst)
 		// show up in the submit-wait distribution instead of silently
@@ -442,42 +435,10 @@ func (p *Pool) SubmitWait(req Request) Response {
 		p.pSubmit.Done(t0)
 		return Response{Err: err}
 	}
-	resp := <-ch
-	respChanPool.Put(ch)
+	resp := <-fut.ch
+	futurePool.Put(fut)
 	p.pSubmit.Done(t0)
 	return resp
-}
-
-// SubmitBatchWait submits every request (in order, so per-shard FIFO
-// order matches the slice) and blocks until all responses have landed
-// in resps, which the caller owns and which must be at least as long
-// as reqs. Like SubmitWait it recycles its channels: steady state it
-// does not allocate. On ErrClosed partway through, responses for the
-// already-submitted prefix are still collected before returning.
-func (p *Pool) SubmitBatchWait(reqs []Request, resps []Response) error {
-	if len(resps) < len(reqs) {
-		panic("mcpool: SubmitBatchWait responses shorter than requests")
-	}
-	sp := chanSlicePool.Get().(*[]chan Response)
-	chans := *sp
-	var submitErr error
-	for _, req := range reqs {
-		ch := respChanPool.Get().(chan Response)
-		if err := p.submit(req, nil, ch); err != nil {
-			respChanPool.Put(ch)
-			submitErr = err
-			break
-		}
-		chans = append(chans, ch)
-	}
-	for i, ch := range chans {
-		resps[i] = <-ch
-		respChanPool.Put(ch)
-		chans[i] = nil
-	}
-	*sp = chans[:0]
-	chanSlicePool.Put(sp)
-	return submitErr
 }
 
 // TrySubmit is Submit without the blocking: ok is false when the
@@ -503,21 +464,6 @@ func (p *Pool) TrySubmit(req Request) (*Future, bool) {
 	}
 }
 
-// SubmitBatch enqueues the requests in order. Requests routed to the
-// same shard keep their slice order, so a single caller's per-address
-// program order is preserved end to end.
-func (p *Pool) SubmitBatch(reqs []Request) ([]*Future, error) {
-	futs := make([]*Future, len(reqs))
-	for i, req := range reqs {
-		fut, err := p.Submit(req)
-		if err != nil {
-			return futs[:i], err
-		}
-		futs[i] = fut
-	}
-	return futs, nil
-}
-
 // noteDepth maintains the queue-depth high-water mark.
 func (p *Pool) noteDepth(d int64) {
 	for {
@@ -529,27 +475,6 @@ func (p *Pool) noteDepth(d int64) {
 			p.depthHWM.Set(d)
 			return
 		}
-	}
-}
-
-// Flush blocks until every request submitted before the call has been
-// applied (a FIFO fence per shard). Requests submitted concurrently
-// with Flush may or may not be covered.
-func (p *Pool) Flush() {
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		return
-	}
-	futs := make([]*Future, 0, len(p.shards))
-	for _, s := range p.shards {
-		fut := newFuture()
-		s.q <- submission{req: Request{Kind: opBarrier}, fut: fut}
-		futs = append(futs, fut)
-	}
-	p.mu.RUnlock()
-	for _, f := range futs {
-		f.Wait()
 	}
 }
 
@@ -602,7 +527,7 @@ func (p *Pool) worker(s *shard) {
 		for i := range batch {
 			batch[i].span.Mark(stageBatch)
 		}
-		work := 0 // non-barrier requests; Flush fences don't count
+		work := 0 // non-barrier requests; FlushBarrier fences don't count
 		t0 := p.pService.Start()
 		for i := range batch {
 			resps[i] = p.apply(s, batch[i].req)
@@ -614,11 +539,7 @@ func (p *Pool) worker(s *shard) {
 		p.pService.DoneN(t0, work)
 		s.mu.Unlock()
 		for i := range batch {
-			if batch[i].fut != nil {
-				batch[i].fut.ch <- resps[i]
-			} else {
-				batch[i].done <- resps[i]
-			}
+			batch[i].fut.ch <- resps[i]
 			batch[i].span.Mark(stageWriteback)
 			batch[i].span.Finish()
 			batch[i] = submission{} // drop future/span/Tag references
@@ -778,31 +699,33 @@ func (p *Pool) PersistedJournal(i int) []byte {
 	return append([]byte(nil), s.plog...)
 }
 
-// FlushBarrier is Flush plus a durability mark: after every request
-// submitted before the call has been applied, each shard's current
-// apply seq is recorded as its durable flush epoch and returned
-// (indexed by shard). Requests journaled at or below the returned seq
-// are guaranteed present in the persisted journal bytes taken after
-// the call — the crash/recover lifecycle's "everything before the
-// barrier must survive" contract.
+// FlushBarrier is the pool's fence: it blocks until every request
+// submitted before the call has been applied (one FIFO barrier per
+// shard), then returns each shard's current apply seq (indexed by
+// shard). Requests journaled at or below the returned seq are
+// guaranteed present in the persisted journal bytes taken after the
+// call — the crash/recover lifecycle's "everything before the barrier
+// must survive" contract. Requests submitted concurrently with the
+// call may or may not be covered. On a closed pool nothing is queued
+// and the seqs are read as they stand.
 func (p *Pool) FlushBarrier() []uint64 {
-	p.Flush()
-	out := make([]uint64, len(p.shards))
-	for i, s := range p.shards {
-		s.mu.Lock()
-		s.durableSeq = s.seq
-		out[i] = s.seq
-		s.mu.Unlock()
+	p.mu.RLock()
+	var futs []*Future
+	if !p.closed {
+		futs = make([]*Future, len(p.shards))
+		for i, s := range p.shards {
+			futs[i] = newFuture()
+			s.q <- submission{req: Request{Kind: opBarrier}, fut: futs[i]}
+		}
 	}
-	return out
-}
-
-// DurableSeqs returns each shard's last FlushBarrier seq.
-func (p *Pool) DurableSeqs() []uint64 {
+	p.mu.RUnlock()
+	for _, f := range futs {
+		f.Wait()
+	}
 	out := make([]uint64, len(p.shards))
 	for i, s := range p.shards {
 		s.mu.Lock()
-		out[i] = s.durableSeq
+		out[i] = s.seq
 		s.mu.Unlock()
 	}
 	return out
@@ -823,8 +746,8 @@ func (p *Pool) WithShardEngine(i int, fn func(*core.Engine)) {
 // RestoreShard fast-forwards shard i of a freshly built pool to
 // recovered durable state: fn (if non-nil) redo-applies the recovered
 // journal entries to the shard engine under the shard lock, and the
-// shard's persistent journal bytes, apply seq, and durable flush epoch
-// are seeded from the recovered prefix — so journaling continues
+// shard's persistent journal bytes and apply seq are seeded from the
+// recovered prefix — so journaling continues
 // exactly where the crashed pool's durable state left off, with no seq
 // reuse. plog must be the valid (complete-record) prefix of the dead
 // shard's persisted journal and seq the Seq of its last entry.
@@ -847,7 +770,6 @@ func (p *Pool) RestoreShard(i int, plog []byte, seq uint64, fn func(*core.Engine
 	}
 	s.plog = append(s.plog[:0], plog...)
 	s.seq = seq
-	s.durableSeq = seq
 	return nil
 }
 

@@ -120,7 +120,7 @@ func TestPoolMatchesSerialEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Flush()
+		p.FlushBarrier()
 		agg := p.Aggregate()
 		p.Close()
 
@@ -228,7 +228,7 @@ func TestConcurrentBackpressure(t *testing.T) {
 	}
 	s.mu.Unlock()
 
-	p.Flush()
+	p.FlushBarrier()
 	for _, f := range futs {
 		if resp := f.Wait(); resp.Err != nil {
 			t.Fatalf("queued write failed after drain: %v", resp.Err)
@@ -322,7 +322,7 @@ func TestConcurrentHammerAggregates(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	p.Flush()
+	p.FlushBarrier()
 	agg := p.Aggregate()
 	p.Close()
 	close(stop)

@@ -3,6 +3,6 @@
 package mcpool
 
 // Under the race detector sync.Pool deliberately drops puts to widen
-// race coverage, so the pooled-channel paths cannot stay alloc-free;
+// race coverage, so the pooled-future path cannot stay alloc-free;
 // allocation gates are skipped in race builds.
 const raceEnabled = true

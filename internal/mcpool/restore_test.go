@@ -81,7 +81,7 @@ func TestShedding(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 	}
-	p.Flush()
+	p.FlushBarrier()
 	if p.Shedding() {
 		t.Error("Shedding true after the backlog drained")
 	}
@@ -130,8 +130,8 @@ func TestRestoreShardSeqSplice(t *testing.T) {
 			t.Fatalf("shard %d: %v", s, err)
 		}
 	}
-	if got := b.DurableSeqs(); got[0] != seqs[0] || got[1] != seqs[1] {
-		t.Fatalf("durable seqs after restore %v, want %v", got, seqs)
+	if got := b.FlushBarrier(); got[0] != seqs[0] || got[1] != seqs[1] {
+		t.Fatalf("barrier seqs after restore %v, want %v", got, seqs)
 	}
 	// Restoring again — the shard has state now — must be refused.
 	if err := b.RestoreShard(0, nil, 0, nil); err == nil {

@@ -40,29 +40,15 @@ func mustWrite(t *testing.T, n *Engine, tag int64, i int) {
 	}
 }
 
-// diffEngines compares two engines over the union of their block sets:
-// codeword, counter, ownership, and read-back must all match.
-func diffEngines(t *testing.T, got, want *core.Engine) {
+// requireRecovered compares a recovered engine against its oracle:
+// durable state (core.DiffState) and every block's read-back must
+// match.
+func requireRecovered(t *testing.T, got, want *core.Engine) {
 	t.Helper()
-	wb, gb := want.Blocks(), got.Blocks()
-	if len(wb) != len(gb) {
-		t.Fatalf("recovered %d blocks, want %d", len(gb), len(wb))
+	if d := core.DiffState(got, want); d != "" {
+		t.Fatalf("after recovery: %s", d)
 	}
-	for _, a := range wb {
-		wcw, wok := want.Snapshot(a)
-		gcw, gok := got.Snapshot(a)
-		if wok != gok || wcw != gcw {
-			t.Fatalf("block %#x codeword differs after recovery", a)
-		}
-		if w, g := want.Counters().Counter(a), got.Counters().Counter(a); w != g {
-			t.Fatalf("block %#x counter %d, want %d", a, g, w)
-		}
-		if w, g := want.IsPermanentCounterless(a), got.IsPermanentCounterless(a); w != g {
-			t.Fatalf("block %#x permCL %v, want %v", a, g, w)
-		}
-		if w, g := want.VMOf(a), got.VMOf(a); w != g {
-			t.Fatalf("block %#x vm %d, want %d", a, g, w)
-		}
+	for _, a := range want.Blocks() {
 		wp, _, werr := want.Read(a)
 		gp, _, gerr := got.Read(a)
 		if (werr == nil) != (gerr == nil) || (werr == nil && wp != gp) {
@@ -116,7 +102,7 @@ func TestCleanShutdownRecovery(t *testing.T) {
 	if rep.LastTag != 11 {
 		t.Errorf("LastTag %d, want 11", rep.LastTag)
 	}
-	diffEngines(t, rec.Core(), oracleFor(t, 12))
+	requireRecovered(t, rec.Core(), oracleFor(t, 12))
 }
 
 // Golden: crash before anything persists — recovery comes up empty.
@@ -162,7 +148,7 @@ func TestCrashTornJournalTail(t *testing.T) {
 	if rep.Replayed != 1 || rep.LastTag != 0 {
 		t.Errorf("report %+v, want 1 entry replayed, LastTag 0", rep)
 	}
-	diffEngines(t, rec.Core(), oracleFor(t, 1))
+	requireRecovered(t, rec.Core(), oracleFor(t, 1))
 }
 
 // Golden: crash after the journal append but before the data persist —
@@ -184,7 +170,7 @@ func TestCrashBeforeDataPersist(t *testing.T) {
 	if rep.Replayed != 1 || rep.LastTag != 0 {
 		t.Errorf("report %+v, want 1 entry replayed covering tag 0", rep)
 	}
-	diffEngines(t, rec.Core(), oracleFor(t, 1))
+	requireRecovered(t, rec.Core(), oracleFor(t, 1))
 }
 
 // Golden: crash mid-flush tears the target snapshot slot. Recovery
@@ -224,7 +210,7 @@ func TestCrashMidFlushTornSlot(t *testing.T) {
 	if rep.LastTag != 9 {
 		t.Errorf("LastTag %d, want 9", rep.LastTag)
 	}
-	diffEngines(t, rec.Core(), oracleFor(t, 10))
+	requireRecovered(t, rec.Core(), oracleFor(t, 10))
 }
 
 // Golden: the very first flush tears. No slot has ever committed, but
@@ -249,7 +235,7 @@ func TestCrashMidFirstFlush(t *testing.T) {
 	if rep.Replayed != 5 {
 		t.Errorf("replayed %d, want full 5-entry journal", rep.Replayed)
 	}
-	diffEngines(t, rec.Core(), oracleFor(t, 5))
+	requireRecovered(t, rec.Core(), oracleFor(t, 5))
 }
 
 // Golden: backpressure. A full write-pending queue forces an implicit
@@ -286,7 +272,7 @@ func TestCrashWithFullPendingQueue(t *testing.T) {
 	if rec.PendingLen() != 4 {
 		t.Errorf("recovered pending queue %d, want 4", rec.PendingLen())
 	}
-	diffEngines(t, rec.Core(), oracleFor(t, 4))
+	requireRecovered(t, rec.Core(), oracleFor(t, 4))
 	// The recovered queue drains normally.
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
@@ -366,7 +352,7 @@ func TestRecoveredEngineContinues(t *testing.T) {
 	if rep.LastTag != 7 {
 		t.Errorf("LastTag %d after second recovery, want 7", rep.LastTag)
 	}
-	diffEngines(t, rec2.Core(), oracleFor(t, 8))
+	requireRecovered(t, rec2.Core(), oracleFor(t, 8))
 }
 
 // Fault injections persist like writes: the post-fault codeword is
@@ -388,7 +374,7 @@ func TestFaultPersistence(t *testing.T) {
 	if err := want.InjectFault(0, 2, 0xdeadbeef); err != nil {
 		t.Fatal(err)
 	}
-	diffEngines(t, rec.Core(), want)
+	requireRecovered(t, rec.Core(), want)
 }
 
 // The BreakRecovery knob must actually break recovery — the crash

@@ -63,7 +63,7 @@ func TestRecoverShardsRoundTrip(t *testing.T) {
 	for s := 0; s < alive.NumShards(); s++ {
 		dead.WithShardEngine(s, func(want *core.Engine) {
 			alive.WithShardEngine(s, func(got *core.Engine) {
-				diffEngines(t, got, want)
+				requireRecovered(t, got, want)
 			})
 		})
 	}
@@ -185,7 +185,7 @@ func TestRecoverShardsSkipsRejectedOps(t *testing.T) {
 			for s := 0; s < dead.NumShards(); s++ {
 				dead.WithShardEngine(s, func(want *core.Engine) {
 					alive.WithShardEngine(s, func(got *core.Engine) {
-						diffEngines(t, got, want)
+						requireRecovered(t, got, want)
 					})
 				})
 			}

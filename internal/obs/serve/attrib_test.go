@@ -62,9 +62,11 @@ func TestAttribEndpoint(t *testing.T) {
 	srv.MergeRegistry(reg)
 
 	sched := mcpool.Schedule(mcpool.ScheduleConfig{Ops: 500, Blocks: 128, Seed: 5})
-	futs, err := pool.SubmitBatch(sched)
-	if err != nil {
-		t.Fatal(err)
+	futs := make([]*mcpool.Future, len(sched))
+	for i, req := range sched {
+		if futs[i], err = pool.Submit(req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, fut := range futs {
 		if resp := fut.Wait(); resp.Err != nil {
