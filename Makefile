@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test test-backends race vet fmt check checkers concurrent-race crash-race cluster-race serve bench bench-smoke bench-json fuzz clean
+.PHONY: build test race vet fmt check checkers concurrent-race crash-race cluster-race serve bench bench-smoke bench-json fuzz clean
 
 build:
 	$(GO) build ./...
@@ -111,13 +111,6 @@ fuzz:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzEccRecovery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/entropy -run '^$$' -fuzz FuzzEntropyClassifier -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cipher -run '^$$' -fuzz FuzzCipherBackends -fuzztime $(FUZZTIME)
-
-# Tier-1 suite under both AES backends (CL_CIPHER is the process
-# default each engine inherits); they are bit-exact, so any
-# backend-dependent failure is a batching/backend bug.
-test-backends:
-	CL_CIPHER=ref $(GO) test ./internal/cipher ./internal/core ./internal/mcpool
-	CL_CIPHER=stdlib $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

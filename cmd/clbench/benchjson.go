@@ -115,8 +115,8 @@ func measureLoop(window time.Duration, fn func(n int)) (iters int64, nsPerOp flo
 	}
 }
 
-// benchCounterMode builds the pad-generation cipher on the process
-// default backend — the unit under test for the cipher/* benches.
+// benchCounterMode builds the pad-generation cipher on crypto/aes —
+// the unit under test for the cipher/* benches.
 func benchCounterMode() (*cipher.CounterMode, error) {
 	key := make([]byte, 16)
 	key[0] = 0x03

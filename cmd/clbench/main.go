@@ -12,7 +12,6 @@
 //	clbench -snapshots out/ # one metrics-JSON snapshot per simulated cell
 //	clbench -bench-json BENCH_1.json  # pinned perf suite -> schema-versioned snapshot
 //	clbench -bench-json out.json -bench-quick  # reduced windows (CI smoke)
-//	clbench -cipher ref     # textbook reference AES (ref | stdlib)
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"counterlight/internal/core"
-	"counterlight/internal/crypto/aes"
 	"counterlight/internal/figures"
 	"counterlight/internal/obs"
 	"counterlight/internal/obs/serve"
@@ -43,15 +41,7 @@ func main() {
 	snapshots := flag.String("snapshots", "", "write one metrics-JSON snapshot per simulated cell into this directory (clreport -compare input)")
 	benchJSON := flag.String("bench-json", "", "run the pinned perf suite and write a BENCH-schema snapshot to this path (clreport -bench-compare input)")
 	benchQuick := flag.Bool("bench-quick", false, "with -bench-json: reduced measurement windows for CI smoke runs")
-	cipherName := flag.String("cipher", "", "AES backend for every engine: ref | stdlib (empty = $CL_CIPHER, else stdlib)")
 	flag.Parse()
-
-	if *cipherName != "" {
-		if err := aes.SetDefaultBackend(*cipherName); err != nil {
-			fmt.Fprintln(os.Stderr, "clbench:", err)
-			os.Exit(2)
-		}
-	}
 
 	if *benchJSON != "" {
 		os.Exit(runBenchJSON(*benchJSON, *benchQuick))

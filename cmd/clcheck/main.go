@@ -11,7 +11,6 @@
 //	clcheck -campaign faults.json -tokens repros.txt
 //	clcheck -repro Y2xrMQZhZXMxMjgB...
 //	clcheck -seeds 4 -schemes
-//	clcheck -seeds 64 -cipher stdlib  # engines on hardware-class AES, oracle on ref
 //	clcheck -concurrent -seeds 32     # racing submitters through the sharded pool
 //	clcheck -crash -seeds 200         # crash-injection campaign over the NVM engine
 //	clcheck -crash-break -seeds 20    # teeth check: broken recovery must be caught
@@ -30,7 +29,6 @@ import (
 	"strings"
 
 	"counterlight/internal/check"
-	"counterlight/internal/crypto/aes"
 	"counterlight/internal/figures"
 	"counterlight/internal/obs"
 	"counterlight/internal/obs/flight"
@@ -45,7 +43,7 @@ type config struct {
 	jobs    int
 	schemes bool
 
-	repro, cipher, flightPath, metricsPath, tokensPath string
+	repro, flightPath, metricsPath, tokensPath string
 }
 
 // modeFlags select clcheck's mutually exclusive modes; the -break
@@ -77,9 +75,6 @@ var verdicts = map[string][2]string{
 
 func main() {
 	c, err := parse(os.Args[1:])
-	if err == nil && c.cipher != "" {
-		err = aes.SetDefaultBackend(c.cipher)
-	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "clcheck: %v\n", err)
 		os.Exit(2)
@@ -114,10 +109,9 @@ func parse(args []string) (config, error) {
 	schemes := fs.Bool("schemes", false, "also sweep every timing scheme's Result invariants over the seeds")
 	metricsPath := fs.String("metrics", "", "write a Prometheus-text snapshot of the campaign counters to this file")
 	tokensPath := fs.String("tokens", "", "write minimized repro tokens (one per line) to this file on divergence")
-	cipherName := fs.String("cipher", "", "AES backend the engines under test run on: ref | stdlib (the oracle always recomputes through ref)")
 	fs.Parse(args)
 
-	c := config{mode: "classic", jobs: *jobs, schemes: *schemes, repro: *repro, cipher: *cipherName,
+	c := config{mode: "classic", jobs: *jobs, schemes: *schemes, repro: *repro,
 		flightPath: *flightPath, metricsPath: *metricsPath, tokensPath: *tokensPath}
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -136,7 +130,7 @@ func parse(args []string) (config, error) {
 	for _, name := range slices.Sorted(maps.Keys(set)) {
 		modes, scoped := scope[name]
 		switch {
-		case c.mode == "repro" && name != "repro" && name != "cipher":
+		case c.mode == "repro" && name != "repro":
 			return c, fmt.Errorf("-%s cannot be combined with -repro", name)
 		case !scoped || slices.Contains(modes, c.mode):
 		case modeFlag != "":

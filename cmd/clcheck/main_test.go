@@ -42,7 +42,7 @@ func TestParse(t *testing.T) {
 				t.Errorf("knownbad with overrides resolved to %+v", c.spec)
 			}
 		}},
-		{name: "repro with cipher", args: []string{"-repro", "tok", "-cipher", "stdlib"}, check: func(t *testing.T, c config) {
+		{name: "repro", args: []string{"-repro", "tok"}, check: func(t *testing.T, c config) {
 			if c.mode != "repro" || c.repro != "tok" {
 				t.Errorf("repro resolved to mode %s", c.mode)
 			}

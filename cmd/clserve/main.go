@@ -23,7 +23,6 @@
 //	clserve -addr :8080               # monitoring + request plane: /metrics, /health, /v1/...
 //	clserve -attrib                   # per-op latency attribution breakdown at exit
 //	clserve -metrics-json final.json  # dump the full registry on clean shutdown
-//	clserve -cipher ref               # textbook reference AES on every shard engine
 //	clserve -adaptive                 # measurement-driven watermark instead of static 3/4
 //	clserve -slo-p99 2ms -health health.json  # grade the run against an SLO
 //	clserve -flight flight.json       # dump the flight recorder at exit (and on SIGQUIT)
@@ -109,7 +108,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "", "serve the monitoring server and the cluster request plane (/metrics, /api/profile, /health, /v1/...) on this address while running")
 	flag.BoolVar(&cfg.attrib, "attrib", false, "enable per-op latency attribution and print the queue/batch/service/writeback breakdown at exit")
 	flag.StringVar(&cfg.metricsJSON, "metrics-json", "", "write the final metrics registry (cluster, per-node, and profiler series included) as JSON to this path on clean shutdown (clreport -compare input)")
-	cipherName := flag.String("cipher", "", "AES backend for every shard engine: ref | stdlib (empty = $CL_CIPHER, else stdlib)")
 	flag.DurationVar(&cfg.sloP99, "slo-p99", 0, "submit→wait p99 latency objective, worst node (0 disables the check)")
 	flag.Float64Var(&cfg.sloMaxDeg, "slo-max-degraded", 0, "max fraction of writes degraded to counterless per SLO window (0 disables)")
 	flag.StringVar(&cfg.healthPath, "health", "", "write the final health verdict as JSON to this path (clreport -health input)")
@@ -122,13 +120,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clserve:", err)
 		os.Exit(2)
 	}
-	if *cipherName != "" {
-		if err := aes.SetDefaultBackend(*cipherName); err != nil {
-			fmt.Fprintln(os.Stderr, "clserve:", err)
-			os.Exit(2)
-		}
-	}
-
 	if code := run(cfg); code != 0 {
 		os.Exit(code)
 	}

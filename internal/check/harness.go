@@ -163,9 +163,9 @@ func (c *checker) write(op Op) *Divergence {
 			return div("counter-moved", "counterless write moved counter %d -> %d at %#x", prevCtr, ctrNow, addr)
 		}
 		// Independent recomputation through the VM's own key — on the
-		// reference AES backend, so an engine running the stdlib
-		// backend is checked against a genuinely independent
-		// implementation rather than against itself.
+		// textbook reference AES, so the engine's crypto/aes is
+		// checked against a genuinely independent implementation
+		// rather than against itself.
 		cls := c.e.ReferenceCounterlessCipher(vm)
 		ct := cls.Encrypt(addr, plain)
 		mac := cls.MAC(addr, ct, uint32(ctrblock.CounterlessFlag))
@@ -191,7 +191,7 @@ func (c *checker) write(op Op) *Divergence {
 			return div("counter-over-limit", "counter %d exceeds limit %d at %#x", ctrNow, c.limit, addr)
 		}
 		// Independent recomputation through the global counter key,
-		// again on the reference backend (see the counterless arm).
+		// again on the reference AES (see the counterless arm).
 		cm := c.e.ReferenceCounterCipher()
 		ct := cm.Encrypt(meta, addr, plain)
 		mac := cm.MAC(meta, addr, plain, ctrNow)

@@ -12,12 +12,14 @@
 //     of a truncated OTP with a GF(2^64) dot product of the plaintext
 //     (as in SGX1's MEE / Synergy).
 //
-// Both engines run on a crypto/cipher.Block from aes.NewBackend: the
-// standard library's AES ("stdlib") or the textbook reference ("ref"),
-// which are bit-exact. One engine call gathers every AES input block
-// it needs and runs them through one per-block loop (ecb); PadBatch
-// extends that to many memory blocks per call with caller-owned
-// buffers.
+// Both engines run on a crypto/cipher.Block: NewCounterless and
+// NewCounterMode build on the standard library's crypto/aes, and
+// NewReferenceCounterless and NewReferenceCounterMode build the same
+// engines on the textbook aes.Cipher, the twin the differential oracle
+// and the tests compare against. One engine call gathers every AES
+// input block it needs and runs them through one per-block loop (ecb);
+// PadBatch extends that to many memory blocks per call with
+// caller-owned buffers.
 //
 // The engines carry per-instance scratch buffers to keep the hot path
 // allocation-free, so a Counterless or CounterMode value must not be
@@ -28,6 +30,7 @@
 package cipher
 
 import (
+	stdaes "crypto/aes"
 	stdcipher "crypto/cipher"
 	"encoding/binary"
 	"fmt"
@@ -105,7 +108,6 @@ func (s *BatchScratch) grow(n int) (in, out []byte) {
 type Counterless struct {
 	dataKey  stdcipher.Block
 	tweakKey stdcipher.Block
-	backend  string
 	macKey   []byte
 
 	// Scratch for the four-word batched data AES and the single-block
@@ -116,25 +118,36 @@ type Counterless struct {
 	macProbe *prof.Probe // optional MAC64 latency probe (SetMACProbe)
 }
 
-// NewCounterless builds a counterless engine on the process-default
-// AES backend. dataKey and tweakKey must be valid AES key lengths (16,
-// 24, or 32 bytes); both halves of the XTS key pair conventionally
-// have the same size.
-func NewCounterless(dataKey, tweakKey, macKey []byte) (*Counterless, error) {
-	return NewCounterlessBackend("", dataKey, tweakKey, macKey)
+// blockCipher builds an AES block cipher for a 16, 24, or 32 byte key.
+type blockCipher func(key []byte) (stdcipher.Block, error)
+
+// refBlock is a blockCipher on the textbook reference aes.Cipher.
+func refBlock(key []byte) (stdcipher.Block, error) {
+	c, err := aes.New(key)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// NewCounterlessBackend is NewCounterless on an explicit AES backend
-// (empty selects the process default, aes.DefaultBackend).
-func NewCounterlessBackend(backend string, dataKey, tweakKey, macKey []byte) (*Counterless, error) {
-	if backend == "" {
-		backend = aes.DefaultBackend()
-	}
-	dk, err := aes.NewBackend(backend, dataKey)
+// NewCounterless builds a counterless engine on crypto/aes. dataKey
+// and tweakKey must be valid AES key lengths (16, 24, or 32 bytes);
+// both halves of the XTS key pair conventionally have the same size.
+func NewCounterless(dataKey, tweakKey, macKey []byte) (*Counterless, error) {
+	return newCounterless(stdaes.NewCipher, dataKey, tweakKey, macKey)
+}
+
+// NewReferenceCounterless is NewCounterless on the textbook aes.Cipher.
+func NewReferenceCounterless(dataKey, tweakKey, macKey []byte) (*Counterless, error) {
+	return newCounterless(refBlock, dataKey, tweakKey, macKey)
+}
+
+func newCounterless(newBlock blockCipher, dataKey, tweakKey, macKey []byte) (*Counterless, error) {
+	dk, err := newBlock(dataKey)
 	if err != nil {
 		return nil, fmt.Errorf("cipher: data key: %w", err)
 	}
-	tk, err := aes.NewBackend(backend, tweakKey)
+	tk, err := newBlock(tweakKey)
 	if err != nil {
 		return nil, fmt.Errorf("cipher: tweak key: %w", err)
 	}
@@ -144,13 +157,9 @@ func NewCounterlessBackend(backend string, dataKey, tweakKey, macKey []byte) (*C
 	return &Counterless{
 		dataKey:  dk,
 		tweakKey: tk,
-		backend:  backend,
 		macKey:   append([]byte(nil), macKey...),
 	}, nil
 }
-
-// Backend reports the AES backend name this engine runs on.
-func (c *Counterless) Backend() string { return c.backend }
 
 // tweak computes the encrypted tweak for the block at addr, then the
 // per-word tweaks T_j = T ⊗ α^j in GF(2^128) (Fig. 2a's
@@ -259,7 +268,6 @@ const padBlocks = WordsPerBlock + 2
 // concurrent use: the pad scratch is per-instance.
 type CounterMode struct {
 	key     stdcipher.Block
-	backend string
 	macKeys []uint64
 	combine Combiner
 
@@ -274,21 +282,21 @@ type CounterMode struct {
 	macProbe *prof.Probe
 }
 
-// NewCounterMode builds a counter-mode engine on the process-default
-// AES backend. key must be a valid AES key; macSecret seeds the
-// GF(2^64) dot-product key schedule; combine selects the OTP combining
-// logic (nil means mix.Nonlinear).
+// NewCounterMode builds a counter-mode engine on crypto/aes. key must
+// be a valid AES key; macSecret seeds the GF(2^64) dot-product key
+// schedule; combine selects the OTP combining logic (nil means
+// mix.Nonlinear).
 func NewCounterMode(key []byte, macSecret uint64, combine Combiner) (*CounterMode, error) {
-	return NewCounterModeBackend("", key, macSecret, combine)
+	return newCounterMode(stdaes.NewCipher, key, macSecret, combine)
 }
 
-// NewCounterModeBackend is NewCounterMode on an explicit AES backend
-// (empty selects the process default, aes.DefaultBackend).
-func NewCounterModeBackend(backend string, key []byte, macSecret uint64, combine Combiner) (*CounterMode, error) {
-	if backend == "" {
-		backend = aes.DefaultBackend()
-	}
-	k, err := aes.NewBackend(backend, key)
+// NewReferenceCounterMode is NewCounterMode on the textbook aes.Cipher.
+func NewReferenceCounterMode(key []byte, macSecret uint64, combine Combiner) (*CounterMode, error) {
+	return newCounterMode(refBlock, key, macSecret, combine)
+}
+
+func newCounterMode(newBlock blockCipher, key []byte, macSecret uint64, combine Combiner) (*CounterMode, error) {
+	k, err := newBlock(key)
 	if err != nil {
 		return nil, fmt.Errorf("cipher: counter-mode key: %w", err)
 	}
@@ -297,14 +305,10 @@ func NewCounterModeBackend(backend string, key []byte, macSecret uint64, combine
 	}
 	return &CounterMode{
 		key:     k,
-		backend: backend,
 		macKeys: gf.KeySchedule(macSecret, 9), // 8 data words + 1 metadata word
 		combine: combine,
 	}, nil
 }
-
-// Backend reports the AES backend name this engine runs on.
-func (c *CounterMode) Backend() string { return c.backend }
 
 // putPadInput serializes one AES input block: the 64-bit value, zero
 // padding, and the domain-separator byte.

@@ -3,16 +3,15 @@ package cipher
 import (
 	"bytes"
 	"testing"
-
-	"counterlight/internal/crypto/aes"
 )
 
-// FuzzCipherBackends cross-checks every AES backend against the
-// reference implementation on the full cipher surface: counterless
+// FuzzCipherBackends cross-checks the production crypto/aes engines
+// (and the reference twins themselves) against the textbook-AES
+// reference on the full cipher surface: counterless
 // Encrypt/Decrypt/MAC and counter-mode Pad/PadWithMAC/Encrypt/MAC, for
 // fuzzed keys, addresses, counters, and block contents. Any divergence
-// between backends is a correctness bug in the faster backend (or in
-// the batching glue), so the target fails loudly on the first mismatch.
+// is a correctness bug in the production path (or in the batching
+// glue), so the target fails loudly on the first mismatch.
 func FuzzCipherBackends(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), uint64(0), uint64(0), []byte(""), uint32(0))
 	f.Add([]byte("counter-light-key-material!!...."), uint64(64), uint64(7), []byte("attack at dawn"), uint32(7))
@@ -34,11 +33,11 @@ func FuzzCipherBackends(f *testing.F) {
 		var plain Block
 		copy(plain[:], data)
 
-		refCls, err := NewCounterlessBackend(aes.BackendRef, dataKey, tweakKey, []byte("fuzz-mac"))
+		refCls, err := NewReferenceCounterless(dataKey, tweakKey, []byte("fuzz-mac"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		refCm, err := NewCounterModeBackend(aes.BackendRef, dataKey, macSecret, nil)
+		refCm, err := NewReferenceCounterMode(dataKey, macSecret, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,48 +48,48 @@ func FuzzCipherBackends(f *testing.F) {
 		wantCmMAC := refCm.MAC(counter, addr, plain, encMeta)
 		wantCtrAES := refCm.CounterAES(counter)
 
-		for _, backend := range aes.BackendNames() {
-			cls, err := NewCounterlessBackend(backend, dataKey, tweakKey, []byte("fuzz-mac"))
+		for _, b := range builds {
+			cls, err := b.cls(dataKey, tweakKey, []byte("fuzz-mac"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cm, err := NewCounterModeBackend(backend, dataKey, macSecret, nil)
+			cm, err := b.cm(dataKey, macSecret, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ct := cls.Encrypt(addr, plain); ct != wantCt {
-				t.Errorf("%s: Counterless.Encrypt diverges from ref", backend)
+				t.Errorf("%s: Counterless.Encrypt diverges from ref", b.name)
 			}
 			if got := cls.Decrypt(addr, wantCt); got != plain {
-				t.Errorf("%s: Counterless.Decrypt(Encrypt(p)) != p", backend)
+				t.Errorf("%s: Counterless.Decrypt(Encrypt(p)) != p", b.name)
 			}
 			if mac := cls.MAC(addr, wantCt, encMeta); mac != wantClsMAC {
-				t.Errorf("%s: Counterless.MAC diverges from ref", backend)
+				t.Errorf("%s: Counterless.MAC diverges from ref", b.name)
 			}
 			if pad := cm.Pad(counter, addr); pad != wantPad {
-				t.Errorf("%s: CounterMode.Pad diverges from ref", backend)
+				t.Errorf("%s: CounterMode.Pad diverges from ref", b.name)
 			}
 			pad, otp := cm.PadWithMAC(counter, addr)
 			if pad != wantPad {
-				t.Errorf("%s: PadWithMAC pad diverges from Pad", backend)
+				t.Errorf("%s: PadWithMAC pad diverges from Pad", b.name)
 			}
 			if want := cm.OTP(counter, addr, WordsPerBlock); otp != want {
-				t.Errorf("%s: PadWithMAC OTP diverges from OTP", backend)
+				t.Errorf("%s: PadWithMAC OTP diverges from OTP", b.name)
 			}
 			if ct := cm.Encrypt(counter, addr, plain); ct != wantCmCt {
-				t.Errorf("%s: CounterMode.Encrypt diverges from ref", backend)
+				t.Errorf("%s: CounterMode.Encrypt diverges from ref", b.name)
 			}
 			if got := cm.Decrypt(counter, addr, wantCmCt); got != plain {
-				t.Errorf("%s: CounterMode.Decrypt(Encrypt(p)) != p", backend)
+				t.Errorf("%s: CounterMode.Decrypt(Encrypt(p)) != p", b.name)
 			}
 			if mac := cm.MAC(counter, addr, plain, encMeta); mac != wantCmMAC {
-				t.Errorf("%s: CounterMode.MAC diverges from ref", backend)
+				t.Errorf("%s: CounterMode.MAC diverges from ref", b.name)
 			}
 			if got := cm.MACFromOTP(otp, plain, encMeta); got != wantCmMAC {
-				t.Errorf("%s: MACFromOTP diverges from MAC", backend)
+				t.Errorf("%s: MACFromOTP diverges from MAC", b.name)
 			}
 			if got := cm.CounterAES(counter); got != wantCtrAES {
-				t.Errorf("%s: CounterAES diverges from ref", backend)
+				t.Errorf("%s: CounterAES diverges from ref", b.name)
 			}
 		}
 	})

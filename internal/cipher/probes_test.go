@@ -11,19 +11,25 @@ import (
 // every output bit-identical and must actually count the hot-path
 // calls (batched pads count per pad, not per call).
 func TestProbesObserveAndPreserveOutput(t *testing.T) {
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) { testProbesObserveAndPreserveOutput(t, b) })
+	}
+}
+
+func testProbesObserveAndPreserveOutput(t *testing.T, b build) {
 	key := make([]byte, 16)
 	for i := range key {
 		key[i] = byte(i)
 	}
-	plain, err := NewCounterMode(key, 42, nil)
+	plain, err := b.cm(key, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probed, err := NewCounterMode(key, 42, nil)
+	probed, err := b.cm(key, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := prof.New(probed.Backend())
+	pf := prof.New(b.name)
 	probed.SetProbes(pf.PadBatch, pf.MAC)
 
 	const n = 32
@@ -62,11 +68,11 @@ func TestProbesObserveAndPreserveOutput(t *testing.T) {
 
 	// Counterless MAC probe.
 	k2 := make([]byte, 16)
-	cl, err := NewCounterless(key, k2, []byte("mac-key"))
+	cl, err := b.cls(key, k2, []byte("mac-key"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl2, err := NewCounterless(key, k2, []byte("mac-key"))
+	cl2, err := b.cls(key, k2, []byte("mac-key"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,21 +90,23 @@ func TestProbesObserveAndPreserveOutput(t *testing.T) {
 // configuration: sampling must not add steady-state allocations.
 func TestProbedPadNoAllocs(t *testing.T) {
 	key := make([]byte, 16)
-	cm, err := NewCounterMode(key, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf := prof.New(cm.Backend())
-	cm.SetProbes(pf.PadBatch, pf.MAC)
+	for _, b := range builds {
+		cm, err := b.cm(key, 7, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf := prof.New(b.name)
+		cm.SetProbes(pf.PadBatch, pf.MAC)
 
-	var ctr uint64
-	if allocs := testing.AllocsPerRun(500, func() {
-		ctr++
-		pad, otp := cm.PadWithMAC(ctr, 64)
-		var blk Block
-		blk[0] = pad[0]
-		_ = cm.MACFromOTP(otp, blk, uint32(ctr))
-	}); allocs != 0 {
-		t.Errorf("probed PadWithMAC+MAC allocates %.1f per op, want 0", allocs)
+		var ctr uint64
+		if allocs := testing.AllocsPerRun(500, func() {
+			ctr++
+			pad, otp := cm.PadWithMAC(ctr, 64)
+			var blk Block
+			blk[0] = pad[0]
+			_ = cm.MACFromOTP(otp, blk, uint32(ctr))
+		}); allocs != 0 {
+			t.Errorf("%s: probed PadWithMAC+MAC allocates %.1f per op, want 0", b.name, allocs)
+		}
 	}
 }

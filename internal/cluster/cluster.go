@@ -69,9 +69,9 @@ type Config struct {
 	MaxDegradedFrac float64
 	// Node is the per-node pool template. Shards, queue depths, the
 	// watermark policy, Persist, and engine options apply to
-	// every node identically. When Profile is set or AdaptiveWatermark
-	// demands one, each node gets its OWN profiler (same backend) so
-	// per-node latency estimates don't mix across controllers.
+	// every node identically. When Profile is set, each node gets its
+	// OWN profiler so per-node latency estimates don't mix across
+	// controllers; an adaptive pool without one builds its own.
 	Node mcpool.Config
 	// Flight is recorded into by the cluster (kills, restarts,
 	// recoveries) and attached to every node pool. Overrides
@@ -93,9 +93,8 @@ type node struct {
 	mu  sync.RWMutex
 	gen int
 
-	pool     *mcpool.Pool
-	profiler *prof.Profiler
-	reg      *obs.Registry
+	pool *mcpool.Pool
+	reg  *obs.Registry
 
 	// Chaos-verification state (meaningful when the node template has
 	// Persist): baseline is the durable bytes the CURRENT incarnation
@@ -180,13 +179,8 @@ func New(cfg Config) (*Cluster, error) {
 // holds n.mu or owns n exclusively.
 func (c *Cluster) startNode(n *node, plogs [][]byte) ([]nvm.ShardRecovery, error) {
 	ncfg := c.cfg.Node
-	if ncfg.Profile != nil || ncfg.AdaptiveWatermark {
-		backend := ncfg.Engine.Cipher
-		if backend == "" {
-			backend = aes.DefaultBackend()
-		}
-		n.profiler = prof.New(backend)
-		ncfg.Profile = n.profiler
+	if ncfg.Profile != nil {
+		ncfg.Profile = prof.New(aes.DefaultBackend())
 	}
 	pool, err := mcpool.New(ncfg)
 	if err != nil {
@@ -318,7 +312,6 @@ func (c *Cluster) Kill(i int) error {
 	}
 	n.segs = append(n.segs, seg)
 	n.pool = nil
-	n.profiler = nil
 	c.kills.Inc()
 	c.nodesUp.Set(c.countUp())
 	c.rec.Record(flight.KindCrash, -1, uint64(i), int64(len(n.segs)), int64(n.gen))
@@ -522,7 +515,9 @@ func (c *Cluster) Profilers() []*prof.Profiler {
 	out := make([]*prof.Profiler, len(c.nodes))
 	for i, n := range c.nodes {
 		n.mu.RLock()
-		out[i] = n.profiler
+		if n.pool != nil {
+			out[i] = n.pool.Profiler()
+		}
 		n.mu.RUnlock()
 	}
 	return out

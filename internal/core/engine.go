@@ -34,11 +34,6 @@ type EngineOptions struct {
 	// §IV-C saturation path: a block whose counter would exceed the
 	// limit permanently switches to counterless mode.
 	CounterLimit uint32
-	// Cipher selects the AES backend the engine's ciphers run on
-	// ("stdlib" or "ref"; empty means the process default,
-	// aes.DefaultBackend). Both are bit-exact, so this choice affects
-	// only host-side speed, never stored bytes or MACs.
-	Cipher string
 	// DisableCorrection skips the Fig. 14 trial-and-error correction
 	// path entirely: a failed fast-path MAC check becomes an
 	// immediate detected uncorrectable error. This is the
@@ -72,18 +67,17 @@ func DefaultEngineOptions() EngineOptions {
 // and a simulated ECC DRAM array, and moves real bytes through the
 // full encrypt/MAC/ECC pipeline of Figs. 11-14.
 type Engine struct {
-	opts       EngineOptions
-	cipherName string                // resolved AES backend name
-	cls        []*cipher.Counterless // one per VM (§IV-D)
-	cm         *cipher.CounterMode   // single global key
-	ctrs       *ctrblock.Store
-	memo       *memoize.Table
-	mem        map[uint64]ecc.CodeWord // block-aligned address -> stored codeword
+	opts EngineOptions
+	cls  []*cipher.Counterless // one per VM (§IV-D)
+	cm   *cipher.CounterMode   // single global key
+	ctrs *ctrblock.Store
+	memo *memoize.Table
+	mem  map[uint64]ecc.CodeWord // block-aligned address -> stored codeword
 
-	// refCls/refCm are lazily built reference-backend twins of the
-	// engine's ciphers (same keys, aes.BackendRef). The differential
-	// oracle recomputes through them so a broken fast backend diverges
-	// from the oracle instead of agreeing with itself.
+	// refCls/refCm are lazily built textbook-AES twins of the engine's
+	// ciphers (same keys, cipher.NewReference*). The differential
+	// oracle recomputes through them so a broken crypto/aes path
+	// diverges from the oracle instead of agreeing with itself.
 	refCls []*cipher.Counterless
 	refCm  *cipher.CounterMode
 
@@ -102,10 +96,7 @@ type Engine struct {
 	// (counter-mode blocks all share the global key).
 	vmOf map[uint64]int
 
-	m      engineMetrics
-	tracer *obs.Tracer // optional; the functional engine has no sim
-	// clock, so events are stamped with the operation index instead
-	// of picoseconds.
+	m engineMetrics
 }
 
 // engineMetrics holds the functional-path event counts as obs
@@ -203,20 +194,16 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 	if opts.CounterLimit == 0 {
 		opts.CounterLimit = ctrblock.CounterMax
 	}
-	backend := opts.Cipher
-	if backend == "" {
-		backend = aes.DefaultBackend()
-	}
 	cls := make([]*cipher.Counterless, opts.VMs)
 	for vm := range cls {
 		clsKey, tweakKey := clsKeysFor(opts.AESKeyBytes, vm)
 		var err error
-		cls[vm], err = cipher.NewCounterlessBackend(backend, clsKey, tweakKey, clsMACKey)
+		cls[vm], err = cipher.NewCounterless(clsKey, tweakKey, clsMACKey)
 		if err != nil {
 			return nil, err
 		}
 	}
-	cm, err := cipher.NewCounterModeBackend(backend, cmKeyFor(opts.AESKeyBytes), cmMACSecret, nil)
+	cm, err := cipher.NewCounterMode(cmKeyFor(opts.AESKeyBytes), cmMACSecret, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +222,6 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 	}
 	return &Engine{
 		opts:                 opts,
-		cipherName:           backend,
 		cls:                  cls,
 		cm:                   cm,
 		ctrs:                 ctrs,
@@ -280,17 +266,6 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	e.ctrs.RegisterMetrics(reg, append(labels[:len(labels):len(labels)], obs.L("cache", "ctrblock"))...)
 }
 
-// SetTracer installs (or clears, with nil) the event tracer. Events
-// are stamped with the engine's operation index (reads+writes so
-// far), not picoseconds: the functional engine has no sim clock.
-func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
-
-// opIndex is the engine's event timestamp: the number of operations
-// completed or in flight.
-func (e *Engine) opIndex() int64 {
-	return int64(e.m.reads.Value() + e.m.writes.Value())
-}
-
 // Counters exposes the counter store (tests exercise replay attacks
 // through it).
 func (e *Engine) Counters() *ctrblock.Store { return e.ctrs }
@@ -313,22 +288,18 @@ func (e *Engine) CounterlessCipher(vm int) *cipher.Counterless {
 	return e.cls[vm]
 }
 
-// CipherBackend reports the resolved AES backend name the engine's
-// ciphers run on (perf snapshots record it).
-func (e *Engine) CipherBackend() string { return e.cipherName }
+// CipherBackend names the AES the engine's ciphers run on (perf
+// snapshots record it).
+func (e *Engine) CipherBackend() string { return aes.DefaultBackend() }
 
 // ReferenceCounterCipher returns a counter-mode cipher with the
-// engine's keys on the reference AES backend. The differential oracle
-// recomputes through it so a fast backend is checked against an
+// engine's keys on the textbook AES. The differential oracle
+// recomputes through it so crypto/aes is checked against an
 // independent implementation, not against itself. Built lazily and
-// cached; when the engine already runs the reference backend it is the
-// engine's own cipher.
+// cached.
 func (e *Engine) ReferenceCounterCipher() *cipher.CounterMode {
-	if e.cipherName == aes.BackendRef {
-		return e.cm
-	}
 	if e.refCm == nil {
-		cm, err := cipher.NewCounterModeBackend(aes.BackendRef, cmKeyFor(e.opts.AESKeyBytes), cmMACSecret, nil)
+		cm, err := cipher.NewReferenceCounterMode(cmKeyFor(e.opts.AESKeyBytes), cmMACSecret, nil)
 		if err != nil {
 			panic("core: reference counter cipher: " + err.Error())
 		}
@@ -343,15 +314,12 @@ func (e *Engine) ReferenceCounterlessCipher(vm int) *cipher.Counterless {
 	if vm < 0 || vm >= len(e.cls) {
 		return nil
 	}
-	if e.cipherName == aes.BackendRef {
-		return e.cls[vm]
-	}
 	if e.refCls == nil {
 		e.refCls = make([]*cipher.Counterless, len(e.cls))
 	}
 	if e.refCls[vm] == nil {
 		dataKey, tweakKey := clsKeysFor(e.opts.AESKeyBytes, vm)
-		cls, err := cipher.NewCounterlessBackend(aes.BackendRef, dataKey, tweakKey, clsMACKey)
+		cls, err := cipher.NewReferenceCounterless(dataKey, tweakKey, clsMACKey)
 		if err != nil {
 			panic("core: reference counterless cipher: " + err.Error())
 		}
@@ -435,8 +403,6 @@ func (e *Engine) WriteAs(vm int, addr uint64, plain cipher.Block, mode epoch.Mod
 			// (until "reboot"; §IV-C).
 			e.permanentCounterless[addr] = true
 			mode = epoch.Counterless
-			e.tracer.Emit(e.opIndex(), obs.PhaseInstant, obs.CatCtr, "counter_saturated",
-				obs.A("addr", int64(addr)), obs.A("counter", int64(next)))
 		} else {
 			if err := e.ctrs.Increment(addr, next); err != nil {
 				return fmt.Errorf("core: counter update: %w", err)
@@ -502,21 +468,14 @@ func (e *Engine) Read(addr uint64) (cipher.Block, ReadInfo, error) {
 	e.m.macFailures.Inc()
 	if e.opts.DisableCorrection {
 		e.m.dues.Inc()
-		e.tracer.Emit(e.opIndex(), obs.PhaseInstant, obs.CatECC, "due",
-			obs.A("addr", int64(addr)), obs.A("correction_disabled", 1))
 		return cipher.Block{}, info, fmt.Errorf("core: MAC check failed at %#x (correction disabled)", addr)
 	}
 
 	// Correction path: two EncryptionMetadata hypotheses (Fig. 14).
 	res := ecc.Correct(cw, e.hypotheses(addr))
 	e.m.eccTrials.Add(int64(res.Trials))
-	e.tracer.Emit(e.opIndex(), obs.PhaseInstant, obs.CatECC, "correction_attempt",
-		obs.A("addr", int64(addr)), obs.A("trials", int64(res.Trials)),
-		obs.A("candidates", int64(len(res.Candidates))))
 	if res.OK {
 		e.m.corrections.Inc()
-		e.tracer.Emit(e.opIndex(), obs.PhaseInstant, obs.CatECC, "hypothesis_chosen",
-			obs.A("hypothesis", int64(res.Hypothesis)), obs.A("bad_chip", int64(res.BadChip)))
 		plain, memoHit := e.decrypt(addr, res.Data, res.Meta)
 		info.Mode = modeOf(res.Meta)
 		info.MemoHit = memoHit
@@ -535,9 +494,6 @@ func (e *Engine) Read(addr uint64) (cipher.Block, ReadInfo, error) {
 			c := res.Candidates[pick]
 			e.m.corrections.Inc()
 			e.m.entropyResolved.Inc()
-			e.tracer.Emit(e.opIndex(), obs.PhaseInstant, obs.CatECC, "hypothesis_chosen",
-				obs.A("hypothesis", int64(c.Hypothesis)), obs.A("bad_chip", int64(c.BadChip)),
-				obs.A("entropy_resolved", 1))
 			info.Mode = modeOf(c.Meta)
 			info.Corrected = true
 			info.EntropyResolved = true
@@ -546,8 +502,6 @@ func (e *Engine) Read(addr uint64) (cipher.Block, ReadInfo, error) {
 		}
 	}
 	e.m.dues.Inc()
-	e.tracer.Emit(e.opIndex(), obs.PhaseInstant, obs.CatECC, "due",
-		obs.A("addr", int64(addr)), obs.A("candidates", int64(len(res.Candidates))))
 	return cipher.Block{}, info, fmt.Errorf("core: detected uncorrectable error at %#x (%d candidates)", addr, len(res.Candidates))
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"counterlight/internal/cipher"
+	"counterlight/internal/crypto/aes"
 	"counterlight/internal/epoch"
 )
 
@@ -52,72 +54,60 @@ func TestReadHitNoAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineCipherBackends checks that an engine on each backend is
-// bit-exact with the default: same stored codewords, same read
-// results, and that the reference twins expose the same keys.
+// TestEngineCipherBackends checks the engine's crypto/aes ciphers
+// against its textbook-AES reference twins: every stored codeword
+// decrypts and MAC-verifies through the twins, reads return the
+// written plaintext, the twins run the textbook aes.Cipher (so the
+// oracle never checks crypto/aes against itself), and they agree with
+// the engine's own ciphers on a sample pad and MAC.
 func TestEngineCipherBackends(t *testing.T) {
-	build := func(backend string) *Engine {
-		opts := DefaultEngineOptions()
-		opts.MemSize = 1 << 20
-		opts.Cipher = backend
-		e, err := NewEngine(opts)
+	e := allocTestEngine(t)
+	if e.CipherBackend() != "stdlib" {
+		t.Fatalf("CipherBackend() = %q, want stdlib", e.CipherBackend())
+	}
+	refCm, refCls := e.ReferenceCounterCipher(), e.ReferenceCounterlessCipher(0)
+	textbook := reflect.TypeOf(&aes.Cipher{})
+	for _, f := range []struct {
+		c     any
+		field string
+	}{{refCm, "key"}, {refCls, "dataKey"}, {refCls, "tweakKey"}} {
+		if typ := reflect.ValueOf(f.c).Elem().FieldByName(f.field).Elem().Type(); typ != textbook {
+			t.Fatalf("reference twin's %s runs on %v, want %v", f.field, typ, textbook)
+		}
+	}
+	for i, mode := range []epoch.Mode{epoch.CounterMode, epoch.Counterless, epoch.CounterMode} {
+		addr := uint64(i) * 64
+		blk := allocTestBlock(byte(i))
+		if err := e.Write(addr, blk, mode); err != nil {
+			t.Fatal(err)
+		}
+		cw, _ := e.Snapshot(addr)
+		meta := cw.DecodeMeta()
+		var plain cipher.Block
+		var mac uint64
+		if mode == epoch.CounterMode {
+			plain = refCm.Decrypt(meta, addr, cw.Block())
+			mac = refCm.MAC(meta, addr, plain, uint32(meta))
+		} else {
+			plain = refCls.Decrypt(addr, cw.Block())
+			mac = refCls.MAC(addr, cw.Block(), uint32(meta))
+		}
+		if plain != blk || mac != cw.MAC {
+			t.Fatalf("%v: stored codeword at %#x diverges from the reference twins", mode, addr)
+		}
+		got, _, err := e.Read(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
-	}
-	for _, backend := range []string{"stdlib"} {
-		// A fresh reference twin per backend: engine counters advance
-		// on every write, so a shared oracle would drift ahead.
-		ref := build("ref")
-		e := build(backend)
-		if e.CipherBackend() != backend {
-			t.Fatalf("CipherBackend() = %q, want %q", e.CipherBackend(), backend)
-		}
-		for i, mode := range []epoch.Mode{epoch.CounterMode, epoch.Counterless, epoch.CounterMode} {
-			addr := uint64(i) * 64
-			blk := allocTestBlock(byte(i))
-			if err := ref.Write(addr, blk, mode); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Write(addr, blk, mode); err != nil {
-				t.Fatal(err)
-			}
-			refCW, _ := ref.Snapshot(addr)
-			cw, _ := e.Snapshot(addr)
-			if refCW != cw {
-				t.Fatalf("%s: stored codeword diverges from ref at %#x", backend, addr)
-			}
-			plain, _, err := e.Read(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plain != blk {
-				t.Fatalf("%s: read returned wrong plaintext", backend)
-			}
-		}
-		// The reference twins must agree with the engine's own ciphers
-		// on a sample MAC/pad (same keys, different backend).
-		var b cipher.Block
-		if got, want := e.ReferenceCounterCipher().Pad(5, 128), e.CounterCipher().Pad(5, 128); got != want {
-			t.Fatalf("%s: reference counter cipher diverges", backend)
-		}
-		if got, want := e.ReferenceCounterlessCipher(0).MAC(128, b, 7), e.CounterlessCipher(0).MAC(128, b, 7); got != want {
-			t.Fatalf("%s: reference counterless cipher diverges", backend)
-		}
-		if e.ReferenceCounterlessCipher(0).Backend() != "ref" {
-			t.Fatalf("reference twin not on ref backend")
+		if got != blk {
+			t.Fatalf("%v: read returned wrong plaintext", mode)
 		}
 	}
-	// An engine already on ref reuses its own ciphers as the twins.
-	refEng := build("ref")
-	if refEng.ReferenceCounterCipher() != refEng.CounterCipher() {
-		t.Fatal("ref engine should expose its own cipher as the reference twin")
+	var b cipher.Block
+	if got, want := refCm.Pad(5, 128), e.CounterCipher().Pad(5, 128); got != want {
+		t.Fatal("reference counter cipher diverges")
 	}
-	// Unknown backend must fail loudly.
-	opts := DefaultEngineOptions()
-	opts.Cipher = "aes-ni"
-	if _, err := NewEngine(opts); err == nil {
-		t.Fatal("NewEngine accepted unknown cipher backend")
+	if got, want := refCls.MAC(128, b, 7), e.CounterlessCipher(0).MAC(128, b, 7); got != want {
+		t.Fatal("reference counterless cipher diverges")
 	}
 }

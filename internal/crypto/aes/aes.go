@@ -3,11 +3,11 @@
 // and affine transform, and the cipher runs the textbook round
 // structure (SubBytes, ShiftRows, MixColumns, AddRoundKey).
 //
-// This textbook cipher is the reference ("ref" backend) that the
-// standard library's crypto/aes ("stdlib", the production backend) is
-// checked against: the FIPS-197 vectors and a crypto/aes cross-check
-// pin it, and the check harness recomputes every engine result through
-// it. It is a functional model, not a constant-time production cipher.
+// This textbook cipher is the reference that the engines' production
+// AES, the standard library's crypto/aes, is checked against: the
+// FIPS-197 vectors and a crypto/aes cross-check pin it, and the check
+// harness recomputes every engine result through it. It is a
+// functional model, not a constant-time production cipher.
 package aes
 
 import "fmt"

@@ -35,6 +35,7 @@ import (
 
 	"counterlight/internal/cipher"
 	"counterlight/internal/core"
+	"counterlight/internal/crypto/aes"
 	"counterlight/internal/ctrblock"
 	"counterlight/internal/epoch"
 	"counterlight/internal/obs"
@@ -119,7 +120,7 @@ type Config struct {
 	// Shard routing is block-interleaved: shard = (Addr/64) mod Shards.
 	Shards int
 	// QueueDepth bounds each shard's request queue (default 256);
-	// Submit blocks — and TrySubmit refuses — beyond it.
+	// Submit blocks beyond it.
 	QueueDepth int
 	// BatchMax caps how many queued requests one shard-lock
 	// acquisition applies (default 32).
@@ -325,7 +326,7 @@ func New(cfg Config) (*Pool, error) {
 			cfg.AdaptEvery = DefaultAdaptEvery
 		}
 		if cfg.Profile == nil {
-			cfg.Profile = prof.New(cfg.Engine.Cipher)
+			cfg.Profile = prof.New(aes.DefaultBackend())
 		}
 	}
 	if cfg.Profile != nil {
@@ -439,29 +440,6 @@ func (p *Pool) SubmitWait(req Request) Response {
 	futurePool.Put(fut)
 	p.pSubmit.Done(t0)
 	return resp
-}
-
-// TrySubmit is Submit without the blocking: ok is false when the
-// shard's queue is full (or the pool is closed) and the request was
-// not enqueued.
-func (p *Pool) TrySubmit(req Request) (*Future, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return nil, false
-	}
-	fut := newFuture()
-	s := p.shards[p.ShardOf(req.Addr)]
-	sub := submission{req: req, fut: fut, span: s.attrib.Start()}
-	select {
-	case s.q <- sub:
-		p.submitted.Inc()
-		p.noteDepth(int64(len(s.q)))
-		return fut, true
-	default:
-		sub.span.Discard() // refused: recycle without recording anything
-		return nil, false
-	}
 }
 
 // noteDepth maintains the queue-depth high-water mark.

@@ -161,9 +161,9 @@ func TestPoolMatchesSerialEngine(t *testing.T) {
 
 // TestConcurrentBackpressure pins the bounded-queue contract
 // white-box: with the shard lock held the worker stalls mid-batch, so
-// TrySubmit must hit the QueueDepth bound exactly, Submit's would-be
-// overflow is refused rather than buffered, and once the lock is
-// released the backlog drains with the watermark degrading Auto
+// exactly QueueDepth Submits are buffered without blocking, the next
+// one blocks rather than being buffered, and once the lock is released
+// it returns and the backlog drains with the watermark degrading Auto
 // writebacks and the contention counter recording the stall.
 func TestConcurrentBackpressure(t *testing.T) {
 	const (
@@ -185,7 +185,7 @@ func TestConcurrentBackpressure(t *testing.T) {
 
 	s.mu.Lock()
 	write := Request{Kind: OpWrite, Addr: 0, Auto: true}
-	futs := make([]*Future, 0, queueDepth+batchMax+1)
+	futs := make([]*Future, 0, queueDepth+2)
 	fut, err := p.Submit(write)
 	if err != nil {
 		t.Fatal(err)
@@ -203,30 +203,57 @@ func TestConcurrentBackpressure(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	accepted := 0
-	for {
-		fut, ok := p.TrySubmit(write)
-		if !ok {
-			break
+	// The stalled worker holds the first request in hand; the channel
+	// buffers exactly QueueDepth more without blocking a submitter.
+	filled := make(chan error, 1)
+	go func() {
+		for i := 0; i < queueDepth; i++ {
+			fut, err := p.Submit(write)
+			if err != nil {
+				filled <- err
+				return
+			}
+			futs = append(futs, fut)
 		}
-		futs = append(futs, fut)
-		accepted++
-		if accepted > queueDepth+batchMax {
+		filled <- nil
+	}()
+	select {
+	case err := <-filled:
+		if err != nil {
 			s.mu.Unlock()
-			t.Fatalf("TrySubmit accepted %d requests past a full pipeline", accepted)
+			t.Fatal(err)
 		}
-	}
-	// The stalled worker holds at most batchMax requests in hand; the
-	// channel holds exactly QueueDepth more.
-	if accepted < queueDepth {
+	case <-time.After(5 * time.Second):
 		s.mu.Unlock()
-		t.Fatalf("TrySubmit refused after %d accepts, want at least QueueDepth=%d", accepted, queueDepth)
+		t.Fatalf("Submit blocked before QueueDepth=%d requests were queued", queueDepth)
 	}
 	if got := len(s.q); got != queueDepth {
 		s.mu.Unlock()
 		t.Fatalf("queue holds %d requests, bound is %d", got, queueDepth)
 	}
+
+	// One more must block on the full queue until the worker drains.
+	overflow := make(chan *Future, 1)
+	go func() {
+		fut, err := p.Submit(write)
+		if err != nil {
+			t.Error(err)
+		}
+		overflow <- fut
+	}()
+	select {
+	case <-overflow:
+		s.mu.Unlock()
+		t.Fatalf("Submit past a full queue of %d returned without blocking", queueDepth)
+	case <-time.After(50 * time.Millisecond):
+	}
 	s.mu.Unlock()
+	select {
+	case fut := <-overflow:
+		futs = append(futs, fut)
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked Submit never returned after the shard lock was released")
+	}
 
 	p.FlushBarrier()
 	for _, f := range futs {
@@ -351,9 +378,9 @@ func TestConcurrentHammerAggregates(t *testing.T) {
 	}
 }
 
-// TestPoolClosedSubmit pins the shutdown contract: Submit and
-// TrySubmit refuse after Close instead of panicking on a closed
-// channel, and Close is idempotent.
+// TestPoolClosedSubmit pins the shutdown contract: Submit refuses
+// after Close instead of panicking on a closed channel, and Close is
+// idempotent.
 func TestPoolClosedSubmit(t *testing.T) {
 	p, err := New(Config{Shards: 2, Engine: testEngineOptions()})
 	if err != nil {
@@ -363,8 +390,5 @@ func TestPoolClosedSubmit(t *testing.T) {
 	p.Close()
 	if _, err := p.Submit(Request{Kind: OpWrite}); err == nil {
 		t.Fatal("Submit after Close succeeded")
-	}
-	if _, ok := p.TrySubmit(Request{Kind: OpWrite}); ok {
-		t.Fatal("TrySubmit after Close succeeded")
 	}
 }

@@ -131,19 +131,6 @@ func (s *Span) Finish() {
 	a.pool.Put(s)
 }
 
-// Discard recycles the span without recording anything — for
-// operations refused before they entered the pipeline (e.g. a
-// TrySubmit bounced by a full queue). The span must not be used after
-// Discard.
-func (s *Span) Discard() {
-	if s == nil {
-		return
-	}
-	a := s.a
-	s.a = nil
-	a.pool.Put(s)
-}
-
 // StageSummary is one stage's latency distribution reduced to the
 // numbers a breakdown table shows. Percentiles are Histogram.Quantile
 // readings: at most 1/16 above the true value, never below it.

@@ -17,8 +17,6 @@ const (
 const (
 	CatEpoch = "epoch" // bandwidth-monitor mode decisions
 	CatMemo  = "memo"  // memoization-table hits/misses/evictions
-	CatECC   = "ecc"   // correction attempts and hypothesis choices
-	CatCtr   = "counter"
 	CatDRAM  = "dram"
 	CatSim   = "sim"
 )
