@@ -78,7 +78,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Execute the hot-path micro-benchmarks (MAC64, GF multiply and dot
-# product, counter-tree increment/verify, engine read/write, pool
+# product with sparse and dense keys, counter-tree increment/verify, engine read/write, pool
 # throughput with and without the persistent journal) for a fixed 100
 # iterations each: a smoke run that they still build, run and pass
 # their own checks, not a measurement.
@@ -111,6 +111,7 @@ fuzz:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzEccRecovery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/entropy -run '^$$' -fuzz FuzzEntropyClassifier -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cipher -run '^$$' -fuzz FuzzCipherBackends -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/crypto/gf -run '^$$' -fuzz FuzzClMul64 -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

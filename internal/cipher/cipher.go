@@ -320,10 +320,12 @@ func putPadInput(dst []byte, v uint64, domain byte) {
 	dst[15] = domain
 }
 
-// Domain separators of the two AES input classes (Fig. 4).
+// Domain separators of the AES input classes: the two of Fig. 4, and
+// Digest's.
 const (
 	domainCounter = 0xC7 // counter input
 	domainAddr    = 0xAD // address input
+	domainDigest  = 0xD6 // Digest's dot product
 )
 
 // CounterAES is the counter-only AES of Fig. 4: AES over the padded
@@ -465,11 +467,30 @@ func (c *CounterMode) MAC(counter, addr uint64, plain Block, encMeta uint32) uin
 // that AES exactly once.
 func (c *CounterMode) MACFromOTP(otp mix.Word, plain Block, encMeta uint32) uint64 {
 	t0 := c.macProbe.Start()
-	words := plain.Words64()
-	var inputs [9]uint64
-	copy(inputs[:], words[:])
-	inputs[8] = uint64(encMeta)
-	m := otp.Lo ^ gf.DotProduct(inputs[:], c.macKeys)
+	m := otp.Lo ^ c.dot(plain, uint64(encMeta))
 	c.macProbe.Done(t0)
 	return m
+}
+
+// dot is the GF(2^64) dot product of the block's eight words and one
+// more word under the MAC's power keys.
+func (c *CounterMode) dot(b Block, last uint64) uint64 {
+	words := b.Words64()
+	var inputs [9]uint64
+	copy(inputs[:], words[:])
+	inputs[8] = last
+	return gf.DotProduct(inputs[:], c.macKeys)
+}
+
+// Digest is a deterministic 64-bit MAC of a block and a tag word,
+// built hash-then-encrypt from the engine's own secrets: the GF(2^64)
+// dot product of the block's eight words and the tag under the MAC's
+// power keys, encrypted as one AES block under the counter-mode key
+// with its own domain separator, truncated to 64 bits. It takes no
+// nonce, so equal inputs give equal digests; without the key nobody
+// can compute one or test a guess of the block against it.
+func (c *CounterMode) Digest(b Block, tag uint64) uint64 {
+	putPadInput(c.ain[:], c.dot(b, tag), domainDigest)
+	c.key.Encrypt(c.aout[:], c.ain[:])
+	return binary.LittleEndian.Uint64(c.aout[:8])
 }

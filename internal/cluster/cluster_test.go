@@ -391,6 +391,7 @@ func TestVerifyCatchesTamperedEntry(t *testing.T) {
 		tamper func(*mcpool.Entry)
 	}{
 		{"read Sum", mcpool.OpRead, func(e *mcpool.Entry) { e.Sum ^= 1 }},
+		{"write Sum", mcpool.OpWrite, func(e *mcpool.Entry) { e.Sum ^= 1 }},
 		{"write codeword", mcpool.OpWrite, func(e *mcpool.Entry) { e.CW.Data[0] ^= 1 }},
 		{"write mode", mcpool.OpWrite, func(e *mcpool.Entry) { e.Mode = 1 - e.Mode }},
 		{"fault error bit", mcpool.OpFault, func(e *mcpool.Entry) { e.Err = true }},

@@ -188,7 +188,7 @@ func reexecute(replay, durable *core.Engine, e mcpool.Entry) string {
 	case mcpool.OpRead:
 		var resp mcpool.Response
 		resp.Plain, resp.Info, err = replay.Read(e.Addr)
-		if (err != nil) == e.Err && (!e.HasSum || mcpool.ResponseSum(mcpool.Request{Kind: mcpool.OpRead}, resp) != e.Sum) {
+		if (err != nil) == e.Err && (!e.HasSum || mcpool.ResponseSum(replay.CounterCipher(), mcpool.Request{Kind: mcpool.OpRead}, resp) != e.Sum) {
 			return fmt.Sprintf("read %#x: replay plaintext or ReadInfo %+v differs from the journaled response", e.Addr, resp.Info)
 		}
 	case mcpool.OpWrite:
@@ -197,7 +197,7 @@ func reexecute(replay, durable *core.Engine, e mcpool.Entry) string {
 			if req.Data, _, err = durable.Read(e.Addr); err != nil {
 				return fmt.Sprintf("write %#x: journaled codeword does not read back: %v", e.Addr, err)
 			}
-			if !e.HasSum || mcpool.ResponseSum(req, mcpool.Response{Mode: e.Mode}) != e.Sum {
+			if !e.HasSum || mcpool.ResponseSum(replay.CounterCipher(), req, mcpool.Response{Mode: e.Mode}) != e.Sum {
 				return fmt.Sprintf("write %#x: journaled codeword and mode %v do not match the acknowledged write", e.Addr, e.Mode)
 			}
 		}

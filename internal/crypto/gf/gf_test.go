@@ -1,10 +1,25 @@
 package gf
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// refClMul is the bit-serial carry-less multiply ClMul64 is pinned
+// against: shift-and-XOR over the 64 bits of b.
+func refClMul(a, b uint64) (hi, lo uint64) {
+	for i := 0; i < 64; i++ {
+		if b&(1<<i) != 0 {
+			lo ^= a << i
+			if i != 0 {
+				hi ^= a >> (64 - i)
+			}
+		}
+	}
+	return hi, lo
+}
 
 func TestClMul64Basics(t *testing.T) {
 	cases := []struct{ a, b, hi, lo uint64 }{
@@ -20,6 +35,38 @@ func TestClMul64Basics(t *testing.T) {
 		if hi != c.hi || lo != c.lo {
 			t.Errorf("ClMul64(%#x,%#x) = (%#x,%#x), want (%#x,%#x)", c.a, c.b, hi, lo, c.hi, c.lo)
 		}
+		if hi, lo := refClMul(c.a, c.b); hi != c.hi || lo != c.lo {
+			t.Errorf("refClMul(%#x,%#x) = (%#x,%#x), want (%#x,%#x)", c.a, c.b, hi, lo, c.hi, c.lo)
+		}
+	}
+}
+
+// The constant-time kernel must agree with the bit-serial reference
+// on every single-bit pair (each partial product alone), on dense
+// operands (the most partial products per bit, where a carry would
+// leak between quarters), and on 10k seeded pairs.
+func TestClMul64MatchesReference(t *testing.T) {
+	check := func(a, b uint64) {
+		t.Helper()
+		hi, lo := ClMul64(a, b)
+		if rh, rl := refClMul(a, b); hi != rh || lo != rl {
+			t.Fatalf("ClMul64(%#x, %#x) = (%#x, %#x), reference (%#x, %#x)", a, b, hi, lo, rh, rl)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		for j := 0; j < 64; j++ {
+			check(1<<i, 1<<j)
+		}
+	}
+	dense := []uint64{^uint64(0), m0, m1, m2, m3, m0 | m2, m1 | m3, ^uint64(0) >> 1, ^uint64(1)}
+	for _, a := range dense {
+		for _, b := range dense {
+			check(a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 10000; i++ {
+		check(rng.Uint64(), rng.Uint64())
 	}
 }
 
@@ -53,15 +100,16 @@ func TestClMulDistributive(t *testing.T) {
 // folding hi once can carry out at most 4 bits, so fold twice.
 func refMul(a, b uint64) uint64 {
 	const reductionPoly = 0x1b
-	hi, lo := ClMul64(a, b)
-	h2, l2 := ClMul64(hi, reductionPoly)
-	_, l3 := ClMul64(h2, reductionPoly)
+	hi, lo := refClMul(a, b)
+	h2, l2 := refClMul(hi, reductionPoly)
+	_, l3 := refClMul(h2, reductionPoly)
 	return lo ^ l2 ^ l3
 }
 
-// Mul's shift reduction must be bit-exact with the reference: on the
-// edge values, on 10k seeded pairs, and on hard-coded products (so a
-// reference and an implementation that are both wrong cannot agree).
+// Mul's kernel and shift reduction must be bit-exact with the
+// reference: on the edge values, on 10k seeded pairs, and on
+// hard-coded products (so a reference and an implementation that are
+// both wrong cannot agree).
 func TestMulMatchesReference(t *testing.T) {
 	vectors := []struct{ a, b, want uint64 }{
 		{0x123456789abcdef0, 0x9e3779b97f4a7c15, 0xce3f7d19f3317af8},
@@ -217,21 +265,74 @@ func TestKeySchedule(t *testing.T) {
 	}
 }
 
+// FuzzClMul64 pins ClMul64, Mul and DotProduct to the bit-serial
+// reference: the product of (a, b), and the dot product whose first
+// term is (a, b) and whose further (data, key) pairs are the 64-bit
+// words packed in rest.
+func FuzzClMul64(f *testing.F) {
+	f.Add(uint64(0), uint64(0), []byte{})
+	f.Add(^uint64(0), ^uint64(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint64(1)<<63, uint64(0x1b), []byte("0123456789abcdef"))
+	f.Add(uint64(0x123456789abcdef0), uint64(0x9e3779b97f4a7c15), make([]byte, 9*16))
+	f.Fuzz(func(t *testing.T, a, b uint64, rest []byte) {
+		hi, lo := ClMul64(a, b)
+		if rh, rl := refClMul(a, b); hi != rh || lo != rl {
+			t.Fatalf("ClMul64(%#x, %#x) = (%#x, %#x), reference (%#x, %#x)", a, b, hi, lo, rh, rl)
+		}
+		want := refMul(a, b)
+		if got := Mul(a, b); got != want {
+			t.Fatalf("Mul(%#x, %#x) = %#x, reference %#x", a, b, got, want)
+		}
+		data, keys := []uint64{a}, []uint64{b}
+		for ; len(rest) >= 16 && len(data) < 16; rest = rest[16:] {
+			d, k := binary.LittleEndian.Uint64(rest), binary.LittleEndian.Uint64(rest[8:])
+			data, keys = append(data, d), append(keys, k)
+			want ^= refMul(d, k)
+		}
+		if got := DotProduct(data, keys); got != want {
+			t.Fatalf("DotProduct(%#x, %#x) = %#x, reference %#x", data, keys, got, want)
+		}
+	})
+}
+
+// The sparse-key and dense-key variants of each benchmark must read
+// within noise of each other: the kernel's timing does not depend on
+// the key.
 func BenchmarkMul(b *testing.B) {
-	x := uint64(0x123456789abcdef0)
-	for i := 0; i < b.N; i++ {
-		x = Mul(x, 0x9e3779b97f4a7c15)
+	for _, k := range []struct {
+		name string
+		key  uint64
+	}{{"sparse", 0x1b}, {"dense", ^uint64(0)}} {
+		b.Run(k.name, func(b *testing.B) {
+			x := uint64(0x123456789abcdef0)
+			for i := 0; i < b.N; i++ {
+				x = Mul(x, k.key)
+			}
+			sink = x
+		})
 	}
-	_ = x
 }
 
 func BenchmarkDotProduct8(b *testing.B) {
-	keys := KeySchedule(12345, 8)
-	data := make([]uint64, 8)
-	for i := range data {
-		data[i] = uint64(i) * 0x9e3779b97f4a7c15
+	ones := make([]uint64, 8)
+	for i := range ones {
+		ones[i] = ^uint64(0)
 	}
-	for i := 0; i < b.N; i++ {
-		DotProduct(data, keys)
+	for _, k := range []struct {
+		name string
+		keys []uint64
+	}{{"schedule", KeySchedule(12345, 8)}, {"ones", ones}} {
+		b.Run(k.name, func(b *testing.B) {
+			data := make([]uint64, 8)
+			for i := range data {
+				data[i] = uint64(i) * 0x9e3779b97f4a7c15
+			}
+			for i := 0; i < b.N; i++ {
+				data[0] = DotProduct(data, k.keys)
+			}
+			sink = data[0]
+		})
 	}
 }
+
+var sink uint64

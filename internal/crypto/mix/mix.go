@@ -12,7 +12,10 @@
 // their algebraic complexity and the ablation benches can compare them.
 package mix
 
-import "counterlight/internal/crypto/aes"
+import (
+	"counterlight/internal/crypto/aes"
+	"counterlight/internal/crypto/gf"
+)
 
 // Word is a 128-bit value handled as (hi, lo) uint64 halves.
 type Word struct {
@@ -70,25 +73,13 @@ func FromBytes(b [16]byte) Word {
 // address bit — linear in each input given the other, which is what
 // the paper criticizes.
 func Linear(counterAES, addrAES Word) Word {
-	// 128x128 carry-less multiply, truncated to the low 128 bits.
-	var hi, lo uint64
-	shiftedHi, shiftedLo := counterAES.Hi, counterAES.Lo
-	mulBit := func(bit uint64) {
-		if bit != 0 {
-			hi ^= shiftedHi
-			lo ^= shiftedLo
-		}
-		// shift multiplicand left by one within 128 bits
-		shiftedHi = shiftedHi<<1 | shiftedLo>>63
-		shiftedLo <<= 1
-	}
-	for i := 0; i < 64; i++ {
-		mulBit(addrAES.Lo >> i & 1)
-	}
-	for i := 0; i < 64; i++ {
-		mulBit(addrAES.Hi >> i & 1)
-	}
-	return Word{hi, lo}
+	// 128x128 carry-less multiply, truncated to the low 128 bits: the
+	// low-by-low product, plus the low halves of the two cross
+	// products shifted up by 64.
+	hi, lo := gf.ClMul64(counterAES.Lo, addrAES.Lo)
+	_, cross1 := gf.ClMul64(counterAES.Hi, addrAES.Lo)
+	_, cross2 := gf.ClMul64(counterAES.Lo, addrAES.Hi)
+	return Word{hi ^ cross1 ^ cross2, lo}
 }
 
 // Nonlinear is Counter-light's combining function (Fig. 15b):

@@ -191,6 +191,50 @@ func TestLinearKnownValues(t *testing.T) {
 	}
 }
 
+// refLinear is the bit-serial 128x128 carry-less multiply, truncated
+// to 128 bits, that Linear is pinned against.
+func refLinear(counterAES, addrAES Word) Word {
+	var hi, lo uint64
+	shiftedHi, shiftedLo := counterAES.Hi, counterAES.Lo
+	mulBit := func(bit uint64) {
+		if bit != 0 {
+			hi ^= shiftedHi
+			lo ^= shiftedLo
+		}
+		// shift multiplicand left by one within 128 bits
+		shiftedHi = shiftedHi<<1 | shiftedLo>>63
+		shiftedLo <<= 1
+	}
+	for i := 0; i < 64; i++ {
+		mulBit(addrAES.Lo >> i & 1)
+	}
+	for i := 0; i < 64; i++ {
+		mulBit(addrAES.Hi >> i & 1)
+	}
+	return Word{hi, lo}
+}
+
+// Linear must be bit-exact with the bit-serial reference on seeded
+// random words and on the all-ones and single-top-bit edges.
+func TestLinearMatchesReference(t *testing.T) {
+	edges := []Word{{}, {0, 1}, {1 << 63, 0}, {0, 1 << 63}, {^uint64(0), ^uint64(0)}}
+	for _, c := range edges {
+		for _, a := range edges {
+			if got, want := Linear(c, a), refLinear(c, a); got != want {
+				t.Errorf("Linear(%+v, %+v) = %+v, reference %+v", c, a, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 10000; i++ {
+		c := Word{rng.Uint64(), rng.Uint64()}
+		a := Word{rng.Uint64(), rng.Uint64()}
+		if got, want := Linear(c, a), refLinear(c, a); got != want {
+			t.Fatalf("Linear(%+v, %+v) = %+v, reference %+v", c, a, got, want)
+		}
+	}
+}
+
 func BenchmarkLinear(b *testing.B) {
 	c := Word{0x0123456789abcdef, 0xfedcba9876543210}
 	a := Word{0x1111111111111111, 0x2222222222222222}

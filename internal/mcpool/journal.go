@@ -8,7 +8,10 @@ package mcpool
 // shared write value W dies with power, so a fresh engine replaying
 // the same ops would pick different counters. No plaintext enters it:
 // an error bit and Sum, a digest of the response (ResponseSum), let a
-// verifier that re-executes the log check every response.
+// verifier that re-executes the log check every response. Sum is keyed
+// by the engine's counter-mode secrets, which never reach the journal,
+// so the log's reader can neither forge a Sum nor test a guessed
+// plaintext against one.
 //
 // The format is strictly prefix-recoverable: a crash can tear the
 // last record (the NVM model persists each append in two halves), so
@@ -23,8 +26,8 @@ import (
 	"hash/crc32"
 	"math"
 
+	"counterlight/internal/cipher"
 	"counterlight/internal/core"
-	"counterlight/internal/crypto/keccak"
 	"counterlight/internal/ecc"
 	"counterlight/internal/epoch"
 	"counterlight/internal/wire"
@@ -79,24 +82,23 @@ const (
 	entryFlagsKnown = entryFlagPermCL | entryFlagHasCW | entryFlagHasTag | entryFlagErr | entryFlagHasSum
 )
 
-// sumKey keys ResponseSum. Like nvm's snapshot commit key it is a
-// constant: Sum detects a log that disagrees with re-execution.
-var sumKey = []byte("mcpool-response-sum-key")
-
 // ResponseSum is the digest an Entry carries of what the client saw:
 // the payload and applied mode of a write, the plaintext and ReadInfo
-// of a read. The pool computes it at apply time; a verifier recomputes
-// it from re-executed responses.
-func ResponseSum(req Request, resp Response) uint64 {
+// of a read. It is cm's Digest of the block and a tag word packing
+// the kind, mode and read flags, so it is keyed by the engine. The
+// pool computes it at apply time through the shard engine's cipher; a
+// verifier recomputes it from re-executed responses through any
+// cipher with the same keys.
+func ResponseSum(cm *cipher.CounterMode, req Request, resp Response) uint64 {
 	if req.Kind == OpWrite {
-		return keccak.MAC64(sumKey, req.Data[:], []byte{byte(resp.Mode)})
+		return cm.Digest(req.Data, uint64(OpWrite)|uint64(resp.Mode)<<8)
 	}
 	i := resp.Info
-	return keccak.MAC64(sumKey, resp.Plain[:], []byte{byte(i.Mode), byte(i.BadChip),
-		flagByte(i.MemoHit), flagByte(i.Corrected), flagByte(i.EntropyResolved)})
+	return cm.Digest(resp.Plain, uint64(OpRead)|uint64(i.Mode)<<8|uint64(byte(i.BadChip))<<16|
+		flagBit(i.MemoHit)<<24|flagBit(i.Corrected)<<25|flagBit(i.EntropyResolved)<<26)
 }
 
-func flagByte(v bool) byte {
+func flagBit(v bool) uint64 {
 	if v {
 		return 1
 	}

@@ -229,7 +229,7 @@ func TestPoolPersistLifecycle(t *testing.T) {
 			if e.Err != (resp.Err != nil) {
 				t.Fatalf("shard %d seq %d: error bit %v, response err %v", s, e.Seq, e.Err, resp.Err)
 			}
-			if want := ResponseSum(sched[e.Tag], resp); !e.HasSum || e.Sum != want {
+			if want := ResponseSum(rebuilt.CounterCipher(), sched[e.Tag], resp); !e.HasSum || e.Sum != want {
 				t.Fatalf("shard %d seq %d: Sum %#x (present %v), response digests to %#x", s, e.Seq, e.Sum, e.HasSum, want)
 			}
 			if err := e.Apply(rebuilt); err != nil {
@@ -244,6 +244,67 @@ func TestPoolPersistLifecycle(t *testing.T) {
 				t.Errorf("shard %d: rebuilt vs live: %s", s, d)
 			}
 		})
+	}
+}
+
+// TestResponseSumKeyedByEngine pins the journal digest to the
+// engine's secrets: every Sum of a short durable run recomputes on the
+// engine's textbook-AES reference twin, an engine with a different
+// counter-mode key digests the same responses differently, and the
+// digest allocates nothing.
+func TestResponseSumKeyedByEngine(t *testing.T) {
+	opts := testEngineOptions()
+	p, err := New(Config{Shards: 2, Watermark: -1, Persist: true, Engine: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	sched := Schedule(ScheduleConfig{Ops: 400, Blocks: 64, ReadFraction: 0.5, Seed: 11})
+	futs := make([]*Future, len(sched))
+	for i := range sched {
+		sched[i].Tag = i
+		if futs[i], err = p.Submit(sched[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.FlushBarrier()
+	twin, err := core.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := twin.ReferenceCounterCipher()
+	opts.AESKeyBytes = 32
+	other, err := core.NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := 0
+	for s := 0; s < p.NumShards(); s++ {
+		entries, _, err := DecodeJournal(p.PersistedJournal(s))
+		if err != nil {
+			t.Fatalf("shard %d journal: %v", s, err)
+		}
+		for _, e := range entries {
+			if !e.HasSum {
+				continue
+			}
+			req, resp := sched[e.Tag], futs[e.Tag].Wait()
+			if want := ResponseSum(ref, req, resp); e.Sum != want {
+				t.Fatalf("shard %d seq %d: Sum %#x, reference twin digests %#x", s, e.Seq, e.Sum, want)
+			}
+			if ResponseSum(other.CounterCipher(), req, resp) == e.Sum {
+				t.Fatalf("shard %d seq %d: a 32-byte counter-mode key gives the same Sum %#x", s, e.Seq, e.Sum)
+			}
+			sums++
+		}
+	}
+	if sums < len(sched)/2 {
+		t.Fatalf("only %d of %d ops carry a Sum", sums, len(sched))
+	}
+	cm := twin.CounterCipher()
+	req := Request{Kind: OpWrite, Data: [64]byte{1, 2, 3}}
+	if n := testing.AllocsPerRun(100, func() { ResponseSum(cm, req, Response{}) }); n != 0 {
+		t.Errorf("ResponseSum: %v allocs/op, want 0", n)
 	}
 }
 

@@ -649,7 +649,7 @@ func persistEntry(s *shard, req Request, resp Response) Entry {
 		Err:     resp.Err != nil,
 	}
 	if req.Kind != OpFault {
-		e.Sum, e.HasSum = ResponseSum(req, resp), true
+		e.Sum, e.HasSum = ResponseSum(s.eng.CounterCipher(), req, resp), true
 	}
 	if t, ok := req.Tag.(int); ok {
 		e.Tag, e.HasTag = int64(t), true

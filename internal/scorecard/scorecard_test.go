@@ -2,6 +2,7 @@ package scorecard
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -85,6 +86,7 @@ func TestBuildQuick(t *testing.T) {
 		t.Skip("runs the full experiment matrix")
 	}
 	r := figures.NewRunner(true)
+	r.Workers = runtime.GOMAXPROCS(0) // parallelism never changes a figure
 	rep, err := Build(r)
 	if err != nil {
 		t.Fatal(err)
