@@ -57,7 +57,6 @@ var modeFlags = []struct{ flag, mode string }{
 
 // scope lists the modes each mode-specific flag applies to.
 var scope = map[string][]string{
-	"adaptive": {"concurrent"},
 	"nodes":    {"cluster"},
 	"schemes":  {"classic"},
 	"campaign": {"classic"},
@@ -104,7 +103,6 @@ func parse(args []string) (config, error) {
 	clusterMode := fs.Bool("cluster", false, "run the cluster chaos campaign: each program races through a multi-node cluster while a node is killed and restarted mid-traffic, then the full acknowledged history is verified bit-identical")
 	clusterBreak := fs.Bool("cluster-break", false, "run the cluster campaign with the intentional recovery bug armed on restarts; it must be caught (teeth check, exit 0 iff divergences were found)")
 	nodes := fs.Int("nodes", 2, "with -cluster: controller nodes in the chaos cluster")
-	adaptive := fs.Bool("adaptive", false, "with -concurrent: enable the measurement-driven adaptive watermark so its moves race the replay")
 	flightPath := fs.String("flight", "", "with -concurrent, -crash or -cluster: write the flight recorder dump to this path when a divergence is found")
 	schemes := fs.Bool("schemes", false, "also sweep every timing scheme's Result invariants over the seeds")
 	metricsPath := fs.String("metrics", "", "write a Prometheus-text snapshot of the campaign counters to this file")
@@ -166,7 +164,7 @@ func parse(args []string) (config, error) {
 			}
 		}
 	case "concurrent":
-		c.kind = check.ConcurrentKind(check.ConcurrentConfig{AdaptiveWatermark: *adaptive, Flight: c.ring})
+		c.kind = check.ConcurrentKind(check.ConcurrentConfig{Flight: c.ring})
 	case "crash":
 		c.kind = check.CrashKind(*crashBreak, c.ring)
 		spec.ExpectDivergence = *crashBreak

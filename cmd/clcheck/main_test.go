@@ -51,8 +51,6 @@ func TestParse(t *testing.T) {
 		{name: "crash-break and cluster", args: []string{"-crash-break", "-cluster"}, want: []string{"-crash-break", "-cluster"}},
 		{name: "repro and campaign mode", args: []string{"-repro", "tok", "-cluster-break"}, want: []string{"-repro", "-cluster-break"}},
 		{name: "repro and seeds", args: []string{"-repro", "tok", "-seeds", "3"}, want: []string{"-seeds", "-repro"}},
-		{name: "adaptive without concurrent", args: []string{"-adaptive"}, want: []string{"-adaptive", "-concurrent"}},
-		{name: "adaptive with crash", args: []string{"-crash", "-adaptive"}, want: []string{"-adaptive", "-crash"}},
 		{name: "nodes with concurrent", args: []string{"-concurrent", "-nodes", "3"}, want: []string{"-nodes", "-concurrent"}},
 		{name: "schemes with cluster", args: []string{"-cluster", "-schemes"}, want: []string{"-schemes", "-cluster"}},
 		{name: "campaign with crash", args: []string{"-crash", "-campaign", knownbad}, want: []string{"-campaign", "-crash"}},

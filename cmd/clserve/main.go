@@ -2,10 +2,11 @@
 // standing network service: a cluster of sharded engine pools
 // (internal/cluster over internal/mcpool) under synthetic load. N
 // connection goroutines issue reads and Auto-mode writes against
-// disjoint block ranges while a sampler records queue depths, the
-// per-node watermark degrades writebacks under pressure (§IV-B), and
-// the cluster-level admission policy sheds load once too many nodes
-// are degraded. With -addr the monitoring server also mounts the
+// disjoint block ranges while a sampler records queue depths, each
+// shard's epoch monitor degrades Auto writebacks to counterless once
+// the shard is busy for 60% of a 100 µs epoch (§IV-B), and the
+// cluster-level admission policy sheds load once too many nodes are
+// degraded. With -addr the monitoring server also mounts the
 // cluster's HTTP request plane (/v1/submit, /v1/read, /v1/flush,
 // /v1/topology), so external clients share the same data path as the
 // synthetic load. SIGTERM (or -duration expiry) drains gracefully: new
@@ -23,7 +24,7 @@
 //	clserve -addr :8080               # monitoring + request plane: /metrics, /health, /v1/...
 //	clserve -attrib                   # per-op latency attribution breakdown at exit
 //	clserve -metrics-json final.json  # dump the full registry on clean shutdown
-//	clserve -adaptive                 # measurement-driven watermark instead of static 3/4
+//	clserve -shards 1 -conns 64       # saturate one shard: its epoch monitor degrades Auto writes
 //	clserve -slo-p99 2ms -health health.json  # grade the run against an SLO
 //	clserve -flight flight.json       # dump the flight recorder at exit (and on SIGQUIT)
 //	clserve -duration 0               # run until interrupted
@@ -67,9 +68,6 @@ type runConfig struct {
 	shards      int
 	queue       int
 	batch       int
-	watermark   int
-	adaptive    bool
-	targetDelay time.Duration
 	blocks      int
 	readFrac    float64
 	seed        int64
@@ -98,9 +96,6 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 8, "pool shards per node")
 	flag.IntVar(&cfg.queue, "queue", 256, "per-shard queue depth")
 	flag.IntVar(&cfg.batch, "batch", 32, "per-lock-acquisition batch cap")
-	flag.IntVar(&cfg.watermark, "watermark", 0, "queue depth at which Auto writes degrade to counterless (0 = default 3/4 of -queue, negative disables, ignored with -adaptive)")
-	flag.BoolVar(&cfg.adaptive, "adaptive", false, "derive the watermark from measured shard service time instead of the static -watermark")
-	flag.DurationVar(&cfg.targetDelay, "target-delay", 0, "adaptive watermark queueing-delay target (0 = mcpool default)")
 	flag.IntVar(&cfg.blocks, "blocks", 8192, "working-set size in 64-byte blocks, split across connections")
 	flag.Float64Var(&cfg.readFrac, "read-frac", 0.5, "fraction of requests that are reads")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload RNG seed")
@@ -184,16 +179,13 @@ func run(rc runConfig) int {
 		MaxDegradedFrac: maxDeg,
 		Flight:          rec,
 		Node: mcpool.Config{
-			Shards:            rc.shards,
-			QueueDepth:        rc.queue,
-			BatchMax:          rc.batch,
-			Watermark:         rc.watermark,
-			AdaptiveWatermark: rc.adaptive,
-			TargetDelayNs:     rc.targetDelay.Nanoseconds(),
-			Attribution:       rc.attrib,
-			Profile:           prof.New(aes.DefaultBackend()),
-			Persist:           persist,
-			Engine:            opts,
+			Shards:      rc.shards,
+			QueueDepth:  rc.queue,
+			BatchMax:    rc.batch,
+			Attribution: rc.attrib,
+			Profile:     prof.New(aes.DefaultBackend()),
+			Persist:     persist,
+			Engine:      opts,
 		},
 	})
 	if err != nil {
@@ -307,8 +299,7 @@ func run(rc runConfig) int {
 	health := slo.stop() // final evaluation over the whole run
 	rec.RefreshMetrics(reg)
 	agg := cl.Aggregate()
-	watermarks := cl.Watermarks()
-	moves := cl.WatermarkMoves()
+	epochs := cl.CounterlessEpochs()
 
 	for _, err := range errs {
 		if err != nil {
@@ -336,8 +327,9 @@ func run(rc runConfig) int {
 	// kill/restart its breakdown covers the surviving pools.
 	fmt.Printf("clserve: %d nodes × %d shards, %d conns, %.1fs: %d ops (%.1f kops/s)\n",
 		cl.Nodes(), rc.shards, rc.conns, elapsed.Seconds(), total.completed, float64(total.completed)/elapsed.Seconds()/1e3)
-	fmt.Printf("  reads=%d writes=%d (counter=%d counterless=%d, %.1f%% degraded by watermarks %v)\n",
-		agg.Reads, agg.Writes, agg.CounterModeWrites, agg.CounterlessWrites, degradedPct, watermarks)
+	fmt.Printf("  reads=%d writes=%d (counter=%d counterless=%d, %.1f%% degraded)\n",
+		agg.Reads, agg.Writes, agg.CounterModeWrites, agg.CounterlessWrites, degradedPct)
+	fmt.Printf("  counterless epochs per node %v (100 µs epochs, 60%% busy threshold per shard)\n", epochs)
 	fmt.Printf("  mode-switches=%d batches=%d contention=%d max-queue-depth=%d\n",
 		agg.ModeSwitches, agg.Batches, agg.Contention, agg.MaxQueueDepth)
 	fmt.Printf("  latency p50≤%s p99≤%s\n", time.Duration(latency.Quantile(0.50)), time.Duration(latency.Quantile(0.99)))
@@ -345,10 +337,6 @@ func run(rc runConfig) int {
 	if total.shed > 0 || agg.Kills > 0 {
 		fmt.Printf("  cluster: shed=%d down-submits=%d kills=%d restarts=%d nodes-up=%d\n",
 			total.shed, agg.DownSubmits, agg.Kills, agg.Restarts, agg.NodesUp)
-	}
-	if rc.adaptive {
-		fmt.Printf("  adaptive watermark: settled at %v after %d moves (worst submit-wait p99 %s)\n",
-			watermarks, moves, time.Duration(cl.SubmitP99()))
 	}
 	fmt.Printf("  flight: %d events recorded, %d evicted (ring %d)\n",
 		rec.Recorded(), rec.Evicted(), rec.Size())

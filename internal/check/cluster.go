@@ -120,7 +120,6 @@ func ClusterReplay(prog Program, ccfg ClusterConfig) (ClusterResult, error) {
 			Shards:     ccfg.Shards,
 			QueueDepth: ccfg.QueueDepth,
 			BatchMax:   ccfg.BatchMax,
-			Watermark:  -1, // explicit modes only
 			Persist:    true,
 			Engine:     v.Options(false),
 		},

@@ -44,14 +44,6 @@ type ConcurrentConfig struct {
 	// leave every journal entry and engine counter bit-identical, so
 	// campaigns run with it on prove the observer is an observer.
 	Attribution bool
-	// AdaptiveWatermark turns on the pool's measurement-driven
-	// watermark controller for the replay, with a small AdaptEvery so
-	// adaptation races the submitters. Replay programs carry explicit
-	// modes only, so no matter where the watermark moves, every
-	// journal entry must stay bit-identical — this is the proof that
-	// adaptation moves only the Auto degradation knee, never the
-	// ciphertext.
-	AdaptiveWatermark bool
 	// ECCOff disables trial-and-error correction in both the pool's
 	// shard engines and the serialized replay engines, so injected
 	// faults surface as raw DUEs instead of being healed — the cheap
@@ -104,33 +96,22 @@ type ConcurrentResult struct {
 	// Div is the first disagreement found: pool response vs.
 	// serialized replay, oracle violation, or journal coverage gap.
 	Div *Divergence
-	// WatermarkMoves counts the adaptive controller's watermark moves
-	// during the replay (0 unless AdaptiveWatermark): proof in the
-	// passing case that adaptation actually raced the submitters.
-	WatermarkMoves uint64
 }
 
-// poolConfig is the pool a concurrent replay drives: explicit modes
-// only, persisted journals on, shaped by c.
+// poolConfig is the pool a concurrent replay drives: persisted
+// journals on, shaped by c. Its shard epoch monitors run as in any
+// pool, racing the submitters; the replay's requests carry explicit
+// modes, so no monitor verdict may change a journal entry.
 func (c ConcurrentConfig) poolConfig(v Variant) mcpool.Config {
-	pcfg := mcpool.Config{
+	return mcpool.Config{
 		Shards:      c.Shards,
 		QueueDepth:  c.QueueDepth,
 		BatchMax:    c.BatchMax,
-		Watermark:   -1, // explicit modes only: no load-dependent degradation
 		Persist:     true,
 		Attribution: c.Attribution,
 		Flight:      c.Flight,
 		Engine:      v.Options(c.ECCOff),
 	}
-	if c.AdaptiveWatermark {
-		// Adapt as often as the pool allows so watermark moves race
-		// the submitters; the replay's explicit modes must make every
-		// move invisible in the journals.
-		pcfg.AdaptiveWatermark = true
-		pcfg.AdaptEvery = 2
-	}
-	return pcfg
 }
 
 // poolRequests maps every program op to a pool request, tagged with
@@ -300,7 +281,6 @@ func ConcurrentReplay(prog Program, ccfg ConcurrentConfig) (ConcurrentResult, er
 			}
 		}
 	}
-	res.WatermarkMoves = pool.WatermarkMoves()
 	if res.Div == nil {
 		for i, ok := range covered {
 			if !ok {

@@ -55,7 +55,7 @@ type submitRequest struct {
 	Addr uint64 `json:"addr"`           // block-aligned byte address
 	Data string `json:"data,omitempty"` // write: hex payload, ≤128 hex chars, zero-padded
 	Mode string `json:"mode,omitempty"` // write: "counter" | "counterless" (ignored with auto)
-	Auto bool   `json:"auto,omitempty"` // write: let the watermark policy pick the mode
+	Auto bool   `json:"auto,omitempty"` // write: let the shard's epoch monitor pick the mode
 	VM   int    `json:"vm,omitempty"`   // write: owning VM
 	Chip int    `json:"chip,omitempty"` // fault: target chip
 	Patt uint64 `json:"pattern,omitempty"`
@@ -127,15 +127,15 @@ func (a *API) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 type topologyNode struct {
-	ID        int  `json:"id"`
-	Up        bool `json:"up"`
-	Degraded  bool `json:"degraded"`
-	Watermark int  `json:"watermark"`
-	Gen       int  `json:"gen"`
+	ID                int  `json:"id"`
+	Up                bool `json:"up"`
+	Degraded          bool `json:"degraded"`
+	CounterlessShards int  `json:"counterless_shards"` // shards now in a counterless epoch
+	Gen               int  `json:"gen"`
 }
 
 func (a *API) handleTopology(w http.ResponseWriter, r *http.Request) {
-	wms := a.c.Watermarks()
+	cls := a.c.CounterlessShards()
 	nodes := make([]topologyNode, a.c.Nodes())
 	for i := range nodes {
 		n := a.c.nodes[i]
@@ -143,11 +143,11 @@ func (a *API) handleTopology(w http.ResponseWriter, r *http.Request) {
 		gen := n.gen
 		n.mu.RUnlock()
 		nodes[i] = topologyNode{
-			ID:        i,
-			Up:        a.c.Up(i),
-			Degraded:  n.degraded(),
-			Watermark: wms[i],
-			Gen:       gen,
+			ID:                i,
+			Up:                a.c.Up(i),
+			Degraded:          n.degraded(),
+			CounterlessShards: cls[i],
+			Gen:               gen,
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

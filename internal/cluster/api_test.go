@@ -43,7 +43,7 @@ func decodeBody(t *testing.T, resp *http.Response, v any) {
 
 // The happy path over the wire: write a block, read it back, flush.
 func TestAPIWriteReadFlush(t *testing.T) {
-	_, srv := apiServer(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 1, Watermark: -1, Persist: true}})
+	_, srv := apiServer(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 1, Persist: true}})
 	payload := bytes.Repeat([]byte{0xAB}, 64)
 
 	resp := postJSON(t, srv.URL+"/v1/submit", submitRequest{Op: "write", Addr: 64, Data: hex.EncodeToString(payload)})
@@ -83,7 +83,7 @@ func TestAPIWriteReadFlush(t *testing.T) {
 
 // Malformed requests are the caller's fault: 400, never a submit.
 func TestAPIBadRequests(t *testing.T) {
-	_, srv := apiServer(t, Config{Nodes: 1, Node: mcpool.Config{Shards: 1, Watermark: -1}})
+	_, srv := apiServer(t, Config{Nodes: 1, Node: mcpool.Config{Shards: 1}})
 	for _, sr := range []submitRequest{
 		{Op: "transmogrify", Addr: 0},
 		{Op: "write", Addr: 0, Data: "zz"},
@@ -119,7 +119,7 @@ func TestAPIBadRequests(t *testing.T) {
 // Capacity errors map onto transport codes: a dead node serves 503,
 // an overloaded cluster 429, a draining cluster 503 everywhere.
 func TestAPICapacityStatus(t *testing.T) {
-	c, srv := apiServer(t, Config{Nodes: 2, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 1, Watermark: -1}})
+	c, srv := apiServer(t, Config{Nodes: 2, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 1}})
 	if err := c.Kill(0); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestAPICapacityStatus(t *testing.T) {
 		t.Fatalf("topology after kill: %+v", topo)
 	}
 
-	over, srv2 := apiServer(t, Config{Nodes: 2, MaxDegradedFrac: 0.4, Node: mcpool.Config{Shards: 1, Watermark: -1}})
+	over, srv2 := apiServer(t, Config{Nodes: 2, MaxDegradedFrac: 0.4, Node: mcpool.Config{Shards: 1}})
 	if err := over.Kill(0); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestAPICapacityStatus(t *testing.T) {
 func FuzzAPIRequest(f *testing.F) {
 	opts := core.DefaultEngineOptions()
 	opts.MemSize = 1 << 20
-	c, err := New(Config{Nodes: 2, Node: mcpool.Config{Shards: 2, Watermark: -1, Engine: opts}})
+	c, err := New(Config{Nodes: 2, Node: mcpool.Config{Shards: 2, Engine: opts}})
 	if err != nil {
 		f.Fatal(err)
 	}

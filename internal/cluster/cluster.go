@@ -1,9 +1,9 @@
 // Package cluster is the multi-controller topology layer: it routes
 // requests across N mcpool.Pool controllers (channels/sockets) behind
-// one request plane, promotes the per-controller queue-watermark
-// degradation (the paper's §IV-B bandwidth monitor) into a
-// cluster-level admission policy, and survives node kill/restart
-// through the internal/nvm sharded-journal recovery path.
+// one request plane, promotes the per-shard degradation of each
+// controller (the paper's §IV-B epoch monitor) into a cluster-level
+// admission policy, and survives node kill/restart through the
+// internal/nvm sharded-journal recovery path.
 //
 // Routing stripes blocks across the nodes in runs of the per-node
 // shard count — node = (block / shards) mod nodes — so a node's blocks
@@ -13,11 +13,12 @@
 // touches; the discipline that makes the sharded pool sound extends
 // unchanged to the cluster.
 //
-// Degradation composes in two stages. A node whose queues sit past
-// the watermark is already shedding counter/tree work per §IV-B (Auto
-// writes demote to counterless); the cluster layer watches that
-// signal — plus node liveness — and once more than MaxDegradedFrac of
-// the nodes are degraded or down, stops absorbing entirely:
+// Degradation composes in two stages. A node with a shard in a
+// counterless epoch is already shedding counter/tree work per §IV-B
+// (its Auto writes demote to counterless); the cluster layer watches
+// that signal — plus node liveness — and once more than
+// MaxDegradedFrac of the nodes are degraded or down, stops absorbing
+// entirely:
 // SubmitWait returns ErrOverloaded, which the HTTP request plane maps
 // to 429. Draining (graceful shutdown) rejects with ErrDraining after
 // fencing all admitted work through FlushBarrier.
@@ -62,16 +63,15 @@ type Config struct {
 	// Nodes is the controller count (default 2).
 	Nodes int
 	// MaxDegradedFrac is the admission knee: once MORE than this
-	// fraction of the nodes is degraded (shedding past its watermark)
-	// or down, new submissions are rejected with ErrOverloaded. 0
+	// fraction of the nodes is degraded (a shard in a counterless
+	// epoch) or down, new submissions are rejected with ErrOverloaded. 0
 	// means the default 0.5; negative disables cluster-level
 	// admission entirely (per-node behavior is unchanged).
 	MaxDegradedFrac float64
-	// Node is the per-node pool template. Shards, queue depths, the
-	// watermark policy, Persist, and engine options apply to
-	// every node identically. When Profile is set, each node gets its
-	// OWN profiler so per-node latency estimates don't mix across
-	// controllers; an adaptive pool without one builds its own.
+	// Node is the per-node pool template. Shards, queue depths,
+	// Persist, and engine options apply to every node identically.
+	// When Profile is set, each node gets its OWN profiler so per-node
+	// latency estimates don't mix across controllers.
 	Node mcpool.Config
 	// Flight is recorded into by the cluster (kills, restarts,
 	// recoveries) and attached to every node pool. Overrides
@@ -210,8 +210,8 @@ func (c *Cluster) NodeOf(addr uint64) int {
 	return int((addr / cipher.BlockSize / uint64(c.cfg.Node.Shards)) % uint64(len(c.nodes)))
 }
 
-// degraded reports whether node i is down or shedding past its
-// watermark — the unit the admission policy counts.
+// degraded reports whether node i is down or has a shard in a
+// counterless epoch — the unit the admission policy counts.
 func (n *node) degraded() bool {
 	n.mu.RLock()
 	p := n.pool
@@ -227,10 +227,10 @@ func (c *Cluster) Up(i int) bool {
 	return n.pool != nil
 }
 
-// admit applies the cluster-level §IV-B analogue: nodes past their
-// watermark are already shedding counter/tree work per request; once
-// more than MaxDegradedFrac of the nodes are degraded or down, the
-// cluster stops absorbing and rejects outright.
+// admit applies the cluster-level §IV-B analogue: nodes with a shard
+// in a counterless epoch are already shedding counter/tree work per
+// request; once more than MaxDegradedFrac of the nodes are degraded or
+// down, the cluster stops absorbing and rejects outright.
 func (c *Cluster) admit() bool {
 	frac := c.cfg.MaxDegradedFrac
 	if frac < 0 {
@@ -490,19 +490,38 @@ func (c *Cluster) Sample() mcpool.Sample {
 	return out
 }
 
-// Watermarks returns each live node's current effective watermark
-// (-1 for a node that is down).
-func (c *Cluster) Watermarks() []int {
-	out := make([]int, len(c.nodes))
+// pools snapshots each node's current pool (nil while down).
+func (c *Cluster) pools() []*mcpool.Pool {
+	out := make([]*mcpool.Pool, len(c.nodes))
 	for i, n := range c.nodes {
 		n.mu.RLock()
-		pool := n.pool
+		out[i] = n.pool
 		n.mu.RUnlock()
-		if pool == nil {
-			out[i] = -1
-			continue
+	}
+	return out
+}
+
+// CounterlessShards returns, per node, how many of its shards are now
+// in a counterless epoch (0 for a node that is down).
+func (c *Cluster) CounterlessShards() []int {
+	out := make([]int, len(c.nodes))
+	for i, p := range c.pools() {
+		if p != nil {
+			out[i] = p.CounterlessShards()
 		}
-		out[i] = pool.Watermark()
+	}
+	return out
+}
+
+// CounterlessEpochs returns, per node, the epochs its current
+// incarnation's shards ran counterless in whole or part (0 for a node
+// that is down).
+func (c *Cluster) CounterlessEpochs() []uint64 {
+	out := make([]uint64, len(c.nodes))
+	for i, p := range c.pools() {
+		if p != nil {
+			out[i] = p.CounterlessEpochs()
+		}
 	}
 	return out
 }
@@ -537,21 +556,6 @@ func (c *Cluster) SubmitP99() int64 {
 		}
 	}
 	return worst
-}
-
-// WatermarkMoves sums adaptive-watermark adjustments across live
-// nodes (0 for static watermarks or an all-down cluster).
-func (c *Cluster) WatermarkMoves() uint64 {
-	var moves uint64
-	for _, n := range c.nodes {
-		n.mu.RLock()
-		pool := n.pool
-		n.mu.RUnlock()
-		if pool != nil {
-			moves += pool.WatermarkMoves()
-		}
-	}
-	return moves
 }
 
 // AttributionSummary merges per-op latency attribution across every

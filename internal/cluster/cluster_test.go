@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ func testCluster(t *testing.T, cfg Config) *Cluster {
 // shards, a plain block interleave would send node 1 only odd blocks,
 // all on its shard 1.
 func TestNodeOfSpreadsShards(t *testing.T) {
-	c := testCluster(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 2, Watermark: -1}})
+	c := testCluster(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 2}})
 	const blocks = 4096
 	var perNode [2]int
 	var perShard [2][2]int
@@ -57,7 +58,7 @@ func TestNodeOfSpreadsShards(t *testing.T) {
 // A cluster serves a deterministic schedule exactly like a single
 // pool would: every write lands, every read returns the last write.
 func TestClusterServesSchedule(t *testing.T) {
-	c := testCluster(t, Config{Nodes: 3, Node: mcpool.Config{Shards: 2, Watermark: -1}})
+	c := testCluster(t, Config{Nodes: 3, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 2}})
 	sched := mcpool.Schedule(mcpool.ScheduleConfig{Ops: 2000, Blocks: 256, ReadFraction: 0.3, Seed: 7})
 	last := map[uint64][64]byte{}
 	for _, req := range sched {
@@ -90,7 +91,7 @@ func TestClusterServesSchedule(t *testing.T) {
 // admission (negative frac) degrades per-address instead: dead-node
 // addresses fail ErrNodeDown, live-node addresses keep working.
 func TestAdmissionPolicy(t *testing.T) {
-	c := testCluster(t, Config{Nodes: 2, MaxDegradedFrac: 0.4, Node: mcpool.Config{Shards: 1, Watermark: -1}})
+	c := testCluster(t, Config{Nodes: 2, MaxDegradedFrac: 0.4, Node: mcpool.Config{Shards: 1}})
 	if resp := c.SubmitWait(mcpool.Request{Kind: mcpool.OpWrite, Addr: 0, Data: [64]byte{1}}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
@@ -106,7 +107,7 @@ func TestAdmissionPolicy(t *testing.T) {
 		t.Fatalf("shed counter %d, want 2", got.Shed)
 	}
 
-	open := testCluster(t, Config{Nodes: 2, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 1, Watermark: -1}})
+	open := testCluster(t, Config{Nodes: 2, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 1}})
 	if resp := open.SubmitWait(mcpool.Request{Kind: mcpool.OpWrite, Addr: 64, Data: [64]byte{2}}); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
@@ -124,10 +125,64 @@ func TestAdmissionPolicy(t *testing.T) {
 	}
 }
 
+// Admission closes on load, not on a sticky flag: 16 closed-loop
+// writers saturate node 0's single shard until its epoch monitor goes
+// counterless and a 2-node cluster at MaxDegradedFrac 0.4 starts
+// refusing. The refusals starve node 0 of work, its counterless
+// deadline passes within two 100 µs epochs, and the cluster admits
+// again by itself.
+func TestAdmissionReopensWhenIdle(t *testing.T) {
+	c := testCluster(t, Config{Nodes: 2, MaxDegradedFrac: 0.4, Node: mcpool.Config{Shards: 1}})
+	var refused atomic.Bool
+	var served atomic.Int64
+	stop := time.Now().Add(30 * time.Second)
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; !refused.Load() && time.Now().Before(stop); i++ {
+				addr := uint64(2*(64*g+i%64)) * 64 // even blocks: node 0
+				resp := c.SubmitWait(mcpool.Request{Kind: mcpool.OpWrite, Addr: addr, Auto: true})
+				switch {
+				case errors.Is(resp.Err, ErrOverloaded):
+					refused.Store(true)
+				case resp.Err != nil:
+					t.Error(resp.Err)
+					return
+				default:
+					served.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !refused.Load() || served.Load() == 0 {
+		t.Fatalf("admission refused %v after %d served writes, want a refusal after some", refused.Load(), served.Load())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp := c.SubmitWait(mcpool.Request{Kind: mcpool.OpWrite, Addr: 64})
+		if resp.Err == nil {
+			break
+		}
+		if !errors.Is(resp.Err, ErrOverloaded) {
+			t.Fatal(resp.Err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("admission still closed 5 s after the load stopped; counterless shards %v", c.CounterlessShards())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if cls := c.CounterlessShards(); cls[0] != 0 {
+		t.Errorf("node 0 admitted again with %d counterless shards", cls[0])
+	}
+}
+
 // Drain fences: in-flight work is flushed durable, new submissions
 // are refused, and the fence is permanent until Close.
 func TestDrain(t *testing.T) {
-	c := testCluster(t, Config{Nodes: 2, Node: mcpool.Config{Shards: 2, Watermark: -1, Persist: true}})
+	c := testCluster(t, Config{Nodes: 2, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 2, Persist: true}})
 	for _, req := range mcpool.Schedule(mcpool.ScheduleConfig{Ops: 300, Blocks: 128, Seed: 9}) {
 		if resp := c.SubmitWait(req); resp.Err != nil {
 			t.Fatal(resp.Err)
@@ -164,7 +219,7 @@ func TestKillRestartVerify(t *testing.T) {
 		Nodes:           2,
 		MaxDegradedFrac: -1,
 		Flight:          rec,
-		Node:            mcpool.Config{Shards: 2, Watermark: -1, Persist: true},
+		Node:            mcpool.Config{Shards: 2, Persist: true},
 	})
 	sched := mcpool.Schedule(mcpool.ScheduleConfig{Ops: 3000, Blocks: 256, ReadFraction: 0.25, Seed: 21})
 	last := map[uint64][64]byte{}
@@ -246,7 +301,7 @@ func TestRestartBreakRecoveryDetected(t *testing.T) {
 		Nodes:           1,
 		MaxDegradedFrac: -1,
 		BreakRecovery:   true,
-		Node:            mcpool.Config{Shards: 1, Watermark: -1, Persist: true},
+		Node:            mcpool.Config{Shards: 1, Persist: true},
 	})
 	w := func(b byte) {
 		t.Helper()
@@ -282,7 +337,7 @@ func TestClusterChaosConcurrent(t *testing.T) {
 	c := testCluster(t, Config{
 		Nodes:           2,
 		MaxDegradedFrac: -1,
-		Node:            mcpool.Config{Shards: 2, QueueDepth: 64, Watermark: -1, Persist: true},
+		Node:            mcpool.Config{Shards: 2, QueueDepth: 64, Persist: true},
 	})
 	sched := mcpool.Schedule(mcpool.ScheduleConfig{Ops: 4000, Blocks: 256, ReadFraction: 0.3, Seed: 33})
 	const workers = 4
@@ -342,7 +397,7 @@ func TestClusterChaosConcurrent(t *testing.T) {
 // Sample keeps a stable column layout across node death: a down node
 // contributes zero-depth shard columns, not a shorter row.
 func TestSampleStableColumns(t *testing.T) {
-	c := testCluster(t, Config{Nodes: 2, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 3, Watermark: -1}})
+	c := testCluster(t, Config{Nodes: 2, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 3}})
 	if got := len(c.Sample().QueueDepths); got != 6 {
 		t.Fatalf("sample columns %d, want 6", got)
 	}
@@ -352,8 +407,8 @@ func TestSampleStableColumns(t *testing.T) {
 	if got := len(c.Sample().QueueDepths); got != 6 {
 		t.Fatalf("sample columns after kill %d, want 6", got)
 	}
-	if wm := c.Watermarks(); wm[0] != -1 {
-		t.Fatalf("dead node watermark %d, want -1", wm[0])
+	if cls := c.CounterlessShards(); cls[0] != 0 {
+		t.Fatalf("dead node reports %d counterless shards, want 0", cls[0])
 	}
 }
 
@@ -361,7 +416,7 @@ func TestSampleStableColumns(t *testing.T) {
 // journal: re-encode one record of a closed segment with one field
 // altered, and Verify must name that record's seq.
 func TestVerifyCatchesTamperedEntry(t *testing.T) {
-	c := testCluster(t, Config{Nodes: 1, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 1, Watermark: -1, Persist: true}})
+	c := testCluster(t, Config{Nodes: 1, MaxDegradedFrac: -1, Node: mcpool.Config{Shards: 1, Persist: true}})
 	for _, req := range []mcpool.Request{
 		{Kind: mcpool.OpWrite, Addr: 0, Data: [64]byte{1}},
 		{Kind: mcpool.OpWrite, Addr: 64, Mode: epoch.Counterless, Data: [64]byte{2}},

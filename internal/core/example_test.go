@@ -30,33 +30,3 @@ func ExampleEngine() {
 	fmt.Println(string(got[:6]), info.Corrected, info.BadChip)
 	// Output: secret true 2
 }
-
-// The combined System picks writeback modes from the bandwidth monitor
-// the way the real controller does (paper §IV-B).
-func ExampleSystem() {
-	sys, err := core.NewSystem(core.DefaultSystemOptions())
-	if err != nil {
-		panic(err)
-	}
-	var plain cipher.Block
-
-	// Quiet system: counter mode.
-	mode, err := sys.WriteAt(0, 0x2000, plain)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("quiet:", mode)
-
-	// Saturate the epoch, then write again: counterless.
-	for i := uint64(0); i <= sys.Monitor().Threshold(); i++ {
-		sys.Monitor().Record(int64(i))
-	}
-	mode, err = sys.WriteAt(int64(sys.Monitor().Threshold())+1, 0x2040, plain)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("saturated:", mode)
-	// Output:
-	// quiet: counter
-	// saturated: counterless
-}

@@ -281,7 +281,7 @@ func TestStartWindowResetsCounterHist(t *testing.T) {
 		s.ctrLate[i].Inc()
 	}
 	s.instr.Add(5)
-	s.mon.Record(0)
+	s.mon.Record(0, 1)
 
 	s.startWindow()
 

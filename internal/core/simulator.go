@@ -161,6 +161,10 @@ type simulator struct {
 	metaWrites   obs.Counter
 	modeSwitches uint64     // cumulative mode transitions (boundary + mid-epoch)
 	lastEndMode  epoch.Mode // mode in effect when the previous epoch closed
+
+	// history is the closed-epoch timeline (Result.EpochHistory),
+	// filled by the monitor's boundary hook.
+	history []epoch.Record
 }
 
 // counterLateEdges and counterLateBins classify Fig. 8's
@@ -289,7 +293,7 @@ func Run(cfg Config, w trace.Workload) (Result, error) {
 		case evTreeWalk:
 			s.pipe.TreeWalkStep(e.addr, e.level, e.dirty, t)
 		case evDRAMWrite:
-			s.mon.Record(t)
+			s.mon.Record(t, 1)
 			s.metaWrites.Inc()
 			s.dram.Access(e.addr, t, true)
 		case evSample:
@@ -339,14 +343,27 @@ func (s *simulator) registerMetrics() {
 	s.tr.RegisterMetrics(reg)
 
 	s.mon.SetTracer(s.tr)
-	if s.pub != nil {
-		s.mon.SetBoundaryHook(s.publishEpoch)
-	}
+	s.mon.SetBoundaryHook(s.closeEpoch)
 	if s.tr != nil {
 		s.memo.SetEvictHook(func(key uint32) {
 			s.tr.Emit(s.now, obs.PhaseInstant, obs.CatMemo, "memo_evict",
 				obs.A("counter", int64(key)))
 		})
+	}
+}
+
+// maxEpochHistory bounds Result.EpochHistory.
+const maxEpochHistory = 1 << 16
+
+// closeEpoch is the monitor's boundary hook: it keeps the closed epoch
+// in the run's timeline and publishes its telemetry sample when a
+// publisher is attached.
+func (s *simulator) closeEpoch(boundary int64, index uint64, rec epoch.Record) {
+	if len(s.history) < maxEpochHistory {
+		s.history = append(s.history, rec)
+	}
+	if s.pub != nil {
+		s.publishEpoch(boundary, index, rec)
 	}
 }
 
@@ -569,7 +586,7 @@ func (s *simulator) fillL3(addr uint64, ready int64) {
 // mcRead is the memory controller's LLC-read-miss path: DRAM access
 // plus the scheme pipeline's decryption timing (Figs. 7 and 13).
 func (s *simulator) mcRead(addr uint64, tm int64, demand bool) int64 {
-	s.mon.Record(tm)
+	s.mon.Record(tm, 1)
 	dataDone := s.dram.Access(addr, tm, false)
 	ready := s.pipe.ReadMiss(addr, tm, dataDone, demand)
 	if demand && s.measuring {
@@ -583,7 +600,7 @@ func (s *simulator) mcRead(addr uint64, tm int64, demand bool) int64 {
 // stalls the core). The data write is charged here; the scheme
 // pipeline adds its metadata traffic.
 func (s *simulator) mcWrite(addr uint64, tw int64) {
-	s.mon.Record(tw)
+	s.mon.Record(tw, 1)
 	s.dram.Access(addr, tw, true)
 	if s.measuring {
 		s.llcWB.Inc()
@@ -609,7 +626,7 @@ func (s *simulator) Config() *Config { return &s.cfg }
 func (s *simulator) Measuring() bool { return s.measuring }
 
 func (s *simulator) DRAMRead(addr uint64, t int64) int64 {
-	s.mon.Record(t)
+	s.mon.Record(t, 1)
 	s.metaReads.Inc()
 	return s.dram.Access(addr, t, false)
 }
@@ -719,7 +736,7 @@ func (s *simulator) result(workload string) Result {
 	if r.BusUtilization > 1 {
 		r.BusUtilization = 1
 	}
-	r.EpochHistory = s.mon.History()
+	r.EpochHistory = s.history
 	return r
 }
 

@@ -26,14 +26,14 @@ func TestThresholdBoundaryExact(t *testing.T) {
 		}
 		// One access below the knee: still counter mode.
 		for i := uint64(0); i < thr-1; i++ {
-			m.Record(int64(i))
+			m.Record(int64(i), 1)
 		}
 		if m.CurrentMode() != CounterMode {
 			t.Fatalf("frac %v: switched below the knee (%d accesses)", frac, thr-1)
 		}
 		// The access that lands exactly on the knee flips the current
 		// epoch (≥ semantics, not >).
-		m.Record(int64(thr))
+		m.Record(int64(thr), 1)
 		if m.CurrentMode() != Counterless {
 			t.Errorf("frac %v: exact-knee epoch (%d accesses) stayed in counter mode", frac, thr)
 		}
@@ -66,7 +66,7 @@ func TestThresholdNoFloatTruncation(t *testing.T) {
 	}
 	// 6/10 accesses is below a 0.7 knee: the epoch must stay counter.
 	for i := 0; i < 6; i++ {
-		m.Record(int64(i))
+		m.Record(int64(i), 1)
 	}
 	if m.CurrentMode() != CounterMode {
 		t.Error("epoch below the 0.7 knee fell back to counterless")

@@ -9,6 +9,10 @@
 // mode (no counter or integrity-tree traffic). Otherwise the next
 // epoch starts in counter mode and falls back to counterless mid-epoch
 // the moment its own access count reaches the same threshold.
+//
+// internal/mcpool runs the same rule per shard on wall-clock
+// nanoseconds, recording each batch's busy time where the simulator
+// records accesses.
 package epoch
 
 import (
@@ -37,16 +41,13 @@ func (m Mode) String() string {
 	return "counter"
 }
 
-// Record is the closed-epoch log entry kept for timeline analysis.
+// Record describes one closed epoch, as handed to the boundary hook.
 type Record struct {
 	Accesses    uint64  // accesses observed in the epoch
 	Utilization float64 // accesses / channel capacity
 	StartMode   Mode    // mode the epoch started in
 	SwitchedMid bool    // crossed the threshold and fell back mid-epoch
 }
-
-// maxHistory bounds the per-run timeline log.
-const maxHistory = 1 << 16
 
 // Monitor tracks accesses per epoch and decides the writeback mode.
 type Monitor struct {
@@ -60,15 +61,13 @@ type Monitor struct {
 	mode          Mode   // writeback mode in effect right now
 	startMode     Mode   // mode the current epoch started in
 	nextFromStart Mode   // mode the next epoch will start in
-	history       []Record
 
 	tracer *obs.Tracer  // optional; nil drops every event
 	rec    *flight.Ring // optional; nil drops every event
 
 	// onBoundary, when set, receives every closed epoch as it rolls
-	// over (the live-telemetry seam). Called unconditionally — unlike
-	// the History log it is not capped — and must not call back into
-	// the monitor.
+	// over (the timeline and live-telemetry seam). It must not call
+	// back into the monitor.
 	onBoundary BoundaryFunc
 	closed     uint64 // epochs closed since run start (never reset)
 
@@ -123,12 +122,14 @@ func NewMonitor(epochLen, accessTime int64, thresholdFraction float64) (*Monitor
 	}, nil
 }
 
-// Record notes one memory access (read, write, or counter access) at
-// simulated time now, rolling epochs forward as needed.
-func (m *Monitor) Record(now int64) {
+// Record notes n units of channel occupancy at time now, rolling
+// epochs forward as needed. The simulator counts memory accesses
+// (reads, writes and counter accesses) one at a time; a unit is
+// whatever NewMonitor's accessTime was given in.
+func (m *Monitor) Record(now int64, n uint64) {
 	m.roll(now)
-	m.accesses++
-	m.totalAccesses++
+	m.accesses += n
+	m.totalAccesses += n
 	// Mid-epoch fallback: a counter-mode epoch that reaches the
 	// threshold switches to counterless for the remainder (§IV-B).
 	if m.mode == CounterMode && m.accesses >= m.threshold {
@@ -185,9 +186,6 @@ func (m *Monitor) roll(now int64) {
 			StartMode:   m.startMode,
 			SwitchedMid: m.startMode == CounterMode && m.mode == Counterless,
 		}
-		if len(m.history) < maxHistory {
-			m.history = append(m.history, rec)
-		}
 		boundary := m.epochStart + m.epochLen
 		if m.onBoundary != nil {
 			m.onBoundary(boundary, m.closed, rec)
@@ -208,6 +206,18 @@ func (m *Monitor) roll(now int64) {
 		m.accesses = 0
 		m.mode = m.nextFromStart
 		m.startMode = m.nextFromStart
+		// Once an empty epoch opens in counter mode, every further
+		// epoch up to now is empty, stays in counter mode and switches
+		// nothing. With no hook or tracer to see them one by one, they
+		// close in one step, so an idle gap costs O(1), not one
+		// iteration per epoch.
+		if m.onBoundary == nil && m.tracer == nil && m.startMode == CounterMode {
+			k := (now - m.epochStart) / m.epochLen
+			m.epochs.Add(uint64(k))
+			m.closed += uint64(k)
+			m.capacityAccumulated += uint64(k) * m.maxAccesses
+			m.epochStart += k * m.epochLen
+		}
 	}
 }
 
@@ -244,11 +254,30 @@ func (m *Monitor) MidEpochSwitches() uint64 { return m.midEpochSwitches.Value() 
 // for progress reporting that cannot perturb the epoch timeline.
 func (m *Monitor) CurrentMode() Mode { return m.mode }
 
+// EpochAccesses returns the accesses recorded so far in the current
+// epoch, as of the last roll.
+func (m *Monitor) EpochAccesses() uint64 { return m.accesses }
+
+// CounterlessUntil returns the time up to which writebacks stay
+// counterless if nothing more is recorded: the end of the next epoch
+// once the current one has reached the threshold, the end of the
+// current one when it only started counterless, and 0 in counter
+// mode. Like CurrentMode it reads the state of the last roll.
+func (m *Monitor) CounterlessUntil() int64 {
+	switch {
+	case m.accesses >= m.threshold:
+		return m.epochStart + 2*m.epochLen
+	case m.mode == Counterless:
+		return m.epochStart + m.epochLen
+	}
+	return 0
+}
+
 // ResetStats clears the mode-switch and threshold-crossing counters
 // (per-measurement-window accounting, for parity with cache/dram/
-// memoize). The epoch timeline — current mode, epoch boundaries, and
-// the History log — is untouched: it intentionally spans the whole
-// run including warmup.
+// memoize). The epoch timeline — current mode, epoch boundaries and
+// the boundary hook's epoch index — is untouched: it intentionally
+// spans the whole run including warmup.
 func (m *Monitor) ResetStats() {
 	m.epochs.Reset()
 	m.counterlessEpochs.Reset()
@@ -269,6 +298,3 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 // SetTracer installs (or clears, with nil) the event tracer the
 // monitor emits mode decisions through.
 func (m *Monitor) SetTracer(t *obs.Tracer) { m.tracer = t }
-
-// History returns the closed-epoch timeline (capped at 65536 entries).
-func (m *Monitor) History() []Record { return m.history }

@@ -1,6 +1,10 @@
 package epoch
 
-import "testing"
+import (
+	"testing"
+
+	"counterlight/internal/obs/flight"
+)
 
 const (
 	us     = int64(1_000_000) // 1 µs in ps
@@ -57,7 +61,7 @@ func TestStartsInCounterMode(t *testing.T) {
 func TestQuietEpochStaysCounterMode(t *testing.T) {
 	m := newMon(t, 0.6)
 	for i := 0; i < 100; i++ { // far below 24000
-		m.Record(int64(i) * 1000)
+		m.Record(int64(i)*1000, 1)
 	}
 	if got := m.WritebackMode(epochL + 1); got != CounterMode {
 		t.Errorf("after quiet epoch mode = %v, want counter", got)
@@ -71,7 +75,7 @@ func TestQuietEpochStaysCounterMode(t *testing.T) {
 func TestBusyEpochSwitchesNext(t *testing.T) {
 	m := newMon(t, 0.6)
 	for i := 0; i < 30000; i++ { // above 24000
-		m.Record(int64(i) * (epochL / 40000))
+		m.Record(int64(i)*(epochL/40000), 1)
 	}
 	if got := m.WritebackMode(epochL + 1); got != Counterless {
 		t.Errorf("after busy epoch mode = %v, want counterless", got)
@@ -87,7 +91,7 @@ func TestMidEpochFallback(t *testing.T) {
 	m := newMon(t, 0.6)
 	thr := int(m.Threshold())
 	for i := 0; i <= thr; i++ {
-		m.Record(int64(i)) // all within the first epoch
+		m.Record(int64(i), 1) // all within the first epoch
 	}
 	if got := m.WritebackMode(int64(thr) + 1); got != Counterless {
 		t.Errorf("mid-epoch mode = %v, want counterless after crossing threshold", got)
@@ -101,7 +105,7 @@ func TestMidEpochFallback(t *testing.T) {
 func TestRecovery(t *testing.T) {
 	m := newMon(t, 0.6)
 	for i := 0; i < 30000; i++ {
-		m.Record(int64(i) * (epochL / 40000))
+		m.Record(int64(i)*(epochL/40000), 1)
 	}
 	// Epoch 2: silent. Roll to epoch 3.
 	if got := m.WritebackMode(2*epochL + 1); got != CounterMode {
@@ -112,10 +116,93 @@ func TestRecovery(t *testing.T) {
 // Rolling across many empty epochs must terminate and count them.
 func TestRollManyEpochs(t *testing.T) {
 	m := newMon(t, 0.6)
-	m.Record(0)
-	m.Record(50 * epochL)
+	m.Record(0, 1)
+	m.Record(50*epochL, 1)
 	if m.Epochs() != 50 {
 		t.Errorf("epochs = %d, want 50", m.Epochs())
+	}
+}
+
+// An unobserved monitor closes an idle gap in one step: a 2^50 ns gap
+// (13 days of 100 µs epochs) returns at once, with every epoch
+// counted, and the busy epoch before it still makes exactly one
+// counterless epoch. Observed the same way, the counts agree.
+func TestRollIdleGapUnobserved(t *testing.T) {
+	const gap = int64(1) << 50
+	m, err := NewMonitor(100_000, 1, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flight.NewRing(16)
+	m.SetFlight(rec)
+	m.Record(10, 70_000)
+	if got := m.WritebackMode(gap); got != CounterMode {
+		t.Fatalf("mode after the gap = %v, want counter", got)
+	}
+	if want := uint64(gap / 100_000); m.Epochs() != want {
+		t.Errorf("epochs = %d, want %d", m.Epochs(), want)
+	}
+	if m.CounterlessEpochs() != 1 || m.MidEpochSwitches() != 1 {
+		t.Errorf("counterless epochs %d, mid switches %d, want 1 and 1",
+			m.CounterlessEpochs(), m.MidEpochSwitches())
+	}
+	if n := len(rec.Snapshot()); n != 2 {
+		t.Errorf("flight ring holds %d epoch switches, want 2 (to counterless and back)", n)
+	}
+	if u := m.Utilization(); u <= 0 || u > 1e-6 {
+		t.Errorf("utilization over the gap = %v, want a tiny positive share", u)
+	}
+
+	// The same short trace, one epoch at a time under a hook.
+	short := func(observe bool) *Monitor {
+		m, err := NewMonitor(100_000, 1, 0.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observe {
+			m.SetBoundaryHook(func(int64, uint64, Record) {})
+		}
+		m.Record(10, 70_000)
+		m.Record(1_000_050, 5)
+		m.WritebackMode(5_000_000)
+		return m
+	}
+	fast, slow := short(false), short(true)
+	if fast.Epochs() != slow.Epochs() || fast.CounterlessEpochs() != slow.CounterlessEpochs() ||
+		fast.Utilization() != slow.Utilization() || fast.CounterlessUntil() != slow.CounterlessUntil() {
+		t.Errorf("one-step roll disagrees with the epoch loop: epochs %d/%d counterless %d/%d util %v/%v",
+			fast.Epochs(), slow.Epochs(), fast.CounterlessEpochs(), slow.CounterlessEpochs(),
+			fast.Utilization(), slow.Utilization())
+	}
+}
+
+// CounterlessUntil is the deadline a lock-free reader compares the
+// clock against: the end of the next epoch once the current one is
+// busy, the end of the current one when it only started counterless,
+// and 0 in counter mode.
+func TestCounterlessUntil(t *testing.T) {
+	m, err := NewMonitor(100_000, 1, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Record(10, 59_999)
+	if got := m.CounterlessUntil(); got != 0 {
+		t.Errorf("below the knee: until = %d, want 0", got)
+	}
+	m.Record(20, 1)
+	if got := m.CounterlessUntil(); got != 200_000 {
+		t.Errorf("at the knee: until = %d, want the end of the next epoch", got)
+	}
+	m.WritebackMode(150_000)
+	if got := m.CounterlessUntil(); got != 200_000 {
+		t.Errorf("in the counterless epoch: until = %d, want its end", got)
+	}
+	if got := m.EpochAccesses(); got != 0 {
+		t.Errorf("accesses in the fresh epoch = %d, want 0", got)
+	}
+	m.WritebackMode(250_000)
+	if got := m.CounterlessUntil(); got != 0 {
+		t.Errorf("after a quiet epoch: until = %d, want 0", got)
 	}
 }
 
@@ -124,7 +211,7 @@ func TestUtilization(t *testing.T) {
 	// Exactly half the capacity in epoch 0.
 	n := int(m.MaxAccesses() / 2)
 	for i := 0; i < n; i++ {
-		m.Record(int64(i))
+		m.Record(int64(i), 1)
 	}
 	m.WritebackMode(epochL + 1) // close epoch 0
 	u := m.Utilization()
@@ -143,7 +230,7 @@ func TestThresholdSweepTrend(t *testing.T) {
 		for e := 0; e < 50; e++ {
 			base := int64(e) * epochL
 			for i := 0; i < perEpoch; i++ {
-				m.Record(base + int64(i)*(epochL/int64(perEpoch)))
+				m.Record(base+int64(i)*(epochL/int64(perEpoch)), 1)
 			}
 		}
 		m.WritebackMode(51 * epochL)
@@ -167,15 +254,16 @@ func TestModeString(t *testing.T) {
 
 func TestHistoryTimeline(t *testing.T) {
 	m := newMon(t, 0.6)
+	var h []Record
+	m.SetBoundaryHook(func(_ int64, _ uint64, r Record) { h = append(h, r) })
 	// Epoch 0: busy (beyond threshold). Epoch 1: quiet. Close both.
 	for i := 0; i < int(m.Threshold())+10; i++ {
-		m.Record(int64(i))
+		m.Record(int64(i), 1)
 	}
-	m.Record(epochL + 5) // one access in epoch 1
+	m.Record(epochL+5, 1) // one access in epoch 1
 	m.WritebackMode(2*epochL + 1)
-	h := m.History()
 	if len(h) != 2 {
-		t.Fatalf("history length = %d, want 2", len(h))
+		t.Fatalf("hook saw %d epochs, want 2", len(h))
 	}
 	if h[0].StartMode != CounterMode || !h[0].SwitchedMid {
 		t.Errorf("epoch 0 record = %+v, want counter-mode start with mid switch", h[0])
@@ -192,19 +280,21 @@ func TestHistoryTimeline(t *testing.T) {
 }
 
 // ResetStats must clear the window counters without disturbing the
-// epoch timeline (mode, boundaries, history).
+// epoch timeline (mode, boundaries, closed epochs).
 func TestResetStatsKeepsTimeline(t *testing.T) {
 	m := newMon(t, 0.6)
+	closed := 0
+	m.SetBoundaryHook(func(int64, uint64, Record) { closed++ })
 	// Drive one busy epoch (mid switch + counterless next) and roll
 	// into the second.
 	for i := uint64(0); i <= m.Threshold()+1; i++ {
-		m.Record(int64(i))
+		m.Record(int64(i), 1)
 	}
-	m.Record(epochL + 1)
+	m.Record(epochL+1, 1)
 	if m.Epochs() == 0 || m.MidEpochSwitches() == 0 {
 		t.Fatalf("setup failed: epochs=%d switches=%d", m.Epochs(), m.MidEpochSwitches())
 	}
-	histBefore := len(m.History())
+	closedBefore := closed
 	modeBefore := m.CurrentMode()
 
 	m.ResetStats()
@@ -216,21 +306,21 @@ func TestResetStatsKeepsTimeline(t *testing.T) {
 	if m.Utilization() != 0 {
 		t.Errorf("utilization = %v after reset, want 0", m.Utilization())
 	}
-	if len(m.History()) != histBefore {
-		t.Errorf("history length changed across reset: %d -> %d", histBefore, len(m.History()))
+	if closed != closedBefore {
+		t.Errorf("reset closed epochs: %d -> %d", closedBefore, closed)
 	}
 	if m.CurrentMode() != modeBefore {
 		t.Errorf("mode changed across reset: %v -> %v", modeBefore, m.CurrentMode())
 	}
 	// The timeline keeps rolling correctly after a reset.
-	m.Record(2*epochL + 1)
+	m.Record(2*epochL+1, 1)
 	if m.Epochs() != 1 {
 		t.Errorf("epochs after reset+roll = %d, want 1", m.Epochs())
 	}
 }
 
-// TestBoundaryHook: the closed-epoch callback fires once per rollover
-// with the same record the History log keeps, even past ResetStats.
+// TestBoundaryHook: the closed-epoch callback fires once per rollover,
+// even past ResetStats.
 func TestBoundaryHook(t *testing.T) {
 	m := newMon(t, 0.6)
 	type closed struct {
@@ -245,10 +335,10 @@ func TestBoundaryHook(t *testing.T) {
 
 	// Epoch 1: busy (cross the threshold) -> mid-epoch fallback.
 	for i := uint64(0); i <= m.Threshold(); i++ {
-		m.Record(1)
+		m.Record(1, 1)
 	}
 	// Epoch 2 opens counterless; one access closes epoch 1.
-	m.Record(epochL + 1)
+	m.Record(epochL+1, 1)
 	if len(got) != 1 {
 		t.Fatalf("hook fired %d times after one rollover", len(got))
 	}
@@ -258,13 +348,10 @@ func TestBoundaryHook(t *testing.T) {
 	if !got[0].rec.SwitchedMid || got[0].rec.StartMode != CounterMode {
 		t.Errorf("record = %+v, want counter-mode start with mid switch", got[0].rec)
 	}
-	if got[0].rec != m.History()[0] {
-		t.Errorf("hook record %+v != history record %+v", got[0].rec, m.History()[0])
-	}
 
 	// Window resets must not disturb the hook's epoch indexing.
 	m.ResetStats()
-	m.Record(3 * epochL) // closes epochs 2 and 3
+	m.Record(3*epochL, 1) // closes epochs 2 and 3
 	if len(got) != 3 {
 		t.Fatalf("hook fired %d times after three rollovers", len(got))
 	}
@@ -273,7 +360,7 @@ func TestBoundaryHook(t *testing.T) {
 	}
 	// Clearing the hook stops delivery.
 	m.SetBoundaryHook(nil)
-	m.Record(5 * epochL)
+	m.Record(5*epochL, 1)
 	if len(got) != 3 {
 		t.Error("hook fired after being cleared")
 	}

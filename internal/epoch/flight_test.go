@@ -22,7 +22,7 @@ func TestFlightEpochSwitch(t *testing.T) {
 	drive := func(m *Monitor) []Mode {
 		var modes []Mode
 		for i := uint64(0); i <= m.Threshold(); i++ {
-			m.Record(int64(i))
+			m.Record(int64(i), 1)
 		}
 		modes = append(modes, m.WritebackMode(epochL+1))
 		modes = append(modes, m.WritebackMode(2*epochL+1))

@@ -17,12 +17,12 @@ func TestSubmitWaitMatchesFutures(t *testing.T) {
 	opts := testEngineOptions()
 	sched := Schedule(ScheduleConfig{Ops: 2000, Blocks: 256, ReadFraction: 0.5, VMs: 2, Seed: 7})
 
-	futPool, err := New(Config{Shards: 4, Watermark: -1, Engine: opts})
+	futPool, err := New(Config{Shards: 4, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer futPool.Close()
-	waitPool, err := New(Config{Shards: 4, Watermark: -1, Engine: opts})
+	waitPool, err := New(Config{Shards: 4, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSubmitWaitMatchesFutures(t *testing.T) {
 // the op, then reads it back. A pooled future handed to the wrong
 // caller would deliver another goroutine's response.
 func TestConcurrentSubmitWaitOwnFutures(t *testing.T) {
-	p, err := New(Config{Shards: 4, Watermark: -1, Engine: testEngineOptions()})
+	p, err := New(Config{Shards: 4, Engine: testEngineOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSubmitWaitNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; future reuse cannot be alloc-free")
 	}
-	p, err := New(Config{Shards: 4, Watermark: -1, Engine: testEngineOptions()})
+	p, err := New(Config{Shards: 4, Engine: testEngineOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ func runJournaled(t *testing.T, attribution bool, sched []Request) [][]byte {
 		Shards:      4,
 		QueueDepth:  64,
 		BatchMax:    8,
-		Watermark:   -1, // explicit modes only: the trace must be load-independent
 		Persist:     true,
 		Attribution: attribution,
 		Engine:      testEngineOptions(),

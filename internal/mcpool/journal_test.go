@@ -191,7 +191,7 @@ func TestJournalApply(t *testing.T) {
 func TestPoolPersistLifecycle(t *testing.T) {
 	opts := testEngineOptions()
 	opts.VMs = 2
-	p, err := New(Config{Shards: 4, Watermark: -1, Persist: true, Engine: opts})
+	p, err := New(Config{Shards: 4, Persist: true, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestPoolPersistLifecycle(t *testing.T) {
 // digest allocates nothing.
 func TestResponseSumKeyedByEngine(t *testing.T) {
 	opts := testEngineOptions()
-	p, err := New(Config{Shards: 2, Watermark: -1, Persist: true, Engine: opts})
+	p, err := New(Config{Shards: 2, Persist: true, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

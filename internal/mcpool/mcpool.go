@@ -19,11 +19,14 @@
 // Submit blocks when a shard's queue is full (backpressure) — and a
 // per-shard worker drains them in FIFO batches, applying each batch
 // under one acquisition of the shard lock. Writebacks submitted in
-// Auto mode implement the software analogue of the paper's §IV-B
-// bandwidth monitor: when the shard's queue depth sits at or above
-// the configured watermark at apply time, the writeback gracefully
-// degrades to counterless mode, shedding counter and integrity-tree
-// work exactly when the controller is saturated.
+// Auto mode follow the paper's §IV-B bandwidth monitor with the shard
+// as the channel: each shard runs one epoch.Monitor on wall-clock
+// nanoseconds, fed the busy time of every batch (shard lock taken to
+// shard lock released). Once a shard has been busy for 60% of a
+// 100 µs epoch, its Auto writebacks go counterless for the rest of
+// that epoch and, because the epoch was busy, for the whole next one,
+// shedding counter and integrity-tree work exactly when the shard is
+// saturated.
 package mcpool
 
 import (
@@ -32,10 +35,10 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"counterlight/internal/cipher"
 	"counterlight/internal/core"
-	"counterlight/internal/crypto/aes"
 	"counterlight/internal/ctrblock"
 	"counterlight/internal/epoch"
 	"counterlight/internal/obs"
@@ -71,9 +74,9 @@ type Request struct {
 	VM   int    // write: VM whose key a counterless write uses
 
 	// Mode is the writeback mode an explicit write requests. When
-	// Auto is set the pool decides instead: counter mode normally,
-	// counterless when the owning shard's queue depth has reached the
-	// watermark (§IV-B analogue). Auto-mode results depend on load and
+	// Auto is set the pool decides instead: counterless while the
+	// owning shard's epoch monitor is in a counterless epoch (§IV-B),
+	// counter mode otherwise. Auto-mode results depend on load and
 	// are therefore not deterministic across runs; explicit modes are.
 	Mode epoch.Mode
 	Auto bool
@@ -93,7 +96,7 @@ type Response struct {
 	Plain    cipher.Block  // read: decrypted data
 	Info     core.ReadInfo // read: service detail
 	Mode     epoch.Mode    // write: mode actually stored (after Auto and §IV-C forcing)
-	Degraded bool          // write: Auto demoted to counterless by the watermark
+	Degraded bool          // write: Auto demoted to counterless by the shard's epoch monitor
 	Err      error
 }
 
@@ -125,41 +128,14 @@ type Config struct {
 	// BatchMax caps how many queued requests one shard-lock
 	// acquisition applies (default 32).
 	BatchMax int
-	// Watermark is the queue depth at which Auto writebacks degrade
-	// to counterless. 0 means the default: 3/4 of QueueDepth, but
-	// never below 2 — for QueueDepth 1 or 2 the default is QueueDepth
-	// itself, so tiny queues degrade only when genuinely full rather
-	// than on every pipelined Auto write. Any negative value disables
-	// degradation entirely (-1 by convention). Ignored when
-	// AdaptiveWatermark is on.
-	Watermark int
-	// AdaptiveWatermark replaces the static watermark with the
-	// measurement-driven policy: the per-op service time measured by
-	// the profiler's Service probe (EWMA) is converted, Little's-law
-	// style, into the backlog that fits inside TargetDelayNs, clamped
-	// to [1, QueueDepth] and hysteresis-damped. Adaptation only moves
-	// the knee at which Auto writebacks degrade — explicit-mode
-	// requests and all ciphertext are untouched (check.ConcurrentReplay
-	// proves bit-identity with adaptation racing). Overrides Watermark.
-	AdaptiveWatermark bool
-	// TargetDelayNs is the queueing-delay objective the adaptive
-	// watermark steers toward (default 250µs): the pool starts
-	// shedding counter/tree work when the measured backlog drain time
-	// would exceed it.
-	TargetDelayNs int64
-	// AdaptEvery is how many drained batches a shard waits between
-	// watermark re-evaluations (default 32).
-	AdaptEvery int
 	// Profile attaches an online profiler: pad/MAC probes are wired
 	// into every shard engine's ciphers, and the pool feeds the
-	// Service, Occupancy, and SubmitWait probes. Required input of the
-	// adaptive watermark — when AdaptiveWatermark is set and Profile
-	// is nil, the pool creates one (see Pool.Profiler). Purely
-	// observational on its own.
+	// Service, Occupancy, and SubmitWait probes. Purely
+	// observational: no decision of the pool reads it.
 	Profile *prof.Profiler
-	// Flight attaches a flight recorder: degradations, watermark
-	// moves, stored-mode switches, fault injections, and sampled
-	// submits are recorded into the ring. Nil disables recording.
+	// Flight attaches a flight recorder: degradations, stored-mode
+	// switches, fault injections, and sampled submits are recorded
+	// into the ring. Nil disables recording.
 	Flight *flight.Ring
 	// Journal has no effect. The persistent journal (Persist) is the
 	// pool's only journal; the field remains until its last setter
@@ -213,11 +189,9 @@ type Pool struct {
 	rec        *flight.Ring
 	recN       atomic.Uint64 // submit-sampling counter for the recorder
 
-	// Adaptive-watermark state: the live watermark every shard's
-	// apply consults, plus move accounting.
-	wm      atomic.Int64
-	wmGauge obs.Gauge
-	wmMoves obs.Counter
+	// now is the clock the shard epoch monitors run on: nanoseconds
+	// since the pool was built.
+	now func() int64
 }
 
 type shard struct {
@@ -242,9 +216,13 @@ type shard struct {
 	batchSize    obs.Histogram
 	attrib       *obs.Attributor // nil unless Config.Attribution
 
-	// sinceAdapt counts drained batches toward the next watermark
-	// re-evaluation (worker-private, no atomics needed).
-	sinceAdapt int
+	// mon is the shard's §IV-B epoch monitor, fed the busy ns of every
+	// batch; only the worker drives it, and others read only its
+	// atomic counters. until is the time up to which the shard stays
+	// counterless if no more work arrives, published after each batch
+	// so Shedding reads it without the shard lock.
+	mon   *epoch.Monitor
+	until atomic.Int64
 }
 
 type submission struct {
@@ -274,32 +252,23 @@ var StageNames = []string{"queue", "batch", "service", "writeback"}
 // DefaultShards is the shard count when Config.Shards is unset.
 const DefaultShards = 8
 
-// DefaultTargetDelayNs is the adaptive watermark's queueing-delay
-// objective when Config.TargetDelayNs is unset: 1ms of measured
-// backlog drain time before Auto writebacks start degrading. (The
-// simulated engine's per-op service time is tens to hundreds of
-// microseconds of real software crypto, so the default knee sits at
-// a backlog of a handful to a few dozen ops.)
-const DefaultTargetDelayNs = 1_000_000
-
-// DefaultAdaptEvery is how many drained batches a shard waits between
-// watermark re-evaluations when Config.AdaptEvery is unset.
-const DefaultAdaptEvery = 32
-
-// defaultWatermark is the static degradation default: 3/4 of the
-// queue depth, except that queues too small for 3/4 to mean anything
-// (QueueDepth < 3 would round to 1 or less and demote every pipelined
-// Auto write) degrade only when genuinely full.
-func defaultWatermark(queueDepth int) int {
-	w := queueDepth * 3 / 4
-	if w < 2 {
-		w = queueDepth
-	}
-	return w
-}
+// Each shard's epoch monitor runs Table I's §IV-B parameters on
+// nanoseconds of shard busy time: a shard busy for busyThreshold of an
+// epochNs epoch is saturated.
+const (
+	epochNs       = 100_000
+	busyThreshold = 0.60
+)
 
 // New builds and starts a pool; Close stops it.
 func New(cfg Config) (*Pool, error) {
+	start := time.Now()
+	return newPool(cfg, func() int64 { return int64(time.Since(start)) })
+}
+
+// newPool is New on a given clock for the shard epoch monitors, in
+// nanoseconds from about 0; tests script it.
+func newPool(cfg Config, now func() int64) (*Pool, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
@@ -312,28 +281,14 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.BatchMax > cfg.QueueDepth {
 		cfg.BatchMax = cfg.QueueDepth
 	}
-	if cfg.Watermark == 0 {
-		cfg.Watermark = defaultWatermark(cfg.QueueDepth)
-	}
 	if cfg.Engine == (core.EngineOptions{}) {
 		cfg.Engine = core.DefaultEngineOptions()
-	}
-	if cfg.AdaptiveWatermark {
-		if cfg.TargetDelayNs <= 0 {
-			cfg.TargetDelayNs = DefaultTargetDelayNs
-		}
-		if cfg.AdaptEvery <= 0 {
-			cfg.AdaptEvery = DefaultAdaptEvery
-		}
-		if cfg.Profile == nil {
-			cfg.Profile = prof.New(aes.DefaultBackend())
-		}
 	}
 	if cfg.Profile != nil {
 		// Wire the pad/MAC probes into every shard engine's ciphers.
 		cfg.Engine.Profile = cfg.Profile
 	}
-	p := &Pool{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	p := &Pool{cfg: cfg, shards: make([]*shard, cfg.Shards), now: now}
 	if pf := cfg.Profile; pf != nil {
 		p.pf = pf
 		p.pService = pf.Service
@@ -341,11 +296,6 @@ func New(cfg Config) (*Pool, error) {
 		p.pSubmit = pf.SubmitWait
 	}
 	p.rec = cfg.Flight
-	// The adaptive controller starts from the static default and
-	// adapts from there; until the first measured batch it behaves
-	// exactly like the static policy.
-	p.wm.Store(int64(defaultWatermark(cfg.QueueDepth)))
-	p.wmGauge.Set(p.wm.Load())
 	for i := range p.shards {
 		eng, err := core.NewEngine(cfg.Engine)
 		if err != nil {
@@ -354,6 +304,10 @@ func New(cfg Config) (*Pool, error) {
 		// The pool is one memory controller: its shards split Table I's
 		// counter cache.
 		eng.Counters().SetCacheSize(ctrblock.CacheBytes / uint64(cfg.Shards))
+		mon, err := epoch.NewMonitor(epochNs, 1, busyThreshold)
+		if err != nil {
+			return nil, fmt.Errorf("mcpool: shard %d: %w", i, err)
+		}
 		var attrib *obs.Attributor
 		if cfg.Attribution {
 			attrib = obs.NewAttributor(StageNames)
@@ -364,6 +318,7 @@ func New(cfg Config) (*Pool, error) {
 			eng:      eng,
 			lastMode: make(map[uint64]epoch.Mode),
 			attrib:   attrib,
+			mon:      mon,
 		}
 		p.wg.Add(1)
 		go p.worker(p.shards[i])
@@ -400,8 +355,8 @@ func (p *Pool) submit(req Request, fut *Future) error {
 }
 
 // flightSubmitSample: one in this many submits is recorded into the
-// flight ring (power of two). Degradations, watermark moves, and
-// faults are always recorded; submits are context.
+// flight ring (power of two). Degradations and faults are always
+// recorded; submits are context.
 const flightSubmitSample = 64
 
 // Submit enqueues one request on its shard, blocking while the
@@ -502,20 +457,28 @@ func (p *Pool) worker(s *shard) {
 			s.contention.Inc()
 			s.mu.Lock()
 		}
+		busyFrom := p.now()
+		// One verdict serves the whole batch: the monitor's mode moves
+		// only when a batch is recorded or an epoch closes, and a
+		// batch is short against an epoch.
+		auto := s.mon.WritebackMode(busyFrom)
 		for i := range batch {
 			batch[i].span.Mark(stageBatch)
 		}
 		work := 0 // non-barrier requests; FlushBarrier fences don't count
 		t0 := p.pService.Start()
 		for i := range batch {
-			resps[i] = p.apply(s, batch[i].req)
+			resps[i] = p.apply(s, batch[i].req, auto)
 			batch[i].span.Mark(stageService)
 			if batch[i].req.Kind != opBarrier {
 				work++
 			}
 		}
 		p.pService.DoneN(t0, work)
+		busyTo := p.now()
 		s.mu.Unlock()
+		s.mon.Record(busyTo, uint64(busyTo-busyFrom))
+		s.until.Store(s.mon.CounterlessUntil())
 		for i := range batch {
 			batch[i].fut.ch <- resps[i]
 			batch[i].span.Mark(stageWriteback)
@@ -527,64 +490,13 @@ func (p *Pool) worker(s *shard) {
 			s.batchSize.Add(int64(work))
 			p.completed.Add(uint64(work))
 			p.pOccupancy.Observe(int64(work))
-			if p.cfg.AdaptiveWatermark {
-				s.sinceAdapt++
-				if s.sinceAdapt >= p.cfg.AdaptEvery {
-					s.sinceAdapt = 0
-					p.adapt(s)
-				}
-			}
 		}
 	}
 }
 
-// adapt re-evaluates the degradation watermark from the measured
-// service rate: the backlog that drains within TargetDelayNs at the
-// Service probe's per-op EWMA, clamped to [1, QueueDepth]. Moves are
-// hysteresis-damped — a deadband of cur/8 (min 1) suppresses jitter,
-// and the watermark steps half the remaining distance per evaluation
-// rather than jumping. Adaptation only moves the knee at which Auto
-// writebacks degrade; it can never change an explicit-mode result.
-func (p *Pool) adapt(s *shard) {
-	perOp := p.pService.EWMA()
-	if perOp <= 0 {
-		return // no measurement yet
-	}
-	target := int64(float64(p.cfg.TargetDelayNs) / perOp)
-	if target < 1 {
-		target = 1
-	}
-	if lim := int64(p.cfg.QueueDepth); target > lim {
-		target = lim
-	}
-	cur := p.wm.Load()
-	diff := target - cur
-	dead := cur / 8
-	if dead < 1 {
-		dead = 1
-	}
-	if diff <= dead && diff >= -dead {
-		return // within the deadband: hold
-	}
-	step := diff / 2
-	if step == 0 {
-		if diff > 0 {
-			step = 1
-		} else {
-			step = -1
-		}
-	}
-	next := cur + step
-	if p.wm.CompareAndSwap(cur, next) {
-		p.wmGauge.Set(next)
-		p.wmMoves.Inc()
-		p.rec.Record(flight.KindWatermark, int32(s.id), 0, cur, next)
-	}
-}
-
-// apply executes one request against the shard engine. Caller holds
-// the shard lock.
-func (p *Pool) apply(s *shard, req Request) Response {
+// apply executes one request against the shard engine; an Auto write
+// takes the shard monitor's verdict auto. Caller holds the shard lock.
+func (p *Pool) apply(s *shard, req Request, auto epoch.Mode) Response {
 	var resp Response
 	switch req.Kind {
 	case OpRead:
@@ -593,15 +505,14 @@ func (p *Pool) apply(s *shard, req Request) Response {
 	case OpWrite:
 		mode := req.Mode
 		if req.Auto {
-			// The §IV-B monitor analogue: a backlog at or above the
-			// watermark means the controller is saturated — shed the
-			// counter and tree traffic for this writeback.
-			mode = epoch.CounterMode
-			if w := p.effectiveWatermark(); w >= 0 && len(s.q) >= w {
-				mode = epoch.Counterless
+			// §IV-B: a shard in a counterless epoch sheds the counter
+			// and tree traffic of this writeback.
+			mode = auto
+			if mode == epoch.Counterless {
 				resp.Degraded = true
 				p.degraded.Inc()
-				p.rec.Record(flight.KindDegrade, int32(s.id), req.Addr, int64(len(s.q)), int64(w))
+				p.rec.Record(flight.KindDegrade, int32(s.id), req.Addr,
+					int64(s.mon.EpochAccesses()), int64(s.mon.Threshold()))
 			}
 		}
 		err := s.eng.WriteAs(req.VM, req.Addr, req.Data, mode)
@@ -764,7 +675,7 @@ func (p *Pool) ShardStats(i int) core.EngineStats {
 type Aggregate struct {
 	core.EngineStats
 	ModeSwitches   uint64 // per-block stored-mode transitions
-	DegradedWrites uint64 // Auto writes demoted by the watermark
+	DegradedWrites uint64 // Auto writes demoted by the shard epoch monitors
 	Submitted      uint64
 	Completed      uint64
 	Batches        uint64
@@ -813,46 +724,38 @@ func (p *Pool) Sample() Sample {
 	return s
 }
 
-// effectiveWatermark is the degradation knee apply consults: the
-// live adaptive value when adaptation is on, the configured static
-// one otherwise.
-func (p *Pool) effectiveWatermark() int {
-	if p.cfg.AdaptiveWatermark {
-		return int(p.wm.Load())
-	}
-	return p.cfg.Watermark
-}
+// Shedding reports whether any shard is in a counterless epoch, so
+// that an Auto write arriving there now would be demoted. This is the
+// node-level health signal a cluster admission policy consults. It
+// reads each shard's published deadline without locks, and a shard
+// that stops receiving work stops shedding once its deadline passes.
+func (p *Pool) Shedding() bool { return p.CounterlessShards() > 0 }
 
-// Watermark returns the current effective degradation watermark
-// (negative when disabled): the configured static value, or the
-// adaptive controller's live value when AdaptiveWatermark is on.
-func (p *Pool) Watermark() int { return p.effectiveWatermark() }
-
-// Shedding reports whether any shard's queue currently sits at or past
-// the effective degradation watermark — i.e. an Auto write arriving
-// now would be demoted to counterless. This is the node-level health
-// signal a cluster admission policy consults; it is instantaneous
-// (channel-length reads, no locks) and false whenever degradation is
-// disabled.
-func (p *Pool) Shedding() bool {
-	w := p.effectiveWatermark()
-	if w < 0 {
-		return false
-	}
+// CounterlessShards counts the shards now in a counterless epoch.
+func (p *Pool) CounterlessShards() int {
+	now := p.now()
+	n := 0
 	for _, s := range p.shards {
-		if len(s.q) >= w {
-			return true
+		if now < s.until.Load() {
+			n++
 		}
 	}
-	return false
+	return n
 }
 
-// WatermarkMoves returns how many times the adaptive controller has
-// moved the watermark (0 with the static policy).
-func (p *Pool) WatermarkMoves() uint64 { return p.wmMoves.Value() }
+// CounterlessEpochs counts, across shards, the epochs whose Auto
+// writebacks ran counterless for all or part of the epoch: those that
+// started counterless after a busy epoch, plus those that fell back
+// mid-epoch.
+func (p *Pool) CounterlessEpochs() uint64 {
+	var n uint64
+	for _, s := range p.shards {
+		n += s.mon.CounterlessEpochs() + s.mon.MidEpochSwitches()
+	}
+	return n
+}
 
 // Profiler returns the pool's online profiler (nil when disabled).
-// With AdaptiveWatermark set the pool guarantees one exists.
 func (p *Pool) Profiler() *prof.Profiler { return p.pf }
 
 // FlightRing returns the attached flight recorder (nil when
@@ -892,10 +795,6 @@ func (p *Pool) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.RegisterCounter("mcpool_completed_total", &p.completed, labels...)
 	reg.RegisterCounter("mcpool_degraded_writes_total", &p.degraded, labels...)
 	reg.RegisterGauge("mcpool_queue_depth_hwm", &p.depthHWM, labels...)
-	if p.cfg.AdaptiveWatermark {
-		reg.RegisterGauge("mcpool_watermark", &p.wmGauge, labels...)
-		reg.RegisterCounter("mcpool_watermark_moves_total", &p.wmMoves, labels...)
-	}
 	p.pf.Register(reg, labels...)
 	for _, s := range p.shards {
 		ls := append(append([]obs.Label(nil), labels...), obs.L("shard", strconv.Itoa(s.id)))

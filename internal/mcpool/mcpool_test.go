@@ -112,7 +112,7 @@ func TestPoolMatchesSerialEngine(t *testing.T) {
 	serialStats, serialResps, serialSwitches := serialReplay(t, opts, sched)
 
 	for _, shards := range []int{1, 4} {
-		p, err := New(Config{Shards: shards, Watermark: -1, Engine: opts})
+		p, err := New(Config{Shards: shards, Engine: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +163,8 @@ func TestPoolMatchesSerialEngine(t *testing.T) {
 // white-box: with the shard lock held the worker stalls mid-batch, so
 // exactly QueueDepth Submits are buffered without blocking, the next
 // one blocks rather than being buffered, and once the lock is released
-// it returns and the backlog drains with the watermark degrading Auto
-// writebacks and the contention counter recording the stall.
+// it returns, the backlog drains and the contention counter records
+// the stall.
 func TestConcurrentBackpressure(t *testing.T) {
 	const (
 		queueDepth = 8
@@ -174,8 +174,7 @@ func TestConcurrentBackpressure(t *testing.T) {
 		Shards:     1,
 		QueueDepth: queueDepth,
 		BatchMax:   batchMax,
-		// Watermark defaults to 6 (3/4 of QueueDepth).
-		Engine: testEngineOptions(),
+		Engine:     testEngineOptions(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,14 +264,8 @@ func TestConcurrentBackpressure(t *testing.T) {
 	if agg.Contention == 0 {
 		t.Fatal("contention stall left no trace in the contention counter")
 	}
-	if agg.DegradedWrites == 0 {
-		t.Fatalf("backlog of %d never crossed watermark %d: no Auto write degraded", queueDepth, p.Watermark())
-	}
-	if agg.MaxQueueDepth < int64(p.Watermark()) {
-		t.Fatalf("queue-depth high-water mark %d below watermark %d", agg.MaxQueueDepth, p.Watermark())
-	}
-	if agg.CounterlessWrites == 0 {
-		t.Fatal("degraded Auto writes recorded no counterless writebacks")
+	if agg.MaxQueueDepth < queueDepth {
+		t.Fatalf("queue-depth high-water mark %d below the full queue %d", agg.MaxQueueDepth, queueDepth)
 	}
 }
 
@@ -287,7 +280,7 @@ func TestConcurrentHammerAggregates(t *testing.T) {
 		perWorker  = 1500
 		blocks     = 256
 	)
-	p, err := New(Config{Shards: submitters, Watermark: -1, Engine: testEngineOptions()})
+	p, err := New(Config{Shards: submitters, Engine: testEngineOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +363,7 @@ func TestConcurrentHammerAggregates(t *testing.T) {
 			agg.CounterModeWrites, agg.CounterlessWrites, agg.Writes)
 	}
 	if agg.DegradedWrites != 0 {
-		t.Fatalf("watermark disabled but %d writes degraded", agg.DegradedWrites)
+		t.Fatalf("explicit-mode schedule but %d writes degraded", agg.DegradedWrites)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Value("mcpool_completed_total"); got != float64(total) {

@@ -36,64 +36,13 @@ func TestSubmitWaitProbeRecordsErrors(t *testing.T) {
 	}
 }
 
-// Shedding is the node-level admission signal: false while queues sit
-// below the watermark, true once any shard's backlog reaches it, and
-// always false with degradation disabled.
-func TestShedding(t *testing.T) {
-	off, err := New(Config{Shards: 1, Watermark: -1, Engine: testEngineOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
-	if off.Shedding() {
-		t.Fatal("Shedding true with degradation disabled")
-	}
-
-	p, err := New(Config{Shards: 1, QueueDepth: 64, BatchMax: 8, Watermark: 16, Engine: testEngineOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Shedding() {
-		t.Fatal("Shedding true on an idle pool")
-	}
-	// Hold the shard lock so the worker stalls mid-batch, then pile a
-	// backlog past the watermark: the worker can hold at most one
-	// BatchMax batch, so at least 32-8 requests sit queued.
-	s := p.shards[0]
-	s.mu.Lock()
-	var futs []*Future
-	for i := 0; i < 32; i++ {
-		fut, err := p.Submit(Request{Kind: OpWrite, Addr: uint64(i) * 64, Data: [64]byte{1}})
-		if err != nil {
-			s.mu.Unlock()
-			t.Fatal(err)
-		}
-		futs = append(futs, fut)
-	}
-	shedding := p.Shedding()
-	s.mu.Unlock()
-	if !shedding {
-		t.Error("Shedding false with backlog past the watermark")
-	}
-	for _, fut := range futs {
-		if resp := fut.Wait(); resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
-	}
-	p.FlushBarrier()
-	if p.Shedding() {
-		t.Error("Shedding true after the backlog drained")
-	}
-}
-
 // RestoreShard splices recovered durable state under a fresh pool:
 // the journal seq continues where the dead pool's durable epoch left
 // off (no reuse, no gap at the splice point), and restoring over a
 // shard that has already applied traffic is rejected.
 func TestRestoreShardSeqSplice(t *testing.T) {
 	opts := testEngineOptions()
-	a, err := New(Config{Shards: 2, Watermark: -1, Persist: true, Engine: opts})
+	a, err := New(Config{Shards: 2, Persist: true, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +58,7 @@ func TestRestoreShardSeqSplice(t *testing.T) {
 	}
 	a.Close()
 
-	b, err := New(Config{Shards: 2, Watermark: -1, Persist: true, Engine: opts})
+	b, err := New(Config{Shards: 2, Persist: true, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,6 @@ type Engine struct {
 	cfg Config
 	eng *core.Engine
 	dom *Domain
-	mon *epoch.Monitor
 
 	seq     uint64 // journal sequence of the last applied mutation
 	lastTag int64  // highest op tag journaled (-1 none)
@@ -106,11 +105,6 @@ func (n *Engine) Core() *core.Engine { return n.eng }
 // Domain exposes the durable side — what survives the crash and what
 // Recover rebuilds from.
 func (n *Engine) Domain() *Domain { return n.dom }
-
-// SetMonitor attaches an epoch monitor whose timeline state is
-// included in metadata snapshots (persisted at flush, restored by
-// recovery via RecoveryReport.Monitor).
-func (n *Engine) SetMonitor(m *epoch.Monitor) { n.mon = m }
 
 // ArmCrash arms a crash point on the domain.
 func (n *Engine) ArmCrash(cp *fault.CrashPoint) { n.dom.ArmCrash(cp) }
@@ -204,8 +198,8 @@ func (n *Engine) logEntry(tag int64, e mcpool.Entry) error {
 }
 
 // Flush drains the write-pending metadata queue: the full metadata
-// table (plus the epoch monitor's timeline, if attached) is
-// snapshotted into the alternate slot and the journal truncated.
+// table is snapshotted into the alternate slot and the journal
+// truncated.
 func (n *Engine) Flush() error {
 	if n.dom.crashed {
 		return ErrCrashed
@@ -224,14 +218,10 @@ func (n *Engine) flush() {
 	}
 }
 
-// Snapshot wire format: "nvs1", seq, lastTag, flags (bit0 = monitor
-// state present), optional monitor timeline, block count, then per
-// block (sorted by address) addr/ctr/vm/flags (bit0 = permanently
-// counterless).
-const (
-	snapFlagMonitor = 1 << 0
-	snapBlockPermCL = 1 << 0
-)
+// Snapshot wire format: "nvs1", seq, lastTag, a flags byte (no flag
+// is defined; it must be 0), block count, then per block (sorted by
+// address) addr/ctr/vm/flags (bit0 = permanently counterless).
+const snapBlockPermCL = 1 << 0
 
 type snapBlock struct {
 	addr uint64
@@ -241,18 +231,13 @@ type snapBlock struct {
 type snapshot struct {
 	seq     uint64
 	lastTag int64
-	monitor *epoch.State
 	blocks  []snapBlock
 }
 
-// snapshot captures the metadata table (plus the epoch monitor's
-// timeline, if attached) as of now, blocks sorted by address.
+// snapshot captures the metadata table as of now, blocks sorted by
+// address.
 func (n *Engine) snapshot() snapshot {
 	s := snapshot{seq: n.seq, lastTag: n.lastTag, blocks: make([]snapBlock, 0, len(n.meta))}
-	if n.mon != nil {
-		st := n.mon.ExportState()
-		s.monitor = &st
-	}
 	for a, m := range n.meta {
 		s.blocks = append(s.blocks, snapBlock{addr: a, meta: m})
 	}
@@ -264,17 +249,7 @@ func (s snapshot) encode() []byte {
 	buf := []byte{'n', 'v', 's', '1'}
 	buf = binary.AppendUvarint(buf, s.seq)
 	buf = binary.AppendVarint(buf, s.lastTag)
-	var flags byte
-	if s.monitor != nil {
-		flags |= snapFlagMonitor
-	}
-	buf = append(buf, flags)
-	if st := s.monitor; st != nil {
-		buf = binary.AppendVarint(buf, st.EpochStart)
-		buf = binary.AppendUvarint(buf, st.Accesses)
-		buf = append(buf, byte(st.Mode), byte(st.StartMode), byte(st.NextFromStart))
-		buf = binary.AppendUvarint(buf, st.Closed)
-	}
+	buf = append(buf, 0) // flags
 	buf = binary.AppendUvarint(buf, uint64(len(s.blocks)))
 	for _, b := range s.blocks {
 		buf = binary.AppendUvarint(buf, b.addr)
@@ -290,8 +265,8 @@ func (s snapshot) encode() []byte {
 }
 
 // decodeSnapshot is encode's inverse. It accepts only what encode
-// writes — minimal varints, 32-bit counters, known flag bits and
-// monitor modes — so every accepted slot re-encodes byte-identically.
+// writes — minimal varints, 32-bit counters and known flag bits — so
+// every accepted slot re-encodes byte-identically.
 func decodeSnapshot(data []byte) (snapshot, error) {
 	var s snapshot
 	if len(data) < 4 || string(data[:4]) != "nvs1" {
@@ -300,21 +275,8 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 	r := wire.NewReader(data[4:])
 	s.seq = r.Uvarint()
 	s.lastTag = r.Varint()
-	flags := r.U8()
-	if flags&^byte(snapFlagMonitor) != 0 {
+	if flags := r.U8(); flags != 0 {
 		return s, fmt.Errorf("nvm: snapshot has unknown flags %#x", flags)
-	}
-	if flags&snapFlagMonitor != 0 {
-		st := epoch.State{EpochStart: r.Varint(), Accesses: r.Uvarint()}
-		modes := [3]byte{r.U8(), r.U8(), r.U8()}
-		for _, m := range modes {
-			if m > byte(epoch.Counterless) {
-				return s, fmt.Errorf("nvm: snapshot has unknown monitor mode %d", m)
-			}
-		}
-		st.Mode, st.StartMode, st.NextFromStart = epoch.Mode(modes[0]), epoch.Mode(modes[1]), epoch.Mode(modes[2])
-		st.Closed = r.Uvarint()
-		s.monitor = &st
 	}
 	nb := r.Uvarint()
 	if nb > uint64(len(data)) { // ≥4 bytes per block: cheap sanity bound
@@ -355,10 +317,6 @@ type RecoveryReport struct {
 	Replayed int    // journal entries replayed
 	Blocks   int    // blocks present after recovery
 	LastTag  int64  // highest durable op tag (-1: nothing durable)
-
-	// Monitor is the epoch timeline persisted by the last committed
-	// flush, for the caller to RestoreState into a rebuilt monitor.
-	Monitor *epoch.State
 }
 
 // Recover rebuilds an NVM engine from a crashed domain: pick the
@@ -398,7 +356,6 @@ func Recover(dom *Domain, cfg Config) (*Engine, RecoveryReport, error) {
 		snapSeq = dom.slots[best].seq
 		n.seq = snapSeq
 		n.lastTag = snap.lastTag
-		rep.Monitor = snap.monitor
 		for _, b := range snap.blocks {
 			if err := applyMeta(eng, b.addr, b.meta); err != nil {
 				return nil, rep, err

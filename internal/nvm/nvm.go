@@ -12,8 +12,7 @@
 //   - the data region, one codeword per block, persisted in place
 //     right after its journal record;
 //   - two alternating metadata snapshot slots, each MAC-committed,
-//     holding the full counter/ownership table plus the epoch
-//     monitor's timeline state as of a flush.
+//     holding the full counter/ownership table as of a flush.
 //
 // Dirty metadata sits in a bounded write-pending queue between
 // flushes; filling it forces an implicit flush (backpressure). A

@@ -282,48 +282,6 @@ func TestCrashWithFullPendingQueue(t *testing.T) {
 	}
 }
 
-// The epoch monitor's timeline state survives the flush/recover cycle.
-func TestMonitorStatePersisted(t *testing.T) {
-	n := newNVM(t, Config{})
-	mon, err := epoch.NewMonitor(1000, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.SetMonitor(mon)
-	now := int64(0)
-	for i := 0; i < 40; i++ {
-		mon.Record(now)
-		now += 3
-	}
-	mustWrite(t, n, 0, 0)
-	if err := n.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	n.ArmCrash(&fault.CrashPoint{Step: n.Domain().Steps() + 1})
-	if err := n.Write(1, 0, 64, pay(1), epoch.CounterMode); err != ErrCrashed {
-		t.Fatalf("write returned %v, want ErrCrashed", err)
-	}
-	_, rep, err := Recover(n.Domain(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Monitor == nil {
-		t.Fatal("monitor state not recovered")
-	}
-	want := mon.ExportState()
-	if *rep.Monitor != want {
-		t.Errorf("recovered monitor state %+v, want %+v", *rep.Monitor, want)
-	}
-	mon2, err := epoch.NewMonitor(1000, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon2.RestoreState(*rep.Monitor)
-	if got := mon2.ExportState(); got != want {
-		t.Errorf("round-tripped monitor state %+v, want %+v", got, want)
-	}
-}
-
 // A recovered engine is a full engine: it keeps serving writes,
 // flushing, and surviving further crashes.
 func TestRecoveredEngineContinues(t *testing.T) {

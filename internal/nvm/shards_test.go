@@ -10,7 +10,7 @@ import (
 
 func shardPool(t *testing.T, opts core.EngineOptions) *mcpool.Pool {
 	t.Helper()
-	p, err := mcpool.New(mcpool.Config{Shards: 4, Watermark: -1, Persist: true, Engine: opts})
+	p, err := mcpool.New(mcpool.Config{Shards: 4, Persist: true, Engine: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,19 +6,14 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"counterlight/internal/epoch"
 )
 
-// sampleSnapshot carries every field the format has: the monitor
-// timeline, a negative tag, a 32-bit-max counter and a permanently
-// counterless block.
+// sampleSnapshot carries every field the format has: a negative tag,
+// a 32-bit-max counter and a permanently counterless block.
 func sampleSnapshot() snapshot {
 	return snapshot{
 		seq:     1 << 33,
 		lastTag: -1,
-		monitor: &epoch.State{EpochStart: -5, Accesses: 300, Mode: epoch.Counterless,
-			StartMode: epoch.CounterMode, NextFromStart: epoch.Counterless, Closed: 9},
 		blocks: []snapBlock{
 			{addr: 0, meta: blockMeta{ctr: 7, vm: 1}},
 			{addr: 64, meta: blockMeta{ctr: math.MaxUint32, permCL: true}},
@@ -27,8 +22,8 @@ func sampleSnapshot() snapshot {
 	}
 }
 
-// encodeSample appends one block record to the monitor-free header,
-// so each rejection case below alters exactly one field.
+// encodeSample appends one block record to the header, so each
+// rejection case below alters exactly one field.
 func encodeSample(ctr uint64, flags byte) []byte {
 	s := snapshot{seq: 2, lastTag: 1}
 	buf := append(s.encode()[:len(s.encode())-1], 1) // block count 1
@@ -43,9 +38,10 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 	if _, err := decodeSnapshot(encodeSample(3, 1)); err != nil {
 		t.Fatalf("well-formed block rejected: %v", err)
 	}
-	// "nvs1", seq, tag, flags, EpochStart, Accesses, then the modes.
-	badMode := snapshot{monitor: &epoch.State{}}.encode()
-	badMode[9] = 2
+	// "nvs1", seq, tag, then the header flags byte. Bit 0 once marked
+	// a persisted epoch-monitor section; no flag is defined now.
+	headerFlag := snapshot{}.encode()
+	headerFlag[6] = 1
 	nonMinimal := encodeSample(3, 0)
 	nonMinimal = append(nonMinimal[:len(nonMinimal)-3], 0x83, 0x00, 0, 0) // ctr 3 in two bytes
 	for _, tc := range []struct {
@@ -54,7 +50,7 @@ func TestSnapshotDecodeRejects(t *testing.T) {
 	}{
 		{"counter 2^32+3", "overflows uint32", encodeSample(1<<32+3, 0)},
 		{"block flag bit 1", "unknown flags", encodeSample(3, 2)},
-		{"monitor mode 2", "unknown monitor mode", badMode},
+		{"header flag bit 0", "unknown flags", headerFlag},
 		{"non-minimal varint", "non-minimal", nonMinimal},
 	} {
 		_, err := decodeSnapshot(tc.data)

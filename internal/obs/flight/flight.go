@@ -6,8 +6,8 @@
 // The recorder answers the question the metrics registry cannot:
 // "what was the engine doing in the moments before this failure?"
 // Counters aggregate; the ring keeps the last N concrete events
-// (degradations, watermark moves, epoch switches, fault injections,
-// sampled submits) with their relative timestamps and shard/address
+// (degradations, mode and epoch switches, fault injections, sampled
+// submits) with their relative timestamps and shard/address
 // context, at a cost low enough to leave on in production runs: one
 // atomic add plus a few stores per event, no locks, no allocations.
 //
@@ -38,12 +38,10 @@ const (
 	// KindSubmit: sampled request submission (Addr = block address,
 	// A = op kind, B = queue depth at submit).
 	KindSubmit
-	// KindDegrade: an Auto write demoted to counterless (Addr = block
-	// address, A = queue depth, B = effective watermark).
+	// KindDegrade: an Auto write demoted to counterless by its shard's
+	// epoch monitor (Addr = block address, A = the shard's busy ns in
+	// the current epoch, B = the busy-ns threshold).
 	KindDegrade
-	// KindWatermark: adaptive controller moved the watermark
-	// (A = old, B = new).
-	KindWatermark
 	// KindModeSwitch: a shard's resolved write mode changed
 	// (A = old mode, B = new mode).
 	KindModeSwitch
@@ -73,7 +71,6 @@ var kindNames = [...]string{
 	KindNote:        "note",
 	KindSubmit:      "submit",
 	KindDegrade:     "degrade",
-	KindWatermark:   "watermark",
 	KindModeSwitch:  "mode_switch",
 	KindEpochSwitch: "epoch_switch",
 	KindFault:       "fault",

@@ -141,13 +141,13 @@ func TestRingConcurrent(t *testing.T) {
 func TestRingJSON(t *testing.T) {
 	r := NewRing(16)
 	r.Record(KindDegrade, 2, 128, 7, 3)
-	r.Record(KindWatermark, -1, 0, 6, 4)
+	r.Record(KindEpochSwitch, -1, 0, 1, 4)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"degrade"`, `"watermark"`, `"recorded": 2`, `"evicted": 0`} {
+	for _, want := range []string{`"degrade"`, `"epoch_switch"`, `"recorded": 2`, `"evicted": 0`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %s:\n%s", want, out)
 		}
@@ -185,7 +185,7 @@ func TestRecordNoAllocs(t *testing.T) {
 func TestKindNames(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindNote: "note", KindSubmit: "submit", KindDegrade: "degrade",
-		KindWatermark: "watermark", KindModeSwitch: "mode_switch",
+		KindModeSwitch:  "mode_switch",
 		KindEpochSwitch: "epoch_switch", KindFault: "fault",
 		KindDivergence: "divergence", KindHealth: "health",
 	} {

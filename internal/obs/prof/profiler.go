@@ -14,8 +14,8 @@ const (
 )
 
 // Profiler is the fixed probe set the engine stack exposes: what the
-// adaptive watermark policy and the SLO evaluator need to know about
-// the hot path, and nothing more.
+// SLO evaluator and the monitoring surfaces need to know about the hot
+// path, and nothing more.
 //
 //   - PadBatch: per-pad latency of the batched AES pad path (cipher
 //     layer, DoneN over batch size) — measured on the running

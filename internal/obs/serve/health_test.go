@@ -130,7 +130,7 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 
 	rec := flight.NewRing(64)
-	rec.Record(flight.KindWatermark, 2, 0, 48, 32)
+	rec.Record(flight.KindDegrade, 2, 64, 61_000, 60_000)
 	rec.Note(-1, 7, 0)
 	srv.SetFlight(rec)
 
