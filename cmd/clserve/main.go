@@ -228,7 +228,6 @@ func run(rc runConfig) int {
 		for i := 0; i < cl.Nodes(); i++ {
 			srv.MergeRegistry(cl.NodeRegistry(i))
 		}
-		attachProfiles(srv, cl)
 		srv.SetHealth(func() prof.Health { return evaluator.Last() })
 		srv.SetFlight(rec)
 		srv.Handle("/v1/", cluster.NewAPI(cl).Handler())
@@ -282,7 +281,7 @@ func run(rc runConfig) int {
 		chaosWG.Add(1)
 		go func() {
 			defer chaosWG.Done()
-			chaosController(ctx, cl, srv, rc)
+			chaosController(ctx, cl, rc)
 		}()
 	}
 
@@ -421,7 +420,7 @@ func run(rc runConfig) int {
 // run and restarts it -chaos-down later, recovering through the NVM
 // journal path. If the run ends inside the dark window the node stays
 // down — Drain and Verify both handle a dead node.
-func chaosController(ctx context.Context, cl *cluster.Cluster, srv *serve.Server, rc runConfig) {
+func chaosController(ctx context.Context, cl *cluster.Cluster, rc runConfig) {
 	target := cl.Nodes() - 1
 	select {
 	case <-ctx.Done():
@@ -449,26 +448,6 @@ func chaosController(ctx context.Context, cl *cluster.Cluster, srv *serve.Server
 	}
 	fmt.Fprintf(os.Stderr, "clserve: chaos: restarted node %d (replayed %d journal entries across %d shards)\n",
 		target, replayed, len(rep))
-	if srv != nil {
-		// Each incarnation gets a fresh profiler; repoint /api/profile.
-		attachProfiles(srv, cl)
-	}
-}
-
-// attachProfiles (re)binds every live node profiler to /api/profile.
-// Node 0 keeps the historical "pool" name so existing dashboards and
-// smoke checks stay valid.
-func attachProfiles(srv *serve.Server, cl *cluster.Cluster) {
-	for i, pf := range cl.Profilers() {
-		if pf == nil {
-			continue
-		}
-		name := "pool"
-		if i > 0 {
-			name = fmt.Sprintf("node%d", i)
-		}
-		srv.AddProfile(name, pf)
-	}
 }
 
 // printAttribution renders the merged per-stage latency breakdown: for

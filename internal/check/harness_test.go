@@ -195,7 +195,7 @@ func TestTokenRejectsGarbage(t *testing.T) {
 		return oneOp(OpWrite, 3, tail...)
 	}
 	// In range, the hand-built frames are canonical tokens.
-	for _, frame := range [][]byte{oneOp(OpRead, 7), write(math.MaxUint32)} {
+	for _, frame := range [][]byte{oneOp(OpRead, 7), write(math.MaxUint32), oneOp(OpFault, 3, 2, 1, 7)} {
 		r, err := parseTokenBytes(frame)
 		if err != nil {
 			t.Fatalf("in-range token rejected: %v", err)
@@ -217,6 +217,9 @@ func TestTokenRejectsGarbage(t *testing.T) {
 		{"block 2^64-1", oneOp(OpRead, math.MaxUint64)},
 		{"payload seed 2^32", write(1 << 32)},
 		{"payload seed 2^32+5", write(1<<32 + 5)},
+		{"non-minimal payload seed", oneOp(OpWrite, 3, 0, byte(epoch.CounterMode), byte(PayText), 0x85, 0x00)},
+		{"non-minimal block", append(oneOp(OpRead, 3)[:len(oneOp(OpRead, 3))-1], 0x83, 0x00)},
+		{"fault flags 3", oneOp(OpFault, 3, 2, 3, 7)},
 	} {
 		if r, err := parseTokenBytes(tc.raw); err == nil {
 			t.Errorf("%s: accepted as a %d-op program", tc.name, len(r.Program.Ops))

@@ -3,11 +3,13 @@ package check
 import (
 	"encoding/base64"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"counterlight/internal/cipher"
 	"counterlight/internal/epoch"
+	"counterlight/internal/wire"
 )
 
 // OpKind is one program step's operation.
@@ -174,68 +176,23 @@ func (r Repro) Token() string {
 	return base64.RawURLEncoding.EncodeToString(r.TokenBytes())
 }
 
-// byteReader walks the raw token, failing sticky on truncation.
-type byteReader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (b *byteReader) u8() byte {
-	if b.err != nil {
-		return 0
-	}
-	if b.pos >= len(b.buf) {
-		b.err = fmt.Errorf("check: truncated token at byte %d", b.pos)
-		return 0
-	}
-	v := b.buf[b.pos]
-	b.pos++
-	return v
-}
-
-func (b *byteReader) uvarint() uint64 {
-	if b.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(b.buf[b.pos:])
-	if n <= 0 {
-		b.err = fmt.Errorf("check: bad varint at byte %d", b.pos)
-		return 0
-	}
-	b.pos += n
-	return v
-}
-
-// uvarint32 reads a uvarint that must fit op i's 32-bit field.
-func (b *byteReader) uvarint32(field string, i uint64) uint32 {
-	v := b.uvarint()
-	if b.err == nil && v > math.MaxUint32 {
-		b.err = fmt.Errorf("check: op %d: %s %d does not fit 32 bits", i, field, v)
-	}
-	return uint32(v)
-}
+// errTokenShort reports a token that ends early or holds a non-minimal
+// varint.
+var errTokenShort = errors.New("check: truncated token or non-minimal varint")
 
 // parseTokenBytes decodes and validates a raw token. Every field is
-// bounds-checked, 32-bit fields reject wider values instead of
-// truncating them, and trailing bytes are an error, so an accepted
-// token names exactly the program its bytes encode and the returned
-// repro is always safe to Replay.
+// bounds-checked, varints must be minimal, 32-bit fields reject wider
+// values instead of truncating them, unknown flag bits are an error,
+// and so are trailing bytes, so an accepted token re-encodes to exactly
+// its own bytes and the returned repro is always safe to Replay.
 func parseTokenBytes(data []byte) (Repro, error) {
 	var r Repro
 	if len(data) < len(tokenMagic) || string(data[:len(tokenMagic)]) != tokenMagic {
 		return r, fmt.Errorf("check: not a repro token (bad magic)")
 	}
-	br := &byteReader{buf: data, pos: len(tokenMagic)}
-	nameLen := int(br.u8())
-	if br.err == nil && br.pos+nameLen > len(data) {
-		return r, fmt.Errorf("check: truncated variant name")
-	}
-	if br.err == nil {
-		r.Variant = string(data[br.pos : br.pos+nameLen])
-		br.pos += nameLen
-	}
-	flags := br.u8()
+	rd := wire.NewReader(data[len(tokenMagic):])
+	r.Variant = string(rd.Bytes(int(rd.U8())))
+	flags := rd.U8()
 	if flags&^byte(1|4|8) != 0 {
 		return r, fmt.Errorf("check: unknown token flags %#x", flags)
 	}
@@ -246,13 +203,13 @@ func parseTokenBytes(data []byte) (Repro, error) {
 		return r, fmt.Errorf("check: break-recovery flag without crash flag")
 	}
 	if r.Crash {
-		r.CrashStep = br.uvarint()
+		r.CrashStep = rd.Uvarint()
 	}
-	r.Program.Seed = int64(br.uvarint())
-	blocks := br.uvarint()
-	nops := br.uvarint()
-	if br.err != nil {
-		return r, br.err
+	r.Program.Seed = int64(rd.Uvarint())
+	blocks := rd.Uvarint()
+	nops := rd.Uvarint()
+	if rd.Bad() {
+		return r, errTokenShort
 	}
 	if blocks == 0 || blocks > maxTokenBlocks {
 		return r, fmt.Errorf("check: block count %d out of [1,%d]", blocks, maxTokenBlocks)
@@ -264,45 +221,53 @@ func parseTokenBytes(data []byte) (Repro, error) {
 	r.Program.Ops = make([]Op, 0, nops)
 	for i := uint64(0); i < nops; i++ {
 		var op Op
-		op.Kind = OpKind(br.u8())
-		op.Block = br.uvarint32("block", i)
+		op.Kind = OpKind(rd.U8())
+		block := rd.Uvarint()
 		switch op.Kind {
 		case OpWrite:
-			op.VM = br.u8()
-			m := br.u8()
+			op.VM = rd.U8()
+			m := rd.U8()
 			if m > 1 {
 				return r, fmt.Errorf("check: op %d: bad mode %d", i, m)
 			}
 			op.Mode = epoch.Mode(m)
-			p := br.u8()
+			p := rd.U8()
 			if p > uint8(PayRandom) {
 				return r, fmt.Errorf("check: op %d: bad payload kind %d", i, p)
 			}
 			op.Pay = PayloadKind(p)
-			op.PaySeed = br.uvarint32("payload seed", i)
+			seed := rd.Uvarint()
+			if seed > math.MaxUint32 {
+				return r, fmt.Errorf("check: op %d: payload seed %d does not fit 32 bits", i, seed)
+			}
+			op.PaySeed = uint32(seed)
 		case OpRead, OpFlush:
 			// block only (flush ignores it but keeps the frame uniform)
 		case OpFault:
-			op.Chip = br.u8()
-			fl := br.u8()
+			op.Chip = rd.U8()
+			fl := rd.U8()
+			if fl&^1 != 0 {
+				return r, fmt.Errorf("check: op %d: unknown fault flags %#x", i, fl)
+			}
 			op.Stuck = fl&1 != 0
-			op.Pattern = br.uvarint()
+			op.Pattern = rd.Uvarint()
 			if op.Chip > 9 {
 				return r, fmt.Errorf("check: op %d: bad chip %d", i, op.Chip)
 			}
 		default:
 			return r, fmt.Errorf("check: op %d: unknown kind %d", i, op.Kind)
 		}
-		if br.err != nil {
-			return r, br.err
+		if rd.Bad() {
+			return r, errTokenShort
 		}
-		if op.Block >= r.Program.Blocks {
-			return r, fmt.Errorf("check: op %d: block %d out of range %d", i, op.Block, r.Program.Blocks)
+		if block >= blocks {
+			return r, fmt.Errorf("check: op %d: block %d out of range %d", i, block, blocks)
 		}
+		op.Block = uint32(block)
 		r.Program.Ops = append(r.Program.Ops, op)
 	}
-	if br.pos != len(data) {
-		return r, fmt.Errorf("check: %d trailing bytes after the last op", len(data)-br.pos)
+	if n := rd.Rest(); n != 0 {
+		return r, fmt.Errorf("check: %d trailing bytes after the last op", n)
 	}
 	return r, nil
 }

@@ -70,8 +70,8 @@ type Config struct {
 	MaxDegradedFrac float64
 	// Node is the per-node pool template. Shards, queue depths,
 	// Persist, and engine options apply to every node identically.
-	// When Profile is set, each node gets its OWN profiler so per-node
-	// latency estimates don't mix across controllers.
+	// When Profile is set, each node incarnation gets its OWN profiler
+	// so per-node latencies don't mix across controllers or restarts.
 	Node mcpool.Config
 	// Flight is recorded into by the cluster (kills, restarts,
 	// recoveries) and attached to every node pool. Overrides
@@ -526,33 +526,15 @@ func (c *Cluster) CounterlessEpochs() []uint64 {
 	return out
 }
 
-// Profilers returns every live node's current profiler, indexed by
-// node (nil for down or unprofiled nodes). A restart replaces a
-// node's profiler — volatile state dies with the incarnation — so
-// callers should re-read per use, not cache.
-func (c *Cluster) Profilers() []*prof.Profiler {
-	out := make([]*prof.Profiler, len(c.nodes))
-	for i, n := range c.nodes {
-		n.mu.RLock()
-		if n.pool != nil {
-			out[i] = n.pool.Profiler()
-		}
-		n.mu.RUnlock()
-	}
-	return out
-}
-
 // SubmitP99 returns the worst live node's submit→wait p99 histogram
 // reading in nanoseconds (0 when unprofiled) — the cluster-level SLO
-// input.
+// input. A restart gives its node a fresh profiler, so the reading
+// covers each live incarnation only.
 func (c *Cluster) SubmitP99() int64 {
 	var worst int64
-	for _, pf := range c.Profilers() {
-		if pf == nil {
-			continue
-		}
-		if p99 := pf.SubmitWait.Snapshot().P99; p99 > worst {
-			worst = p99
+	for _, p := range c.pools() {
+		if p != nil && p.Profiler() != nil {
+			worst = max(worst, p.Profiler().SubmitWait.Quantile(0.99))
 		}
 	}
 	return worst

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"counterlight/internal/ctrblock"
-	"counterlight/internal/epoch"
 	"counterlight/internal/obs"
 )
 
@@ -120,23 +119,6 @@ type Config struct {
 	// through. When nil the simulator assembles no samples, keeping
 	// the hot path allocation-free.
 	Epochs obs.Publisher
-	// Progress, when set, is called roughly every ProgressEvery
-	// picoseconds of simulated time with a status sample (clsim's
-	// stderr progress line).
-	Progress func(ProgressInfo)
-	// ProgressEvery is the simulated time between Progress calls
-	// (default 1 ms).
-	ProgressEvery int64
-}
-
-// ProgressInfo is the periodic status sample handed to
-// Config.Progress.
-type ProgressInfo struct {
-	SimPS        int64      // current simulated time in ps
-	Measuring    bool       // inside the measurement window?
-	Instructions uint64     // instructions retired in the window so far
-	IPC          float64    // per-core IPC over the window so far
-	Mode         epoch.Mode // writeback mode currently in effect
 }
 
 // DefaultConfig returns Table I's configuration for the given scheme:

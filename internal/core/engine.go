@@ -44,7 +44,7 @@ type EngineOptions struct {
 	DisableCorrection bool
 	// Profile attaches online profiler probes to the engine's hot
 	// ciphers: pad-batch and MAC latency feed prof.Profiler's
-	// estimators. Nil disables instrumentation at the cost of one nil
+	// PadBatch and MAC histograms. Nil disables instrumentation at the cost of one nil
 	// check per probe site. Purely observational — never affects
 	// stored bytes or MACs.
 	Profile *prof.Profiler

@@ -157,7 +157,6 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Obs = obs.NewObserver(1 << 12)
-	cfg.Progress = func(ProgressInfo) {}
 	observed, err := Run(cfg, w)
 	if err != nil {
 		t.Fatal(err)

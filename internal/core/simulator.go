@@ -100,7 +100,7 @@ const (
 	evCounter          // counter-block update for a writeback
 	evTreeWalk         // one integrity-tree level of a walk
 	evDRAMWrite        // a posted DRAM write (dirty metadata eviction)
-	evSample           // periodic observability sample (trace/progress)
+	evSample           // periodic observability sample (tracer only)
 )
 
 // samplePeriod is how often the tracer samples queue depths (10 µs:
@@ -142,14 +142,11 @@ type simulator struct {
 	memoRefsW obs.Counter
 
 	// Observability plumbing (never affects timing).
-	o             *obs.Observer
-	tr            *obs.Tracer // nil when tracing is off
-	now           int64       // timestamp of the event being processed
-	qDepth        *obs.Gauge
-	busBacklog    *obs.Gauge
-	sampleEvery   int64 // 0 disables the evSample stream
-	progressEvery int64
-	lastProgress  int64
+	o          *obs.Observer
+	tr         *obs.Tracer // nil when tracing is off
+	now        int64       // timestamp of the event being processed
+	qDepth     *obs.Gauge
+	busBacklog *obs.Gauge
 
 	// Live telemetry: pub receives one EpochSample per closed epoch
 	// (nil when no recorder/server is attached, costing nothing).
@@ -250,18 +247,8 @@ func Run(cfg Config, w trace.Workload) (Result, error) {
 	warmupEnd := cfg.WarmupTime
 	end := cfg.WarmupTime + cfg.WindowTime
 
-	s.progressEvery = cfg.ProgressEvery
-	if s.progressEvery <= 0 {
-		s.progressEvery = ms
-	}
 	if s.tr != nil {
-		s.sampleEvery = samplePeriod
-	}
-	if cfg.Progress != nil && (s.sampleEvery == 0 || s.progressEvery < s.sampleEvery) {
-		s.sampleEvery = s.progressEvery
-	}
-	if s.sampleEvery > 0 {
-		s.q.Push(s.sampleEvery, event{kind: evSample})
+		s.q.Push(samplePeriod, event{kind: evSample})
 	}
 
 	for c := range s.cores {
@@ -299,7 +286,7 @@ func Run(cfg Config, w trace.Workload) (Result, error) {
 		case evSample:
 			s.sample(t)
 			if t < end {
-				s.q.Push(t+s.sampleEvery, event{kind: evSample})
+				s.q.Push(t+samplePeriod, event{kind: evSample})
 			}
 		}
 	}
@@ -407,8 +394,8 @@ func (s *simulator) publishEpoch(boundary int64, index uint64, rec epoch.Record)
 }
 
 // sample is the periodic observability tick: queue-depth gauges and
-// counter tracks for the tracer, plus the progress callback. It only
-// reads simulator state, so it cannot perturb the run.
+// counter tracks for the tracer. It only reads simulator state, so it
+// cannot perturb the run.
 func (s *simulator) sample(t int64) {
 	depth := int64(s.q.Len())
 	backlog := s.dram.BusBacklog(t)
@@ -416,21 +403,6 @@ func (s *simulator) sample(t int64) {
 	s.busBacklog.Set(backlog)
 	s.tr.Emit(t, obs.PhaseCounter, obs.CatSim, "event_queue_depth", obs.A("value", depth))
 	s.tr.Emit(t, obs.PhaseCounter, obs.CatDRAM, "bus_backlog_ps", obs.A("value", backlog))
-	if s.cfg.Progress != nil && t-s.lastProgress >= s.progressEvery {
-		s.lastProgress = t
-		p := ProgressInfo{
-			SimPS:        t,
-			Measuring:    s.measuring,
-			Instructions: s.instr.Value(),
-			Mode:         s.mon.CurrentMode(),
-		}
-		if s.measuring {
-			if cycles := float64(t-s.cfg.WarmupTime) / 312.0; cycles > 0 {
-				p.IPC = float64(p.Instructions) / float64(s.cfg.Cores) / cycles
-			}
-		}
-		s.cfg.Progress(p)
-	}
 }
 
 // startWindow resets all window-scoped statistics at the end of warmup.

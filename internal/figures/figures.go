@@ -114,10 +114,9 @@ type Runner struct {
 	Log func(string)
 	// Observe, when set, is called with each simulation's workload and
 	// configuration just before core.Run; it may attach observability
-	// (cfg.Obs, cfg.Epochs, cfg.Progress — none of which perturb the
-	// result) and returns a completion callback, or nil. The
-	// monitoring server's run pool and clbench's snapshot writer hook
-	// in here. Cache hits skip Observe entirely: no simulation runs.
+	// (cfg.Obs, cfg.Epochs — neither perturbs the result) and returns
+	// a completion callback, or nil. The monitoring server's run pool
+	// and clbench's snapshot writer hook in here. Cache hits skip Observe entirely: no simulation runs.
 	// Parallel sweeps call it from worker goroutines, so it must be
 	// safe for concurrent use.
 	Observe func(w trace.Workload, cfg *core.Config) func(core.Result, error)

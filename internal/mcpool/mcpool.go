@@ -130,8 +130,8 @@ type Config struct {
 	BatchMax int
 	// Profile attaches an online profiler: pad/MAC probes are wired
 	// into every shard engine's ciphers, and the pool feeds the
-	// Service, Occupancy, and SubmitWait probes. Purely
-	// observational: no decision of the pool reads it.
+	// SubmitWait probe. Purely observational: no decision of the pool
+	// reads it.
 	Profile *prof.Profiler
 	// Flight attaches a flight recorder: degradations, stored-mode
 	// switches, fault injections, and sampled submits are recorded
@@ -178,16 +178,13 @@ type Pool struct {
 	maxDepth  atomic.Int64
 	depthHWM  obs.Gauge // registry view of maxDepth
 
-	// Self-observation. The probe pointers are copies of the
-	// profiler's fields so a disabled profiler costs one nil check
-	// per site (probe methods are nil-safe; profiler field access is
-	// not).
-	pf         *prof.Profiler
-	pService   *prof.Probe
-	pOccupancy *prof.Probe
-	pSubmit    *prof.Probe
-	rec        *flight.Ring
-	recN       atomic.Uint64 // submit-sampling counter for the recorder
+	// Self-observation. pSubmit copies the profiler's SubmitWait
+	// field so a disabled profiler costs one nil check per submit
+	// (probe methods are nil-safe; profiler field access is not).
+	pf      *prof.Profiler
+	pSubmit *prof.Probe
+	rec     *flight.Ring
+	recN    atomic.Uint64 // submit-sampling counter for the recorder
 
 	// now is the clock the shard epoch monitors run on: nanoseconds
 	// since the pool was built.
@@ -291,8 +288,6 @@ func newPool(cfg Config, now func() int64) (*Pool, error) {
 	p := &Pool{cfg: cfg, shards: make([]*shard, cfg.Shards), now: now}
 	if pf := cfg.Profile; pf != nil {
 		p.pf = pf
-		p.pService = pf.Service
-		p.pOccupancy = pf.Occupancy
 		p.pSubmit = pf.SubmitWait
 	}
 	p.rec = cfg.Flight
@@ -466,7 +461,6 @@ func (p *Pool) worker(s *shard) {
 			batch[i].span.Mark(stageBatch)
 		}
 		work := 0 // non-barrier requests; FlushBarrier fences don't count
-		t0 := p.pService.Start()
 		for i := range batch {
 			resps[i] = p.apply(s, batch[i].req, auto)
 			batch[i].span.Mark(stageService)
@@ -474,7 +468,6 @@ func (p *Pool) worker(s *shard) {
 				work++
 			}
 		}
-		p.pService.DoneN(t0, work)
 		busyTo := p.now()
 		s.mu.Unlock()
 		s.mon.Record(busyTo, uint64(busyTo-busyFrom))
@@ -489,7 +482,6 @@ func (p *Pool) worker(s *shard) {
 			s.batches.Inc()
 			s.batchSize.Add(int64(work))
 			p.completed.Add(uint64(work))
-			p.pOccupancy.Observe(int64(work))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"counterlight/internal/core"
+	"counterlight/internal/obs"
 	"counterlight/internal/obs/prof"
 )
 
@@ -27,12 +28,13 @@ func TestSubmitWaitProbeRecordsErrors(t *testing.T) {
 			t.Fatalf("SubmitWait on closed pool: err %v, want ErrClosed", resp.Err)
 		}
 	}
-	sw := pf.SubmitWait.Snapshot()
-	if sw.Count != uint64(n) {
-		t.Errorf("probe Count %d, want %d (refused submits must still count)", sw.Count, n)
+	if got := pf.SubmitWait.Count(); got != uint64(n) {
+		t.Errorf("probe Count %d, want %d (refused submits must still count)", got, n)
 	}
-	if want := uint64(2); sw.Sampled != want {
-		t.Errorf("probe Sampled %d, want %d: errored submits vanished from the probe", sw.Sampled, want)
+	reg := obs.NewRegistry()
+	pf.Register(reg)
+	if got := reg.Snapshot().Value("prof_submit_wait_ns"); got != 2 {
+		t.Errorf("probe histogram holds %v samples, want 2: errored submits vanished from the probe", got)
 	}
 }
 

@@ -98,14 +98,16 @@ func TestHistogramQuantileBound(t *testing.T) {
 			1<<20 - 1, 1 << 20, 1<<20 + 1, HistogramMax - 1, HistogramMax, HistogramMax + 7},
 	}
 	for seed := 0; seed < 4; seed++ {
-		var uni, exp, small []int64
+		var uni, exp, logn, small []int64
 		for i := 0; i < 5000; i++ {
 			uni = append(uni, r.Int63n(1<<30))
 			exp = append(exp, int64(2000*r.ExpFloat64()))
+			logn = append(logn, int64(math.Exp(6+r.NormFloat64())))
 			small = append(small, r.Int63n(40))
 		}
 		streams[fmt.Sprintf("uniform/%d", seed)] = uni
 		streams[fmt.Sprintf("exponential/%d", seed)] = exp
+		streams[fmt.Sprintf("lognormal/%d", seed)] = logn
 		streams[fmt.Sprintf("small/%d", seed)] = small
 	}
 	for name, xs := range streams {
@@ -155,6 +157,16 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if got := h.Quantile(0.8); got != 3 {
 		t.Errorf("p80 = %d, want 3 (rank 5 of 6)", got)
+	}
+
+	// Distinct samples: {10,20,30,40,50} has median 30 (exact below
+	// 32) and p99 51 (the bucket holding 50).
+	var d Histogram
+	for _, x := range []int64{30, 10, 50, 20, 40} {
+		d.Add(x)
+	}
+	if p50, p99 := d.Quantile(0.5), d.Quantile(0.99); p50 != 30 || p99 != 51 {
+		t.Errorf("{10..50}: p50 %d, p99 %d, want 30, 51", p50, p99)
 	}
 }
 

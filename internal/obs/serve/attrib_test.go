@@ -82,7 +82,7 @@ func TestAttribEndpoint(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("/api/attrib status %d", rr.Code)
 	}
-	var rows []AttribRow
+	var rows []HistRow
 	if err := json.Unmarshal([]byte(body), &rows); err != nil {
 		t.Fatalf("/api/attrib not JSON: %v\n%s", err, body)
 	}

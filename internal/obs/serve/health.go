@@ -3,38 +3,19 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
+	"strings"
 
+	"counterlight/internal/obs"
 	"counterlight/internal/obs/flight"
 	"counterlight/internal/obs/prof"
 )
 
 // This file is the self-observation surface: /api/profile serves the
-// online profilers' streaming estimates, /health and /api/slo serve
-// the rolling SLO verdict, and /api/flight serves the flight
-// recorder's event ring. All three follow the server's observer
-// contract — reads snapshot lock-free or briefly-locked state and
-// never touch a hot path.
-
-// ProfileEntry is one named profiler snapshot on /api/profile.
-type ProfileEntry struct {
-	Name string `json:"name"`
-	prof.Snapshot
-}
-
-// AddProfile attaches a named profiler to /api/profile. Safe to call
-// while serving; entries render sorted by name.
-func (s *Server) AddProfile(name string, pf *prof.Profiler) {
-	if pf == nil {
-		return
-	}
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	if s.profilers == nil {
-		s.profilers = map[string]*prof.Profiler{}
-	}
-	s.profilers[name] = pf
-}
+// online profilers' latency histograms from the merged registry
+// snapshot, /health and /api/slo serve the rolling SLO verdict, and
+// /api/flight serves the flight recorder's event ring. All follow the
+// server's observer contract — reads snapshot lock-free or
+// briefly-locked state and never touch a hot path.
 
 // SetHealth installs the health source /health and /api/slo serve:
 // a function returning the current verdict, conventionally wrapping
@@ -53,26 +34,15 @@ func (s *Server) SetFlight(r *flight.Ring) {
 	s.obsMu.Unlock()
 }
 
-// handleProfile serves every attached profiler's snapshot, sorted by
-// name.
+// handleProfile serves every prof_* histogram in the merged snapshot
+// (the profilers' registered probes) as rows, in the snapshot's
+// deterministic series order. A restarted cluster node's registry
+// carries each incarnation's probes under its own gen label, so rows
+// from a killed incarnation stay, frozen, beside the live ones.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	s.obsMu.Lock()
-	names := make([]string, 0, len(s.profilers))
-	for name := range s.profilers {
-		names = append(names, name)
-	}
-	pfs := make([]*prof.Profiler, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		pfs = append(pfs, s.profilers[name])
-	}
-	s.obsMu.Unlock()
-
-	entries := make([]ProfileEntry, len(names))
-	for i, name := range names {
-		entries[i] = ProfileEntry{Name: name, Snapshot: pfs[i].Snapshot()}
-	}
-	writeJSON(w, entries)
+	writeJSON(w, histRows(s.mergedSnapshot(), func(se obs.Series) bool {
+		return strings.HasPrefix(se.Name, "prof_")
+	}))
 }
 
 // currentHealth reads the installed health source (always-OK when

@@ -3,61 +3,143 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"testing"
 
+	"counterlight/internal/cluster"
+	"counterlight/internal/mcpool"
+	"counterlight/internal/obs"
 	"counterlight/internal/obs/flight"
 	"counterlight/internal/obs/prof"
 )
 
+// getRows fetches a HistRow endpoint and decodes it.
+func getRows(t *testing.T, srv *Server, path string) []HistRow {
+	t.Helper()
+	rr, body := get(t, srv.Handler(), path)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("%s returned %d", path, rr.Code)
+	}
+	var rows []HistRow
+	if err := json.Unmarshal([]byte(body), &rows); err != nil {
+		t.Fatalf("%s body not JSON: %v\n%s", path, err, body)
+	}
+	return rows
+}
+
+// TestProfileEndpoint reads two pools' profilers back through
+// /api/profile from the registries they are registered in: one row per
+// probe series, in snapshot order, with the series labels and the
+// sampled counts.
 func TestProfileEndpoint(t *testing.T) {
 	srv := New()
-
-	// Empty surface: still valid JSON, an empty list.
-	rr, body := get(t, srv.Handler(), "/api/profile")
-	if rr.Code != http.StatusOK {
-		t.Fatalf("empty /api/profile returned %d", rr.Code)
-	}
-	var entries []ProfileEntry
-	if err := json.Unmarshal([]byte(body), &entries); err != nil {
-		t.Fatalf("empty /api/profile body not JSON: %v\n%s", err, body)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("empty /api/profile served %d entries", len(entries))
+	if rows := getRows(t, srv, "/api/profile"); len(rows) != 0 {
+		t.Fatalf("empty /api/profile served %d rows", len(rows))
 	}
 
-	// Live data: feed two profilers, check both show up sorted with
-	// the observations they took.
-	pfB := prof.New("stdlib")
-	pfA := prof.New("ref")
-	for i := 0; i < 10_000; i++ {
-		pfA.Service.Observe(1000)
-		pfB.Service.Observe(2000)
+	backends := []string{"stdlib", "other"}
+	for i, backend := range backends {
+		pool, err := mcpool.New(mcpool.Config{
+			Shards:  2,
+			Profile: prof.New(backend),
+			Engine:  testEngineOptions(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		reg := obs.NewRegistry()
+		pool.RegisterMetrics(reg, obs.L("node", strconv.Itoa(i)))
+		srv.MergeRegistry(reg)
+		for _, req := range mcpool.Schedule(mcpool.ScheduleConfig{Ops: 2000, Blocks: 128, Seed: int64(i + 1)}) {
+			if resp := pool.SubmitWait(req); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+		}
 	}
-	srv.AddProfile("pool", pfB)
-	srv.AddProfile("engine", pfA)
-	srv.AddProfile("nil-is-ignored", nil)
 
-	rr, body = get(t, srv.Handler(), "/api/profile")
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/api/profile returned %d", rr.Code)
+	rows := getRows(t, srv, "/api/profile")
+	names := []string{"prof_mac_ns", "prof_pad_batch_ns", "prof_submit_wait_ns"}
+	if len(rows) != len(backends)*len(names) {
+		t.Fatalf("/api/profile served %d rows, want %d: %+v", len(rows), len(backends)*len(names), rows)
 	}
-	if err := json.Unmarshal([]byte(body), &entries); err != nil {
-		t.Fatalf("/api/profile body not JSON: %v\n%s", err, body)
+	for i, row := range rows {
+		node, name := i/len(names), names[i%len(names)]
+		if row.Name != name || row.Stage != "" {
+			t.Errorf("row %d: %s (stage %q), want %s in snapshot order", i, row.Name, row.Stage, name)
+		}
+		if row.Labels["node"] != strconv.Itoa(node) || row.Labels["backend"] != backends[node] {
+			t.Errorf("row %d (%s): labels %v, want node %d backend %s", i, row.Name, row.Labels, node, backends[node])
+		}
+		if row.Count == 0 || row.P99Ns < row.P50Ns {
+			t.Errorf("row %d (%s): count %d, p50 %d, p99 %d", i, row.Name, row.Count, row.P50Ns, row.P99Ns)
+		}
 	}
-	if len(entries) != 2 {
-		t.Fatalf("/api/profile served %d entries, want 2", len(entries))
+}
+
+// TestProfileEndpointAcrossRestart: a server that merged a cluster's
+// node registries once keeps serving every incarnation's probes. After
+// a restart the killed incarnation's gen="0" rows stay, frozen, beside
+// the new gen="1" rows, with no re-attach call.
+func TestProfileEndpointAcrossRestart(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{
+		Nodes:           2,
+		MaxDegradedFrac: -1, // a slow shard must not shed the test's traffic
+		Node: mcpool.Config{
+			Shards:  2,
+			Profile: prof.New(""),
+			Engine:  testEngineOptions(),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if entries[0].Name != "engine" || entries[1].Name != "pool" {
-		t.Fatalf("entries not sorted by name: %q, %q", entries[0].Name, entries[1].Name)
+	defer cl.Close()
+	srv := New()
+	for i := 0; i < cl.Nodes(); i++ {
+		srv.MergeRegistry(cl.NodeRegistry(i))
 	}
-	if entries[0].Backend != "ref" || entries[1].Backend != "stdlib" {
-		t.Fatalf("backends wrong: %q, %q", entries[0].Backend, entries[1].Backend)
+	drive := func(seed int64) {
+		for _, req := range mcpool.Schedule(mcpool.ScheduleConfig{Ops: 500, Blocks: 128, Seed: seed}) {
+			if resp := cl.SubmitWait(req); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+		}
 	}
-	if n := entries[0].Service.Count; n == 0 {
-		t.Fatal("engine profiler served zero service observations")
+	submitRows := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, row := range getRows(t, srv, "/api/profile") {
+			if row.Name == "prof_submit_wait_ns" {
+				out["node"+row.Labels["node"]+"/gen"+row.Labels["gen"]] = row.Count
+			}
+		}
+		return out
 	}
-	if a, b := entries[0].Service.EWMA, entries[1].Service.EWMA; !(a > 0 && b > a) {
-		t.Fatalf("service EWMAs not ordered: engine %.0f vs pool %.0f", a, b)
+
+	drive(1)
+	before := submitRows()
+	if len(before) != 2 || before["node1/gen0"] == 0 {
+		t.Fatalf("before restart: submit rows %v, want node0/gen0 and node1/gen0 with samples", before)
+	}
+	if err := cl.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	drive(2)
+	after := submitRows()
+	if len(after) != 3 {
+		t.Fatalf("after restart: submit rows %v, want node0/gen0, node1/gen0, node1/gen1", after)
+	}
+	if after["node1/gen0"] != before["node1/gen0"] {
+		t.Errorf("killed incarnation's rows moved: %d samples, was %d", after["node1/gen0"], before["node1/gen0"])
+	}
+	if after["node1/gen1"] == 0 {
+		t.Error("restarted incarnation's submit probe served no samples")
+	}
+	if after["node0/gen0"] <= before["node0/gen0"] {
+		t.Errorf("live node 0's rows did not grow: %d, was %d", after["node0/gen0"], before["node0/gen0"])
 	}
 }
 

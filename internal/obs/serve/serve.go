@@ -41,12 +41,11 @@ type Server struct {
 	mergedMu sync.Mutex
 	merged   []*obs.Registry // external registries (MergeRegistry)
 
-	// Self-observation surface (health.go): named profilers on
-	// /api/profile, the /health verdict source, the /api/flight ring.
-	obsMu     sync.Mutex
-	profilers map[string]*prof.Profiler
-	health    func() prof.Health
-	flight    *flight.Ring
+	// Self-observation surface (health.go): the /health verdict
+	// source and the /api/flight ring.
+	obsMu  sync.Mutex
+	health func() prof.Health
+	flight *flight.Ring
 
 	mu   sync.Mutex
 	http *http.Server
@@ -76,10 +75,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // MergeRegistry adds an external registry to the server's metrics
 // surfaces: its series appear on /metrics, /metrics.json, and (for
-// stage-labelled latency histograms) /api/attrib alongside the
-// server's own and every run's. Use it to mount component registries
-// — e.g. an mcpool's shard metrics — on the monitoring server without
-// routing them through a Run.
+// stage-labelled latency histograms) /api/attrib or (for prof_*
+// histograms) /api/profile alongside the server's own and every run's.
+// Use it to mount component registries — e.g. an mcpool's shard
+// metrics — on the monitoring server without routing them through a
+// Run.
 func (s *Server) MergeRegistry(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -192,13 +192,14 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// AttribRow is one stage of one latency-attribution histogram on
-// /api/attrib: the series identity plus its distribution reduced to
-// count, mean, and histogram percentiles (Series.Quantile: at most
-// 1/16 above the true value).
-type AttribRow struct {
+// HistRow is one histogram series on /api/attrib or /api/profile: the
+// series identity plus its distribution reduced to count, mean, and
+// histogram percentiles (Series.Quantile: at most 1/16 above the true
+// value). A stage label, when present, is lifted out of Labels into
+// Stage.
+type HistRow struct {
 	Name   string            `json:"name"`
-	Stage  string            `json:"stage"`
+	Stage  string            `json:"stage,omitempty"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Count  uint64            `json:"count"`
 	MeanNs int64             `json:"mean_ns"`
@@ -207,18 +208,15 @@ type AttribRow struct {
 	P99Ns  int64             `json:"p99_ns"`
 }
 
-// handleAttrib reports every stage-labelled latency histogram in the
-// merged snapshot — the obs.Attributor export convention — as a JSON
-// breakdown: per-stage counts and percentiles, in the snapshot's
-// deterministic series order.
-func (s *Server) handleAttrib(w http.ResponseWriter, r *http.Request) {
-	snap := s.mergedSnapshot()
-	rows := []AttribRow{}
+// histRows reduces every histogram series of snap that keep selects to
+// a HistRow, in the snapshot's series order.
+func histRows(snap obs.Snapshot, keep func(obs.Series) bool) []HistRow {
+	rows := []HistRow{}
 	for _, se := range snap.Series {
-		if se.Kind != obs.KindHistogram || se.Labels["stage"] == "" {
+		if se.Kind != obs.KindHistogram || !keep(se) {
 			continue
 		}
-		row := AttribRow{
+		row := HistRow{
 			Name:  se.Name,
 			Stage: se.Labels["stage"],
 			Count: uint64(se.Value),
@@ -240,7 +238,17 @@ func (s *Server) handleAttrib(w http.ResponseWriter, r *http.Request) {
 		}
 		rows = append(rows, row)
 	}
-	writeJSON(w, rows)
+	return rows
+}
+
+// handleAttrib reports every stage-labelled latency histogram in the
+// merged snapshot — the obs.Attributor export convention — as a JSON
+// breakdown: per-stage counts and percentiles, in the snapshot's
+// deterministic series order.
+func (s *Server) handleAttrib(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, histRows(s.mergedSnapshot(), func(se obs.Series) bool {
+		return se.Labels["stage"] != ""
+	}))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

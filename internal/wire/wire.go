@@ -1,6 +1,6 @@
-// Package wire is the decoding cursor shared by the persistence-domain
-// formats — mcpool's journal records and nvm's metadata snapshots,
-// both written with encoding/binary. It accepts only what those
+// Package wire is the decoding cursor shared by the binary formats —
+// mcpool's journal records, nvm's metadata snapshots and check's repro
+// tokens, all written with encoding/binary. It accepts only what those
 // encoders write (varints must be minimal), so an accepted buffer
 // re-encodes byte-identically. Errors are sticky: after the first
 // short or malformed read every accessor returns zero and Bad reports
@@ -33,6 +33,17 @@ func (r *Reader) U8() byte {
 	}
 	v := r.b[r.off]
 	r.off++
+	return v
+}
+
+// Bytes reads the next n bytes, aliasing the underlying slice.
+func (r *Reader) Bytes(n int) []byte {
+	if r.bad || n < 0 || n > len(r.b)-r.off {
+		r.bad = true
+		return nil
+	}
+	v := r.b[r.off : r.off+n]
+	r.off += n
 	return v
 }
 
