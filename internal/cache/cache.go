@@ -117,7 +117,7 @@ func (c *Cache) setFor(addr uint64) (setBase int, tag uint64) {
 // Lookup probes the cache at simulated time now. On a hit it returns
 // readyAt, the time at which the line's data is available (now for
 // resident lines, the fill-completion time for in-flight lines). On a
-// miss the caller is expected to fetch the block and Insert it.
+// miss the caller is expected to fetch the block and Fill it.
 func (c *Cache) Lookup(addr uint64, now int64) (hit bool, readyAt int64) {
 	base, tag := c.setFor(addr)
 	for i := base; i < base+c.ways; i++ {
@@ -157,43 +157,65 @@ type Eviction struct {
 // readyAt. If an LRU victim must be displaced, it is returned so the
 // caller can issue the writeback (when dirty). Inserting an
 // already-present block refreshes its readyAt and dirty state.
+//
+// One pass over the set both looks for the tag and picks the victim:
+// the first invalid way, else the first way with the least lastUse.
+// Invalid lines carry lastUse 0 and valid ones at least 1 (every
+// touch advances useClock first), so the first least-lastUse way is
+// the first invalid way whenever one exists.
 func (c *Cache) Insert(addr uint64, readyAt int64, dirty bool) (ev Eviction, evicted bool) {
 	base, tag := c.setFor(addr)
 	c.useClock++
-	// Refresh if present.
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == tag {
-			c.lines[i].dirty = c.lines[i].dirty || dirty
-			if readyAt < c.lines[i].readyAt {
-				c.lines[i].readyAt = readyAt
+	set := c.lines[base : base+c.ways]
+	victim := 0
+	for i := range set {
+		l := &set[i]
+		if l.tag == tag {
+			l.dirty = l.dirty || dirty
+			if readyAt < l.readyAt {
+				l.readyAt = readyAt
 			}
-			c.lines[i].lastUse = c.useClock
+			l.lastUse = c.useClock
 			return Eviction{}, false
 		}
-	}
-	// Find invalid way or LRU victim.
-	victim := base
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == invalidTag {
-			victim = i
-			break
-		}
-		if c.lines[i].lastUse < c.lines[victim].lastUse {
+		if l.lastUse < set[victim].lastUse {
 			victim = i
 		}
 	}
-	if c.lines[victim].tag != invalidTag {
+	return c.place(base+victim, tag, readyAt, dirty)
+}
+
+// Fill is Insert for a block the caller knows is absent, typically
+// because it has just missed in Lookup or Write and nothing has
+// inserted into this cache since: it skips the tag scan and only picks
+// the victim. Filling a present block would leave two lines with the
+// same tag; callers that cannot rule that out use Insert.
+func (c *Cache) Fill(addr uint64, readyAt int64, dirty bool) (ev Eviction, evicted bool) {
+	base, tag := c.setFor(addr)
+	c.useClock++
+	set := c.lines[base : base+c.ways]
+	victim := 0
+	for i := range set {
+		if set[i].lastUse < set[victim].lastUse {
+			victim = i
+		}
+	}
+	return c.place(base+victim, tag, readyAt, dirty)
+}
+
+// place overwrites line i with the new block, counting and returning
+// the valid block it displaces.
+func (c *Cache) place(i int, tag uint64, readyAt int64, dirty bool) (ev Eviction, evicted bool) {
+	old := c.lines[i]
+	if old.tag != invalidTag {
 		c.evictions.Inc()
-		if c.lines[victim].dirty {
+		if old.dirty {
 			c.writebacks.Inc()
 		}
-		ev = Eviction{
-			Addr:  c.addrOf(victim, c.lines[victim].tag),
-			Dirty: c.lines[victim].dirty,
-		}
+		ev = Eviction{Addr: c.addrOf(i, old.tag), Dirty: old.dirty}
 		evicted = true
 	}
-	c.lines[victim] = line{tag: tag, dirty: dirty, readyAt: readyAt, lastUse: c.useClock}
+	c.lines[i] = line{tag: tag, dirty: dirty, readyAt: readyAt, lastUse: c.useClock}
 	return ev, evicted
 }
 

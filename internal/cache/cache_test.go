@@ -195,7 +195,7 @@ func TestWorkingSetBehaviour(t *testing.T) {
 
 func TestNextLinePrefetcher(t *testing.T) {
 	p := NewNextLine(64, 2)
-	got := p.Observe(100, 0) // block 64..127
+	got := p.Observe(nil, 100, 0) // block 64..127
 	if len(got) != 2 || got[0] != 128 || got[1] != 192 {
 		t.Errorf("NextLine.Observe = %v, want [128 192]", got)
 	}
@@ -204,13 +204,13 @@ func TestNextLinePrefetcher(t *testing.T) {
 func TestStridePrefetcherDetectsStreams(t *testing.T) {
 	p := NewStride(64, 2)
 	// Constant stride of 256 bytes; needs 3 accesses to gain confidence.
-	if got := p.Observe(0, 1); got != nil {
+	if got := p.Observe(nil, 0, 1); got != nil {
 		t.Errorf("first access prefetched %v", got)
 	}
-	if got := p.Observe(256, 1); len(got) != 0 {
+	if got := p.Observe(nil, 256, 1); len(got) != 0 {
 		t.Errorf("second access prefetched %v", got)
 	}
-	got := p.Observe(512, 1)
+	got := p.Observe(nil, 512, 1)
 	if len(got) != 2 || got[0] != 768 || got[1] != 1024 {
 		t.Errorf("third access = %v, want [768 1024]", got)
 	}
@@ -221,7 +221,7 @@ func TestStridePrefetcherSilentOnRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	issued := 0
 	for i := 0; i < 1000; i++ {
-		issued += len(p.Observe(uint64(rng.Intn(1<<30)), 1))
+		issued += len(p.Observe(nil, uint64(rng.Intn(1<<30)), 1))
 	}
 	if issued > 10 {
 		t.Errorf("stride prefetcher issued %d prefetches on a random stream", issued)
@@ -231,12 +231,12 @@ func TestStridePrefetcherSilentOnRandom(t *testing.T) {
 func TestStridePrefetcherPerStream(t *testing.T) {
 	p := NewStride(64, 1)
 	// Two interleaved streams with different strides must both train.
-	p.Observe(0, 1)
-	p.Observe(1<<20, 2)
-	p.Observe(64, 1)
-	p.Observe(1<<20+128, 2)
-	got1 := p.Observe(128, 1)
-	got2 := p.Observe(1<<20+256, 2)
+	p.Observe(nil, 0, 1)
+	p.Observe(nil, 1<<20, 2)
+	p.Observe(nil, 64, 1)
+	p.Observe(nil, 1<<20+128, 2)
+	got1 := p.Observe(nil, 128, 1)
+	got2 := p.Observe(nil, 1<<20+256, 2)
 	if len(got1) != 1 || got1[0] != 192 {
 		t.Errorf("stream 1 prefetch = %v", got1)
 	}
@@ -247,9 +247,88 @@ func TestStridePrefetcherPerStream(t *testing.T) {
 
 func TestCompositePrefetcher(t *testing.T) {
 	c := &Composite{Prefetchers: []Prefetcher{NewNextLine(64, 1), NewNextLine(64, 2)}}
-	got := c.Observe(0, 0)
+	got := c.Observe(nil, 0, 0)
 	if len(got) != 3 {
 		t.Errorf("composite returned %v", got)
+	}
+	// Observe appends after what dst already holds.
+	got = c.Observe([]uint64{7}, 0, 0)
+	if len(got) != 4 || got[0] != 7 || got[1] != 64 {
+		t.Errorf("composite into a non-empty buffer returned %v", got)
+	}
+}
+
+// The simulator's per-miss prefetch path: a Composite of the Table I
+// prefetchers observing into a reused buffer allocates nothing once
+// the stream is known.
+func TestCompositeObserveNoAllocs(t *testing.T) {
+	c := &Composite{Prefetchers: []Prefetcher{NewNextLine(64, 2), NewStride(64, 2)}}
+	buf := make([]uint64, 0, 8)
+	addr := uint64(0)
+	buf = c.Observe(buf[:0], addr, 3) // allocates the stream's entry
+	allocs := testing.AllocsPerRun(1000, func() {
+		addr += 256
+		buf = c.Observe(buf[:0], addr, 3)
+	})
+	if allocs != 0 {
+		t.Errorf("Composite.Observe: %v allocs per run, want 0", allocs)
+	}
+	if len(buf) != 4 {
+		t.Errorf("trained stream suggested %v, want 2 next-line + 2 stride", buf)
+	}
+}
+
+// More streams than the stride table holds must evict deterministically:
+// two prefetchers fed the same sequence suggest the same addresses.
+func TestStridePrefetcherEvictionDeterministic(t *testing.T) {
+	run := func() []uint64 {
+		p := NewStride(64, 2)
+		rng := rand.New(rand.NewSource(52))
+		var steps [320]uint64
+		var out []uint64
+		for i := 0; i < 20000; i++ {
+			stream := uint64(rng.Intn(len(steps)))
+			// Each stream walks its own region with its own stride.
+			steps[stream]++
+			out = p.Observe(out, stream<<32+steps[stream]*(stream+1)*64, stream)
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("no stream ever trained")
+	}
+	if len(a) != len(b) {
+		t.Fatalf("runs suggested %d and %d addresses", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("suggestion %d differs: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// A full table replaces the least recently observed stream, keeping
+// the recently active ones trained.
+func TestStridePrefetcherEvictsOldestStream(t *testing.T) {
+	p := NewStride(64, 1)
+	// Train stream 0, then fill the table with strideStreams-1 others.
+	p.Observe(nil, 0, 0)
+	p.Observe(nil, 64, 0)
+	for s := uint64(1); s < strideStreams; s++ {
+		p.Observe(nil, s<<32, s)
+	}
+	p.Observe(nil, 128, 0) // stream 0 is now the most recent
+	// A new stream evicts stream 1, the oldest.
+	p.Observe(nil, 999<<32, 999)
+	if _, ok := p.table[1]; ok {
+		t.Error("least recently observed stream 1 survived eviction")
+	}
+	if len(p.table) != strideStreams {
+		t.Errorf("table holds %d streams, want %d", len(p.table), strideStreams)
+	}
+	if got := p.Observe(nil, 192, 0); len(got) != 1 || got[0] != 256 {
+		t.Errorf("recently used stream 0 lost its training: %v", got)
 	}
 }
 

@@ -7,9 +7,11 @@ package cache
 // degree 2 at L2).
 type Prefetcher interface {
 	// Observe is called with each demand access (by block-aligned
-	// address and an access-stream identifier, e.g. a synthetic PC)
-	// and returns the addresses to prefetch.
-	Observe(addr uint64, stream uint64) []uint64
+	// address and an access-stream identifier, e.g. a synthetic PC).
+	// It appends the addresses to prefetch to dst and returns the
+	// extended slice, so a caller that reuses one buffer allocates
+	// nothing per access.
+	Observe(dst []uint64, addr uint64, stream uint64) []uint64
 }
 
 // NextLine prefetches the next Degree sequential blocks after each
@@ -25,20 +27,23 @@ func NewNextLine(blockSize uint64, degree int) *NextLine {
 }
 
 // Observe implements Prefetcher.
-func (p *NextLine) Observe(addr uint64, _ uint64) []uint64 {
-	out := make([]uint64, 0, p.Degree)
+func (p *NextLine) Observe(dst []uint64, addr uint64, _ uint64) []uint64 {
 	base := addr - addr%p.BlockSize
 	for i := 1; i <= p.Degree; i++ {
-		out = append(out, base+uint64(i)*p.BlockSize)
+		dst = append(dst, base+uint64(i)*p.BlockSize)
 	}
-	return out
+	return dst
 }
+
+// strideStreams bounds the stride table like hardware would; a few
+// streams per core is the common case.
+const strideStreams = 256
 
 // strideEntry tracks one access stream's last address and stride.
 type strideEntry struct {
-	last      uint64
-	stride    int64
-	confident bool
+	last   uint64
+	stride int64
+	seen   uint64 // Stride.clock at the stream's latest access
 }
 
 // Stride detects constant-stride streams per stream identifier and
@@ -50,6 +55,7 @@ type Stride struct {
 	BlockSize uint64
 	Degree    int
 	table     map[uint64]*strideEntry
+	clock     uint64
 }
 
 // NewStride returns a stride prefetcher with the given degree.
@@ -61,38 +67,52 @@ func NewStride(blockSize uint64, degree int) *Stride {
 	}
 }
 
-// Observe implements Prefetcher.
-func (p *Stride) Observe(addr uint64, stream uint64) []uint64 {
-	var out []uint64
+// Observe implements Prefetcher. A new stream arriving at a full table
+// replaces the least recently observed one, so the suggestions are a
+// function of the access sequence alone.
+func (p *Stride) Observe(dst []uint64, addr uint64, stream uint64) []uint64 {
+	p.clock++
 	e, ok := p.table[stream]
 	if !ok {
-		// Bound the table like hardware would; a few streams per core.
-		if len(p.table) > 256 {
-			for k := range p.table {
-				delete(p.table, k)
-				break
-			}
+		if len(p.table) >= strideStreams {
+			e = p.evictOldest()
+		} else {
+			e = new(strideEntry)
 		}
-		p.table[stream] = &strideEntry{last: addr}
-		return nil
+		*e = strideEntry{last: addr, seen: p.clock}
+		p.table[stream] = e
+		return dst
 	}
+	e.seen = p.clock
 	stride := int64(addr) - int64(e.last)
 	if stride == e.stride && stride != 0 {
 		// Two consecutive equal deltas confirm the stream.
-		e.confident = true
-		out = make([]uint64, 0, p.Degree)
 		for i := 1; i <= p.Degree; i++ {
 			target := int64(addr) + stride*int64(i)
 			if target >= 0 {
-				out = append(out, uint64(target))
+				dst = append(dst, uint64(target))
 			}
 		}
 	} else {
-		e.confident = false
 		e.stride = stride
 	}
 	e.last = addr
-	return out
+	return dst
+}
+
+// evictOldest removes the least recently observed stream and returns
+// its entry for reuse. seen values are distinct, so the choice does
+// not depend on map iteration order.
+func (p *Stride) evictOldest() *strideEntry {
+	var oldest uint64
+	var victim *strideEntry
+	for k, e := range p.table {
+		if victim == nil || e.seen < victim.seen {
+			oldest, victim = k, e
+		}
+	}
+	delete(p.table, oldest)
+	return victim
 }
 
 // Composite fans a demand access out to several prefetchers.
@@ -101,10 +121,9 @@ type Composite struct {
 }
 
 // Observe implements Prefetcher by concatenating all suggestions.
-func (p *Composite) Observe(addr uint64, stream uint64) []uint64 {
-	var out []uint64
+func (p *Composite) Observe(dst []uint64, addr uint64, stream uint64) []uint64 {
 	for _, pf := range p.Prefetchers {
-		out = append(out, pf.Observe(addr, stream)...)
+		dst = pf.Observe(dst, addr, stream)
 	}
-	return out
+	return dst
 }

@@ -4,12 +4,14 @@
 // reproducible for a given seed.
 package sim
 
-import "container/heap"
-
-// Queue is a time-ordered priority queue of payloads of type T.
+// Queue is a time-ordered priority queue of payloads of type T: a
+// binary min-heap over its events, ordered by (time, seq). seq is
+// unique, so the order is total and any correct heap pops the same
+// sequence. Once the backing slice has grown to the peak depth, Push
+// and Pop allocate nothing.
 // The zero value is ready to use.
 type Queue[T any] struct {
-	h eventHeap[T]
+	h []event[T]
 	n uint64 // insertion sequence for deterministic tie-breaks
 }
 
@@ -19,29 +21,30 @@ type event[T any] struct {
 	payload T
 }
 
-type eventHeap[T any] []event[T]
-
-func (h eventHeap[T]) Len() int { return len(h) }
-func (h eventHeap[T]) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (e *event[T]) before(o *event[T]) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap[T]) Push(x any)   { *h = append(*h, x.(event[T])) }
-func (h *eventHeap[T]) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return e.seq < o.seq
 }
 
 // Push schedules payload at the given time.
 func (q *Queue[T]) Push(time int64, payload T) {
 	q.n++
-	heap.Push(&q.h, event[T]{time: time, seq: q.n, payload: payload})
+	q.h = append(q.h, event[T]{time: time, seq: q.n, payload: payload})
+	// Sift the new event up to its place.
+	h := q.h
+	i := len(h) - 1
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
 }
 
 // Pop removes and returns the earliest event. ok is false when empty.
@@ -50,8 +53,33 @@ func (q *Queue[T]) Pop() (time int64, payload T, ok bool) {
 		var zero T
 		return 0, zero, false
 	}
-	e := heap.Pop(&q.h).(event[T])
-	return e.time, e.payload, true
+	h := q.h
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event[T]{} // drop the payload so the slice holds no stale references
+	h = h[:n]
+	q.h = h
+	if n > 0 {
+		// Sift the former last event down from the root.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	return top.time, top.payload, true
 }
 
 // Peek returns the earliest event without removing it.
