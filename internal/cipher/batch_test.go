@@ -2,6 +2,7 @@ package cipher
 
 import (
 	stdaes "crypto/aes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -134,6 +135,49 @@ func TestMACFromOTP(t *testing.T) {
 	}
 }
 
+// TestDotMemoMatchesFreshTwin drives one cipher through MAC,
+// MACFromOTP and Digest calls that reuse its dot-product memo (equal
+// blocks under different last words) and replace it (blocks that
+// differ in one word, then one bit), comparing each result with a
+// freshly built twin whose memo is empty.
+func TestDotMemoMatchesFreshTwin(t *testing.T) {
+	for _, b := range builds {
+		cm := testCounterMode(t, b)
+		rng := rand.New(rand.NewSource(28))
+		base := randBlock(rng)
+		seq := []Block{base, base, {}, base}
+		for w := 0; w < 8; w++ {
+			blk := base
+			blk[8*w+rng.Intn(8)] ^= 1 << uint(rng.Intn(8))
+			seq = append(seq, blk, blk, base)
+		}
+		ops := []struct {
+			name string
+			do   func(cm *CounterMode, blk Block, last uint32) uint64
+		}{
+			{"MAC", func(cm *CounterMode, blk Block, last uint32) uint64 {
+				return cm.MAC(uint64(last), 128, blk, last)
+			}},
+			{"MACFromOTP", func(cm *CounterMode, blk Block, last uint32) uint64 {
+				_, otp := cm.PadWithMAC(uint64(last), 128)
+				return cm.MACFromOTP(otp, blk, last)
+			}},
+			{"Digest", func(cm *CounterMode, blk Block, last uint32) uint64 {
+				return cm.Digest(blk, uint64(last))
+			}},
+		}
+		for i, blk := range seq {
+			for j, op := range ops {
+				last := uint32(i*len(ops) + j)
+				got := op.do(cm, blk, last)
+				if want := op.do(testCounterMode(t, b), blk, last); got != want {
+					t.Fatalf("%s: step %d %s = %#x, fresh twin %#x", b.name, i, op.name, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCipherBackendsAgree cross-checks the full Counterless and
 // CounterMode surfaces of both builds against the reference.
 func TestCipherBackendsAgree(t *testing.T) {
@@ -186,6 +230,7 @@ func TestCipherNoAllocs(t *testing.T) {
 				cm.PadWithMAC(9, 64)
 			},
 			"CounterMode.MAC":        func() { cm.MAC(9, 64, plain, 9) },
+			"CounterMode.Digest":     func() { plain[0]++; cm.Digest(plain, 3) },
 			"CounterMode.CounterAES": func() { cm.CounterAES(9) },
 		}
 		for name, fn := range checks {

@@ -58,11 +58,6 @@ func (b *Block) Word(j int) [16]byte {
 	return w
 }
 
-// SetWord stores w into the block's j-th 16-byte word.
-func (b *Block) SetWord(j int, w [16]byte) {
-	copy(b[16*j:16*j+16], w[:])
-}
-
 // Words64 returns the block as eight 64-bit little-endian words, the
 // granularity of the MAC dot product (one word per memory chip).
 func (b *Block) Words64() [8]uint64 {
@@ -73,10 +68,10 @@ func (b *Block) Words64() [8]uint64 {
 	return w
 }
 
-// XOR returns b ^ o.
+// XOR returns b ^ o, eight bytes at a time.
 func (b Block) XOR(o Block) Block {
-	for i := range b {
-		b[i] ^= o[i]
+	for i := 0; i < BlockSize; i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(b[i:])^binary.LittleEndian.Uint64(o[i:]))
 	}
 	return b
 }
@@ -268,8 +263,13 @@ const padBlocks = WordsPerBlock + 2
 // concurrent use: the pad scratch is per-instance.
 type CounterMode struct {
 	key     stdcipher.Block
-	macKeys []uint64
+	macKeys *gf.Keys
 	combine Combiner
+
+	// The last block dot saw and its unreduced eight-word partial.
+	// The zero value is consistent: the zero block's partial is zero.
+	dotBlock Block
+	dotPart  gf.Partial
 
 	// Scratch for one pad derivation (pin/pout) and for the
 	// single-block CounterAES/AddrAES entry points (ain/aout).
@@ -305,7 +305,7 @@ func newCounterMode(newBlock blockCipher, key []byte, macSecret uint64, combine 
 	}
 	return &CounterMode{
 		key:     k,
-		macKeys: gf.KeySchedule(macSecret, 9), // 8 data words + 1 metadata word
+		macKeys: gf.NewKeys(gf.KeySchedule(macSecret, 9)), // 8 data words + 1 metadata word
 		combine: combine,
 	}, nil
 }
@@ -335,7 +335,7 @@ const (
 func (c *CounterMode) CounterAES(counter uint64) mix.Word {
 	putPadInput(c.ain[:], counter, domainCounter)
 	c.key.Encrypt(c.aout[:], c.ain[:])
-	return mix.FromBytes(c.aout)
+	return mix.Load(c.aout[:])
 }
 
 // AddrAES is the address-only AES of Fig. 4 for one 16-byte word
@@ -344,7 +344,7 @@ func (c *CounterMode) CounterAES(counter uint64) mix.Word {
 func (c *CounterMode) AddrAES(wordAddr uint64) mix.Word {
 	putPadInput(c.ain[:], wordAddr, domainAddr)
 	c.key.Encrypt(c.aout[:], c.ain[:])
-	return mix.FromBytes(c.aout)
+	return mix.Load(c.aout[:])
 }
 
 // OTP produces the one-time pad for word j of the block at addr,
@@ -368,13 +368,12 @@ func fillPadInputs(dst []byte, counter, addr uint64, n int) {
 // counter block, one block per data word, then the MAC's word when
 // macOTP is non-nil) into the block pad and the MAC's OTP word.
 func (c *CounterMode) combinePad(out []byte, pad *Block, macOTP *mix.Word) {
-	ctrAES := mix.FromBytes([16]byte(out[0:16]))
+	ctrAES := mix.Load(out[0:16])
 	for j := 0; j < WordsPerBlock; j++ {
-		w := c.combine(ctrAES, mix.FromBytes([16]byte(out[16*(j+1):16*(j+2)])))
-		pad.SetWord(j, w.Bytes())
+		c.combine(ctrAES, mix.Load(out[16*(j+1):16*(j+2)])).Store(pad[16*j : 16*j+16])
 	}
 	if macOTP != nil {
-		*macOTP = c.combine(ctrAES, mix.FromBytes([16]byte(out[16*(WordsPerBlock+1):16*(WordsPerBlock+2)])))
+		*macOTP = c.combine(ctrAES, mix.Load(out[16*(WordsPerBlock+1):16*(WordsPerBlock+2)]))
 	}
 }
 
@@ -467,19 +466,25 @@ func (c *CounterMode) MAC(counter, addr uint64, plain Block, encMeta uint32) uin
 // that AES exactly once.
 func (c *CounterMode) MACFromOTP(otp mix.Word, plain Block, encMeta uint32) uint64 {
 	t0 := c.macProbe.Start()
-	m := otp.Lo ^ c.dot(plain, uint64(encMeta))
+	m := otp.Lo ^ c.dot(&plain, uint64(encMeta))
 	c.macProbe.Done(t0)
 	return m
 }
 
 // dot is the GF(2^64) dot product of the block's eight words and one
-// more word under the MAC's power keys.
-func (c *CounterMode) dot(b Block, last uint64) uint64 {
-	words := b.Words64()
-	var inputs [9]uint64
-	copy(inputs[:], words[:])
-	inputs[8] = last
-	return gf.DotProduct(inputs[:], c.macKeys)
+// more word under the MAC's power keys. It keeps the last block's
+// eight-word partial, so the Digest of a block right after its MAC
+// (the journal's ResponseSum of a write or read) adds only its own
+// ninth term before the one reduction. The memo's test compares
+// plaintext only, never key bits, so it adds no key-dependent branch;
+// like the pad scratch, it keeps a CounterMode on one goroutine at a
+// time.
+func (c *CounterMode) dot(b *Block, last uint64) uint64 {
+	if *b != c.dotBlock {
+		words := b.Words64()
+		c.dotBlock, c.dotPart = *b, c.macKeys.Dot(words[:])
+	}
+	return c.dotPart.Add(c.macKeys.Term(BlockSize/8, last)).Sum() // the ninth key
 }
 
 // Digest is a deterministic 64-bit MAC of a block and a tag word,
@@ -490,7 +495,7 @@ func (c *CounterMode) dot(b Block, last uint64) uint64 {
 // nonce, so equal inputs give equal digests; without the key nobody
 // can compute one or test a guess of the block against it.
 func (c *CounterMode) Digest(b Block, tag uint64) uint64 {
-	putPadInput(c.ain[:], c.dot(b, tag), domainDigest)
+	putPadInput(c.ain[:], c.dot(&b, tag), domainDigest)
 	c.key.Encrypt(c.aout[:], c.ain[:])
 	return binary.LittleEndian.Uint64(c.aout[:8])
 }

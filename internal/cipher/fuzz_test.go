@@ -8,10 +8,11 @@ import (
 // FuzzCipherBackends cross-checks the production crypto/aes engines
 // (and the reference twins themselves) against the textbook-AES
 // reference on the full cipher surface: counterless
-// Encrypt/Decrypt/MAC and counter-mode Pad/PadWithMAC/Encrypt/MAC, for
-// fuzzed keys, addresses, counters, and block contents. Any divergence
-// is a correctness bug in the production path (or in the batching
-// glue), so the target fails loudly on the first mismatch.
+// Encrypt/Decrypt/MAC and counter-mode Pad/PadWithMAC/Encrypt/MAC and
+// Digest, for fuzzed keys, addresses, counters, and block contents.
+// Any divergence is a correctness bug in the production path (or in
+// the batching glue), so the target fails loudly on the first
+// mismatch.
 func FuzzCipherBackends(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), uint64(0), uint64(0), []byte(""), uint32(0))
 	f.Add([]byte("counter-light-key-material!!...."), uint64(64), uint64(7), []byte("attack at dawn"), uint32(7))
@@ -47,6 +48,11 @@ func FuzzCipherBackends(f *testing.F) {
 		wantCmCt := refCm.Encrypt(counter, addr, plain)
 		wantCmMAC := refCm.MAC(counter, addr, plain, encMeta)
 		wantCtrAES := refCm.CounterAES(counter)
+		freshRef, err := NewReferenceCounterMode(dataKey, macSecret, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDigest := freshRef.Digest(plain, counter)
 
 		for _, b := range builds {
 			cls, err := b.cls(dataKey, tweakKey, []byte("fuzz-mac"))
@@ -87,6 +93,11 @@ func FuzzCipherBackends(f *testing.F) {
 			}
 			if got := cm.MACFromOTP(otp, plain, encMeta); got != wantCmMAC {
 				t.Errorf("%s: MACFromOTP diverges from MAC", b.name)
+			}
+			// A Digest right after the MAC of the same block reuses
+			// the MAC's dot-product partial.
+			if got := cm.Digest(plain, counter); got != wantDigest {
+				t.Errorf("%s: Digest after MAC diverges from a fresh ref", b.name)
 			}
 			if got := cm.CounterAES(counter); got != wantCtrAES {
 				t.Errorf("%s: CounterAES diverges from ref", b.name)

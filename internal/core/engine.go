@@ -406,9 +406,11 @@ func (e *Engine) WriteAs(vm int, addr uint64, plain cipher.Block, mode epoch.Mod
 			if err := e.ctrs.Increment(addr, next); err != nil {
 				return fmt.Errorf("core: counter update: %w", err)
 			}
-			ct := e.cm.Encrypt(uint64(next), addr, plain)
-			mac := e.cm.MAC(uint64(next), addr, plain, next)
-			e.mem[addr] = ecc.Encode(ct, mac, uint64(next))
+			// One batched derivation gives the pad and the MAC's OTP
+			// word, and leaves them in the pad cache for the next read.
+			pad, otp := e.padFor(uint64(next), addr)
+			mac := e.cm.MACFromOTP(otp, plain, next)
+			e.mem[addr] = ecc.Encode(plain.XOR(pad), mac, uint64(next))
 			e.vmOf[addr] = vm
 			e.m.counterModeWrites.Inc()
 			return nil

@@ -74,8 +74,8 @@ func (p counterCipherPath) Hypothesis(addr uint64) ecc.Hypothesis {
 		Name: "counter",
 		Meta: uint64(e.ctrs.Counter(addr)),
 		MAC: func(ct cipher.Block, meta uint64) uint64 {
-			plain := e.cm.Decrypt(meta, addr, ct)
-			return e.cm.MAC(meta, addr, plain, uint32(meta))
+			pad, otp := e.padFor(meta, addr)
+			return e.cm.MACFromOTP(otp, ct.XOR(pad), uint32(meta))
 		},
 	}
 }

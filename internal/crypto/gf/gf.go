@@ -82,24 +82,59 @@ func Pow(a uint64, k uint64) uint64 {
 	return result
 }
 
-// DotProduct computes Σ_i data[i] ⊗ keys[i] over GF(2^64). The two
-// slices must have equal length. This models the MAC dot product whose
-// eight partial products are computed in parallel in hardware
-// (paper §IV-D, "the eight products summed together ... can be
-// calculated in parallel"). Carry-less products and bit-reversal are
-// both linear over XOR, so the unreduced halves accumulate across the
-// terms and are reversed and reduced once.
-func DotProduct(data, keys []uint64) uint64 {
-	if len(data) != len(keys) {
-		panic("gf: dot product length mismatch")
+// Keys is the key vector of a GF(2^64) dot product (paper §IV-D:
+// "the eight products summed together ... can be calculated in
+// parallel"), with each key's bit reversal computed once, at
+// construction, for the high halves of its products.
+type Keys struct {
+	k, rev []uint64
+}
+
+// NewKeys builds a key vector over a copy of keys.
+func NewKeys(keys []uint64) *Keys {
+	ks := &Keys{k: append([]uint64(nil), keys...), rev: make([]uint64, len(keys))}
+	for i, k := range keys {
+		ks.rev[i] = bits.Reverse64(k)
 	}
-	var lo, hiRev uint64
+	return ks
+}
+
+// Partial is an unreduced dot product: the XOR of the low halves of
+// its carry-less products, and of the bit-reversed high halves.
+// Carry-less products and bit reversal are both linear over XOR, so
+// partials of disjoint terms add with Add and reduce once, to exactly
+// the value each term reduced on its own would sum to.
+type Partial struct {
+	lo, hiRev uint64
+}
+
+// Dot returns the partial Σ_i data[i] ⊗ keys[i] over the first
+// len(data) keys. It panics when data is longer than the key vector.
+func (ks *Keys) Dot(data []uint64) Partial {
+	if len(data) > len(ks.k) {
+		panic("gf: dot product longer than its key vector")
+	}
+	var p Partial
 	for i, d := range data {
-		k := keys[i]
-		lo ^= bmul64(d, k)
-		hiRev ^= bmul64(bits.Reverse64(d), bits.Reverse64(k))
+		p.lo ^= bmul64(d, ks.k[i])
+		p.hiRev ^= bmul64(bits.Reverse64(d), ks.rev[i])
 	}
-	return reduce(bits.Reverse64(hiRev)>>1, lo)
+	return p
+}
+
+// Term returns the partial of the single product d ⊗ keys[i].
+func (ks *Keys) Term(i int, d uint64) Partial {
+	return Partial{lo: bmul64(d, ks.k[i]), hiRev: bmul64(bits.Reverse64(d), ks.rev[i])}
+}
+
+// Add returns the partial of p's and q's terms together.
+func (p Partial) Add(q Partial) Partial {
+	return Partial{lo: p.lo ^ q.lo, hiRev: p.hiRev ^ q.hiRev}
+}
+
+// Sum reduces the partial to its element of GF(2^64).
+func (p Partial) Sum() uint64 {
+	return reduce(bits.Reverse64(p.hiRev)>>1, p.lo)
 }
 
 // KeySchedule derives n MAC keys from a single secret as successive

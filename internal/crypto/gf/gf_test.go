@@ -212,8 +212,22 @@ func TestDotProduct(t *testing.T) {
 	data := []uint64{1, 2, 3}
 	keys := []uint64{10, 20, 30}
 	want := Mul(1, 10) ^ Mul(2, 20) ^ Mul(3, 30)
-	if got := DotProduct(data, keys); got != want {
-		t.Errorf("DotProduct = %#x, want %#x", got, want)
+	ks := NewKeys(keys)
+	if got := ks.Dot(data).Sum(); got != want {
+		t.Errorf("Dot = %#x, want %#x", got, want)
+	}
+	// A prefix partial plus the remaining terms sums to the same value.
+	if got := ks.Dot(data[:1]).Add(ks.Term(1, 2)).Add(ks.Term(2, 3)).Sum(); got != want {
+		t.Errorf("Dot+Term+Term = %#x, want %#x", got, want)
+	}
+	// Dot over a prefix of the key vector uses the leading keys.
+	if got := ks.Dot(data[:2]).Sum(); got != Mul(1, 10)^Mul(2, 20) {
+		t.Errorf("Dot over two words = %#x, want %#x", got, Mul(1, 10)^Mul(2, 20))
+	}
+	// The key vector is a copy: editing the caller's slice changes nothing.
+	keys[0] = 0
+	if got := ks.Dot(data).Sum(); got != want {
+		t.Errorf("Dot after editing the caller's keys = %#x, want %#x", got, want)
 	}
 }
 
@@ -223,7 +237,7 @@ func TestDotProductPanicsOnMismatch(t *testing.T) {
 			t.Error("want panic on length mismatch")
 		}
 	}()
-	DotProduct([]uint64{1}, []uint64{1, 2})
+	NewKeys([]uint64{1}).Dot([]uint64{1, 2})
 }
 
 // A dot-product MAC with power keys is a polynomial evaluation; it must
@@ -236,11 +250,12 @@ func TestDotProductDetectsChanges(t *testing.T) {
 	for i := range data {
 		data[i] = rng.Uint64()
 	}
-	base := DotProduct(data, keys)
+	ks := NewKeys(keys)
+	base := ks.Dot(data).Sum()
 	for i := 0; i < 8; i++ {
 		mod := append([]uint64(nil), data...)
 		mod[i] ^= 1 << uint(rng.Intn(64))
-		if DotProduct(mod, keys) == base {
+		if ks.Dot(mod).Sum() == base {
 			t.Errorf("single-bit change in word %d not detected", i)
 		}
 	}
@@ -265,10 +280,11 @@ func TestKeySchedule(t *testing.T) {
 	}
 }
 
-// FuzzClMul64 pins ClMul64, Mul and DotProduct to the bit-serial
-// reference: the product of (a, b), and the dot product whose first
-// term is (a, b) and whose further (data, key) pairs are the 64-bit
-// words packed in rest.
+// FuzzClMul64 pins ClMul64, Mul and the key-vector dot product to the
+// bit-serial reference: the product of (a, b), and the dot product
+// whose first term is (a, b) and whose further (data, key) pairs are
+// the 64-bit words packed in rest — both as one Dot and as a prefix
+// Dot plus its last term, the split the counter-mode MAC memo makes.
 func FuzzClMul64(f *testing.F) {
 	f.Add(uint64(0), uint64(0), []byte{})
 	f.Add(^uint64(0), ^uint64(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -289,8 +305,13 @@ func FuzzClMul64(f *testing.F) {
 			data, keys = append(data, d), append(keys, k)
 			want ^= refMul(d, k)
 		}
-		if got := DotProduct(data, keys); got != want {
-			t.Fatalf("DotProduct(%#x, %#x) = %#x, reference %#x", data, keys, got, want)
+		ks := NewKeys(keys)
+		if got := ks.Dot(data).Sum(); got != want {
+			t.Fatalf("Dot(%#x, %#x) = %#x, reference %#x", data, keys, got, want)
+		}
+		last := len(data) - 1
+		if got := ks.Dot(data[:last]).Add(ks.Term(last, data[last])).Sum(); got != want {
+			t.Fatalf("Dot+Term(%#x, %#x) = %#x, reference %#x", data, keys, got, want)
 		}
 	})
 }
@@ -320,15 +341,15 @@ func BenchmarkDotProduct8(b *testing.B) {
 	}
 	for _, k := range []struct {
 		name string
-		keys []uint64
-	}{{"schedule", KeySchedule(12345, 8)}, {"ones", ones}} {
+		keys *Keys
+	}{{"schedule", NewKeys(KeySchedule(12345, 8))}, {"ones", NewKeys(ones)}} {
 		b.Run(k.name, func(b *testing.B) {
 			data := make([]uint64, 8)
 			for i := range data {
 				data[i] = uint64(i) * 0x9e3779b97f4a7c15
 			}
 			for i := 0; i < b.N; i++ {
-				data[0] = DotProduct(data, k.keys)
+				data[0] = k.keys.Dot(data).Sum()
 			}
 			sink = data[0]
 		})

@@ -13,6 +13,8 @@
 package mix
 
 import (
+	"encoding/binary"
+
 	"counterlight/internal/crypto/aes"
 	"counterlight/internal/crypto/gf"
 )
@@ -47,24 +49,15 @@ func (w Word) RotL(n uint) Word {
 	}
 }
 
-// Bytes returns the big-endian byte representation.
-func (w Word) Bytes() [16]byte {
-	var b [16]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(w.Hi >> (56 - 8*i))
-		b[8+i] = byte(w.Lo >> (56 - 8*i))
-	}
-	return b
+// Load parses the big-endian 16 bytes at the start of b.
+func Load(b []byte) Word {
+	return Word{Hi: binary.BigEndian.Uint64(b), Lo: binary.BigEndian.Uint64(b[8:16])}
 }
 
-// FromBytes parses a big-endian 16-byte value.
-func FromBytes(b [16]byte) Word {
-	var w Word
-	for i := 0; i < 8; i++ {
-		w.Hi = w.Hi<<8 | uint64(b[i])
-		w.Lo = w.Lo<<8 | uint64(b[8+i])
-	}
-	return w
+// Store writes w big-endian into the first 16 bytes of b.
+func (w Word) Store(b []byte) {
+	binary.BigEndian.PutUint64(b, w.Hi)
+	binary.BigEndian.PutUint64(b[8:16], w.Lo)
 }
 
 // Linear is RMCC's combining function (Fig. 15a): the low 128 bits of
@@ -101,13 +94,18 @@ func Nonlinear(counterAES, addrAES Word) Word {
 	shift2 := uint(addrAES.Hi & 127)
 	t := counterAES.RotL(shift1).XOR(addrAES)
 	t = t.XOR(t.RotL(29)).XOR(t.RotL(71))
-	tb := t.Bytes()
-	for i := range tb {
-		tb[i] = SBox(tb[i])
-	}
-	v := FromBytes(tb)
+	v := Word{subBytes(t.Hi), subBytes(t.Lo)}
 	v = v.XOR(v.RotL(13))
 	return v.RotL(shift2).XOR(counterAES)
+}
+
+// subBytes passes each byte of x through the AES S-box in place.
+func subBytes(x uint64) uint64 {
+	var y uint64
+	for i := 0; i < 64; i += 8 {
+		y |= uint64(SBox(byte(x>>i))) << i
+	}
+	return y
 }
 
 // SBox exposes the AES S-box for the attack model, which needs the

@@ -11,10 +11,56 @@ import (
 func TestWordBytesRoundTrip(t *testing.T) {
 	f := func(hi, lo uint64) bool {
 		w := Word{hi, lo}
-		return FromBytes(w.Bytes()) == w
+		var b [16]byte
+		w.Store(b[:])
+		return Load(b[:]) == w
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Load and Store share one big-endian layout, Hi's top byte first and
+// Lo's bottom byte last, and touch only the first 16 bytes of a
+// longer slice.
+func TestWordByteOrder(t *testing.T) {
+	w := Word{0x0102030405060708, 0x090a0b0c0d0e0f10}
+	want := [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	buf := make([]byte, 20)
+	for i := range buf {
+		buf[i] = 0xee
+	}
+	w.Store(buf[2:])
+	if [16]byte(buf[2:18]) != want || buf[0] != 0xee || buf[1] != 0xee || buf[18] != 0xee || buf[19] != 0xee {
+		t.Errorf("Store wrote %x", buf)
+	}
+	if got := Load(buf[2:]); got != w {
+		t.Errorf("Load = %+v, want %+v", got, w)
+	}
+}
+
+// refNonlinear is Nonlinear with its S-box layer run over the word's
+// big-endian bytes, as Fig. 15b draws it.
+func refNonlinear(counterAES, addrAES Word) Word {
+	t := counterAES.RotL(uint(addrAES.Lo & 127)).XOR(addrAES)
+	t = t.XOR(t.RotL(29)).XOR(t.RotL(71))
+	var tb [16]byte
+	t.Store(tb[:])
+	for i := range tb {
+		tb[i] = SBox(tb[i])
+	}
+	v := Load(tb[:])
+	v = v.XOR(v.RotL(13))
+	return v.RotL(uint(addrAES.Hi & 127)).XOR(counterAES)
+}
+
+func TestNonlinearMatchesByteReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for i := 0; i < 10000; i++ {
+		c, a := Word{rng.Uint64(), rng.Uint64()}, Word{rng.Uint64(), rng.Uint64()}
+		if got, want := Nonlinear(c, a), refNonlinear(c, a); got != want {
+			t.Fatalf("Nonlinear(%+v, %+v) = %+v, reference %+v", c, a, got, want)
+		}
 	}
 }
 

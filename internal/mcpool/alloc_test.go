@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"counterlight/internal/cipher"
+	"counterlight/internal/core"
 	"counterlight/internal/epoch"
 )
 
@@ -128,5 +130,94 @@ func TestSubmitWaitNoAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("SubmitWait read allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestFutureManyWaiters has four goroutines wait on one future while
+// its shard is held, so they block before the worker completes it:
+// each must get the same response, and a later Wait must return at
+// once with it again.
+func TestFutureManyWaiters(t *testing.T) {
+	p, err := New(Config{Shards: 2, Engine: testEngineOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	req := Request{Kind: OpWrite, Addr: 64, Mode: epoch.CounterMode}
+	req.Data[0] = 0x5a
+	if resp := p.SubmitWait(req); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+
+	const waiters = 4
+	var (
+		fut *Future
+		got [waiters]Response
+		wg  sync.WaitGroup
+	)
+	p.WithShardEngine(p.ShardOf(req.Addr), func(*core.Engine) {
+		if fut, err = p.Submit(Request{Kind: OpRead, Addr: req.Addr}); err != nil {
+			return
+		}
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = fut.Wait()
+			}()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for g, resp := range got {
+		if resp.Err != nil || resp.Plain != req.Data || resp != got[0] {
+			t.Errorf("waiter %d: %+v, want the written block like waiter 0 (%+v)", g, resp, got[0])
+		}
+	}
+
+	again := make(chan Response, 1)
+	go func() { again <- fut.Wait() }()
+	select {
+	case resp := <-again:
+		if resp != got[0] {
+			t.Errorf("second Wait: %+v, want %+v", resp, got[0])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("second Wait on a completed future blocked")
+	}
+}
+
+// TestSubmitAllocs pins the future-based round trip at one
+// allocation, the Future itself: the response travels inside it.
+func TestSubmitAllocs(t *testing.T) {
+	p, err := New(Config{Shards: 4, Engine: testEngineOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const blocks = 64
+	req := Request{Kind: OpWrite, Mode: epoch.CounterMode}
+	for i := 0; i < blocks; i++ {
+		req.Addr = uint64(i) * 64
+		if resp := p.SubmitWait(req); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	var i uint64
+	if allocs := testing.AllocsPerRun(200, func() {
+		req.Addr = (i % blocks) * 64
+		req.Data[0] = byte(i)
+		i++
+		fut, err := p.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := fut.Wait(); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}); allocs != 1 {
+		t.Errorf("Submit+Wait allocates %.1f per op, want 1", allocs)
 	}
 }

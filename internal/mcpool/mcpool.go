@@ -104,16 +104,19 @@ type Response struct {
 // owning shard applies the request; it is safe to call repeatedly and
 // from multiple goroutines.
 type Future struct {
-	ch   chan Response
-	once sync.Once
+	done sync.WaitGroup // one pending response; the worker's Done publishes resp
 	resp Response
 }
 
-func newFuture() *Future { return &Future{ch: make(chan Response, 1)} }
+func newFuture() *Future {
+	f := &Future{}
+	f.done.Add(1)
+	return f
+}
 
 // Wait returns the response, blocking until the request is applied.
 func (f *Future) Wait() Response {
-	f.once.Do(func() { f.resp = <-f.ch })
+	f.done.Wait()
 	return f.resp
 }
 
@@ -224,7 +227,7 @@ type shard struct {
 
 type submission struct {
 	req  Request
-	fut  *Future   // the response path; its channel is buffered, so the worker's send never blocks
+	fut  *Future   // the response path; completing it never blocks the worker
 	span *obs.Span // nil unless attribution is on (barriers never carry one)
 }
 
@@ -365,11 +368,13 @@ func (p *Pool) Submit(req Request) (*Future, error) {
 	return fut, nil
 }
 
-// futurePool recycles SubmitWait's futures. A pooled future never
-// leaves SubmitWait: it is received from exactly once through its
-// channel (never Wait, so its once and resp stay zero) and returned —
-// so the steady-state SubmitWait hot path performs no allocation.
-var futurePool = sync.Pool{New: func() any { return newFuture() }}
+// futurePool recycles SubmitWait's futures, idle at a zero count. A
+// pooled future never leaves SubmitWait: it is armed with Add(1)
+// before its submit, waited on once by SubmitWait alone, and returned
+// only after that Wait, so the next Add follows it as sync.WaitGroup
+// requires — and the steady-state SubmitWait hot path performs no
+// allocation.
+var futurePool = sync.Pool{New: func() any { return new(Future) }}
 
 // SubmitWait submits one request and blocks until its response — the
 // allocation-free synchronous counterpart of Submit+Wait. A closed
@@ -377,7 +382,9 @@ var futurePool = sync.Pool{New: func() any { return newFuture() }}
 func (p *Pool) SubmitWait(req Request) Response {
 	t0 := p.pSubmit.Start()
 	fut := futurePool.Get().(*Future)
+	fut.done.Add(1)
 	if err := p.submit(req, fut); err != nil {
+		fut.done.Done()
 		futurePool.Put(fut)
 		// Errored submits are recorded too: every Start is matched by
 		// a Done, so refused requests (ErrClosed — a shutdown burst)
@@ -386,7 +393,8 @@ func (p *Pool) SubmitWait(req Request) Response {
 		p.pSubmit.Done(t0)
 		return Response{Err: err}
 	}
-	resp := <-fut.ch
+	resp := fut.Wait()
+	fut.resp = Response{} // drop the response's references while pooled
 	futurePool.Put(fut)
 	p.pSubmit.Done(t0)
 	return resp
@@ -423,14 +431,15 @@ func (p *Pool) Close() {
 }
 
 // worker drains one shard's queue in FIFO batches, applying each
-// batch under a single acquisition of the shard lock. Its batch and
-// response buffers are allocated once and reused for the worker's
-// lifetime: the steady-state loop performs no allocation,
-// which is what keeps the SubmitWait round trip at zero allocs/op.
+// batch under a single acquisition of the shard lock. Each response
+// is stored straight into its future and released by the future's
+// Done after the lock drops. The batch buffer is allocated once and
+// reused for the worker's lifetime: the steady-state loop performs no
+// allocation, which is what keeps the SubmitWait round trip at zero
+// allocs/op.
 func (p *Pool) worker(s *shard) {
 	defer p.wg.Done()
 	batch := make([]submission, 0, p.cfg.BatchMax)
-	resps := make([]Response, p.cfg.BatchMax)
 	for sub := range s.q {
 		sub.span.Mark(stageQueue)
 		batch = append(batch[:0], sub)
@@ -462,7 +471,7 @@ func (p *Pool) worker(s *shard) {
 		}
 		work := 0 // non-barrier requests; FlushBarrier fences don't count
 		for i := range batch {
-			resps[i] = p.apply(s, batch[i].req, auto)
+			batch[i].fut.resp = p.apply(s, batch[i].req, auto)
 			batch[i].span.Mark(stageService)
 			if batch[i].req.Kind != opBarrier {
 				work++
@@ -473,7 +482,7 @@ func (p *Pool) worker(s *shard) {
 		s.mon.Record(busyTo, uint64(busyTo-busyFrom))
 		s.until.Store(s.mon.CounterlessUntil())
 		for i := range batch {
-			batch[i].fut.ch <- resps[i]
+			batch[i].fut.done.Done()
 			batch[i].span.Mark(stageWriteback)
 			batch[i].span.Finish()
 			batch[i] = submission{} // drop future/span/Tag references
