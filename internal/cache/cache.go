@@ -38,12 +38,27 @@ type Stats struct {
 // values live in the functional memory model). Event counts live in
 // obs instruments so a registry can export them mid-run; Stats()
 // stays the legacy view over the same storage.
+//
+// A Cache belongs to one goroutine: every probe writes to it (a hit
+// refreshes LRU state, a miss records the memo below), Contains
+// included.
 type Cache struct {
 	sets      int
 	ways      int
 	blockSize uint64
 	lines     []line // sets*ways, row-major by set
 	useClock  uint64
+
+	// The last miss's set base, tag and victim line, taken at
+	// useClock memoClock. A miss changes no line, and every hit and
+	// Insert advances useClock, so while the clock has not moved the
+	// block is still absent and the victim is still the one a scan
+	// would pick. Invalidate, which frees a line without advancing
+	// the clock, clears the memo.
+	memoBase   int
+	memoTag    uint64
+	memoClock  uint64
+	memoVictim int
 
 	hits       obs.Counter
 	misses     obs.Counter
@@ -70,6 +85,7 @@ func New(size, blockSize uint64, ways int) (*Cache, error) {
 		ways:      ways,
 		blockSize: blockSize,
 		lines:     make([]line, int(sets)*ways),
+		memoTag:   invalidTag,
 	}
 	for i := range c.lines {
 		c.lines[i].tag = invalidTag
@@ -114,37 +130,52 @@ func (c *Cache) setFor(addr uint64) (setBase int, tag uint64) {
 	return int(blk%uint64(c.sets)) * c.ways, blk / uint64(c.sets)
 }
 
+// find scans the set at base for tag and returns the line index, or
+// -1 on a miss. A miss also picks the line Insert would displace, the
+// first with the least lastUse, and records it as the memo. The least
+// lastUse so far stays in a local: the pick then compiles to
+// conditional moves. Re-reading set[victim] instead costs a bounds
+// check and a branch per way, and with it the simulator ran no faster
+// than with a second scan per fill.
+func (c *Cache) find(base int, tag uint64) int {
+	set := c.lines[base : base+c.ways]
+	victim, least := 0, ^uint64(0)
+	for i := range set {
+		if set[i].tag == tag {
+			return base + i
+		}
+		if u := set[i].lastUse; u < least {
+			victim, least = i, u
+		}
+	}
+	c.memoBase, c.memoTag, c.memoClock, c.memoVictim = base, tag, c.useClock, base+victim
+	return -1
+}
+
 // Lookup probes the cache at simulated time now. On a hit it returns
 // readyAt, the time at which the line's data is available (now for
 // resident lines, the fill-completion time for in-flight lines). On a
-// miss the caller is expected to fetch the block and Fill it.
+// miss the caller is expected to fetch the block and Insert it; the
+// miss has already picked the victim, so that Insert does not scan.
 func (c *Cache) Lookup(addr uint64, now int64) (hit bool, readyAt int64) {
 	base, tag := c.setFor(addr)
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == tag {
-			c.hits.Inc()
-			c.useClock++
-			c.lines[i].lastUse = c.useClock
-			r := c.lines[i].readyAt
-			if r < now {
-				r = now
-			}
-			return true, r
-		}
+	i := c.find(base, tag)
+	if i < 0 {
+		c.misses.Inc()
+		return false, 0
 	}
-	c.misses.Inc()
-	return false, 0
+	c.hits.Inc()
+	c.useClock++
+	c.lines[i].lastUse = c.useClock
+	return true, max(c.lines[i].readyAt, now)
 }
 
-// Contains probes without touching statistics or LRU state.
+// Contains probes without touching statistics or LRU state. A miss
+// records the memo like any other, so an Insert that follows does not
+// scan.
 func (c *Cache) Contains(addr uint64) bool {
 	base, tag := c.setFor(addr)
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(base, tag) >= 0
 }
 
 // Eviction describes a block displaced by Insert.
@@ -158,49 +189,26 @@ type Eviction struct {
 // caller can issue the writeback (when dirty). Inserting an
 // already-present block refreshes its readyAt and dirty state.
 //
-// One pass over the set both looks for the tag and picks the victim:
-// the first invalid way, else the first way with the least lastUse.
-// Invalid lines carry lastUse 0 and valid ones at least 1 (every
-// touch advances useClock first), so the first least-lastUse way is
-// the first invalid way whenever one exists.
+// The victim is the first invalid way, else the first way with the
+// least lastUse. Invalid lines carry lastUse 0 and valid ones at least
+// 1 (every touch advances useClock first), so the first least-lastUse
+// way is the first invalid way whenever one exists. When addr is the
+// memo's block and the clock has not moved since, the memo holds that
+// victim and Insert places the block there without a scan.
 func (c *Cache) Insert(addr uint64, readyAt int64, dirty bool) (ev Eviction, evicted bool) {
 	base, tag := c.setFor(addr)
-	c.useClock++
-	set := c.lines[base : base+c.ways]
-	victim := 0
-	for i := range set {
-		l := &set[i]
-		if l.tag == tag {
+	if tag != c.memoTag || base != c.memoBase || c.useClock != c.memoClock {
+		if i := c.find(base, tag); i >= 0 {
+			c.useClock++
+			l := &c.lines[i]
 			l.dirty = l.dirty || dirty
-			if readyAt < l.readyAt {
-				l.readyAt = readyAt
-			}
+			l.readyAt = min(l.readyAt, readyAt)
 			l.lastUse = c.useClock
 			return Eviction{}, false
 		}
-		if l.lastUse < set[victim].lastUse {
-			victim = i
-		}
 	}
-	return c.place(base+victim, tag, readyAt, dirty)
-}
-
-// Fill is Insert for a block the caller knows is absent, typically
-// because it has just missed in Lookup or Write and nothing has
-// inserted into this cache since: it skips the tag scan and only picks
-// the victim. Filling a present block would leave two lines with the
-// same tag; callers that cannot rule that out use Insert.
-func (c *Cache) Fill(addr uint64, readyAt int64, dirty bool) (ev Eviction, evicted bool) {
-	base, tag := c.setFor(addr)
 	c.useClock++
-	set := c.lines[base : base+c.ways]
-	victim := 0
-	for i := range set {
-		if set[i].lastUse < set[victim].lastUse {
-			victim = i
-		}
-	}
-	return c.place(base+victim, tag, readyAt, dirty)
+	return c.place(c.memoVictim, tag, readyAt, dirty)
 }
 
 // place overwrites line i with the new block, counting and returning
@@ -229,32 +237,27 @@ func (c *Cache) addrOf(lineIdx int, tag uint64) uint64 {
 // Insert with dirty=true.)
 func (c *Cache) Write(addr uint64, now int64) (hit bool, readyAt int64) {
 	base, tag := c.setFor(addr)
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == tag {
-			c.hits.Inc()
-			c.useClock++
-			c.lines[i].lastUse = c.useClock
-			c.lines[i].dirty = true
-			r := c.lines[i].readyAt
-			if r < now {
-				r = now
-			}
-			return true, r
-		}
+	i := c.find(base, tag)
+	if i < 0 {
+		c.misses.Inc()
+		return false, 0
 	}
-	c.misses.Inc()
-	return false, 0
+	c.hits.Inc()
+	c.useClock++
+	c.lines[i].lastUse = c.useClock
+	c.lines[i].dirty = true
+	return true, max(c.lines[i].readyAt, now)
 }
 
 // Invalidate drops the block if present, returning its dirty state.
 func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 	base, tag := c.setFor(addr)
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == tag {
-			wasDirty = c.lines[i].dirty
-			c.lines[i] = line{tag: invalidTag}
-			return wasDirty, true
-		}
+	i := c.find(base, tag)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	wasDirty = c.lines[i].dirty
+	c.lines[i] = line{tag: invalidTag}
+	c.memoTag = invalidTag // the freed line may now be the victim
+	return wasDirty, true
 }

@@ -349,3 +349,17 @@ func BenchmarkLookupInsertChurn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMissInsert cycles 17 blocks through one set of a 16-way
+// cache, so under LRU every Lookup misses and the Insert after it
+// evicts: the fill takes the victim its miss picked.
+func BenchmarkMissInsert(b *testing.B) {
+	c, _ := New(1<<16, 64, 16)
+	stride := uint64(c.Sets()) * 64 // same set, next tag
+	for i := 0; i < b.N; i++ {
+		addr := uint64(i%17) * stride
+		if hit, _ := c.Lookup(addr, 0); !hit {
+			c.Insert(addr, 0, i%3 == 0)
+		}
+	}
+}

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// refInsert is the two-pass Insert the one-pass version replaced: one
-// scan for the tag, then one for the victim (the first invalid way,
-// else the first way with the least lastUse). The differential test
-// holds Insert and Fill to it.
+// refInsert is the two-pass Insert with no memo: one scan for the tag,
+// then one for the victim (the first invalid way, else the first way
+// with the least lastUse). The differential test holds Insert to it.
 func refInsert(c *Cache, addr uint64, readyAt int64, dirty bool) (ev Eviction, evicted bool) {
 	base, tag := c.setFor(addr)
 	c.useClock++
@@ -48,11 +47,115 @@ func refInsert(c *Cache, addr uint64, readyAt int64, dirty bool) (ev Eviction, e
 	return ev, evicted
 }
 
+// refFind is the memo-free tag scan behind the reference probes.
+func refFind(c *Cache, addr uint64) int {
+	base, tag := c.setFor(addr)
+	for i := base; i < base+c.ways; i++ {
+		if c.lines[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+type opKind int
+
+const (
+	opLookup opKind = iota
+	opWrite
+	opContains
+	opInvalidate
+	opInsert
+)
+
+type access struct {
+	kind  opKind
+	addr  uint64
+	now   int64
+	dirty bool
+}
+
+// outcome is everything an access returns, whatever its kind.
+type outcome struct {
+	hit     bool
+	readyAt int64
+	ev      Eviction
+	evicted bool
+}
+
+func (a access) run(c *Cache) (o outcome) {
+	switch a.kind {
+	case opLookup:
+		o.hit, o.readyAt = c.Lookup(a.addr, a.now)
+	case opWrite:
+		o.hit, o.readyAt = c.Write(a.addr, a.now)
+	case opContains:
+		o.hit = c.Contains(a.addr)
+	case opInvalidate:
+		o.evicted, o.hit = c.Invalidate(a.addr)
+	case opInsert:
+		o.ev, o.evicted = c.Insert(a.addr, a.now, a.dirty)
+	}
+	return o
+}
+
+// runRef is run on the memo-free reference: every probe and every
+// Insert scans.
+func (a access) runRef(c *Cache) (o outcome) {
+	if a.kind == opInsert {
+		o.ev, o.evicted = refInsert(c, a.addr, a.now, a.dirty)
+		return o
+	}
+	i := refFind(c, a.addr)
+	o.hit = i >= 0
+	switch {
+	case a.kind == opContains: // changes nothing
+	case a.kind == opInvalidate:
+		if o.hit {
+			o.evicted = c.lines[i].dirty
+			c.lines[i] = line{tag: invalidTag}
+		}
+	case !o.hit:
+		c.misses.Inc()
+	default:
+		c.hits.Inc()
+		c.useClock++
+		c.lines[i].lastUse = c.useClock
+		c.lines[i].dirty = c.lines[i].dirty || a.kind == opWrite
+		o.readyAt = max(c.lines[i].readyAt, a.now)
+	}
+	return o
+}
+
+// runBoth applies a to the memo cache and to the reference, and fails
+// unless both return the same and hold the same lines, clock and
+// counters afterwards.
+func runBoth(t *testing.T, step int, memC, refC *Cache, a access) {
+	t.Helper()
+	got, want := a.run(memC), a.runRef(refC)
+	if got != want {
+		t.Fatalf("step %d: %+v returned %+v, reference %+v", step, a, got, want)
+	}
+	if !slices.Equal(memC.lines, refC.lines) || memC.useClock != refC.useClock || memC.Stats() != refC.Stats() {
+		t.Fatalf("step %d: %+v left the cache diverged from the reference\n got %+v\nwant %+v", step, a, memC.lines, refC.lines)
+	}
+}
+
+// memoMatches reports whether an Insert of addr would take the memo's
+// victim, and whether the memo names addr's block but the clock has
+// moved since.
+func memoMatches(c *Cache, addr uint64) (live, stale bool) {
+	base, tag := c.setFor(addr)
+	named := tag == c.memoTag && base == c.memoBase
+	return named && c.useClock == c.memoClock, named && c.useClock != c.memoClock
+}
+
 // TestInsertVictimChoice sets one 4-way set to a given state and
 // checks which way block 7 lands in. inv marks an invalid way (as
 // Invalidate leaves it: lastUse 0). When present, block 7 already
-// sits in way victim and must be refreshed there; otherwise Fill must
-// pick the same way as Insert.
+// sits in way victim and must be refreshed there. An absent block is
+// inserted twice over: after a Lookup miss, which leaves the victim in
+// the memo, and by a bare Insert, which scans.
 func TestInsertVictimChoice(t *testing.T) {
 	const inv = -1
 	cases := []struct {
@@ -73,9 +176,9 @@ func TestInsertVictimChoice(t *testing.T) {
 	}
 	const addr = 7 * 64 // block 7; the set holds tags 0..3 unless present
 	for _, tc := range cases {
-		for _, fill := range []bool{false, true} {
-			if fill && tc.present {
-				continue // Fill is only for absent blocks
+		for _, missFirst := range []bool{false, true} {
+			if missFirst && tc.present {
+				continue // a present block hits; there is no miss to remember
 			}
 			c := mustNew(t, 4*64, 64, 4) // one set
 			for w, u := range tc.lastUse {
@@ -87,101 +190,142 @@ func TestInsertVictimChoice(t *testing.T) {
 				c.lines[tc.victim].tag = 7
 			}
 			c.useClock = 10
-			insert := c.Insert
-			if fill {
-				insert = c.Fill
+			if missFirst {
+				if hit, _ := c.Lookup(addr, 0); hit {
+					t.Fatalf("%s: Lookup hit an absent block", tc.name)
+				}
+				if live, _ := memoMatches(c, addr); !live || c.memoVictim != tc.victim {
+					t.Errorf("%s: the miss left memo victim %d (live %v), want way %d", tc.name, c.memoVictim, live, tc.victim)
+				}
 			}
 			before := slices.Clone(c.lines)
-			ev, evicted := insert(addr, 99, false)
+			ev, evicted := c.Insert(addr, 99, false)
 			want := line{tag: 7, readyAt: 99, lastUse: 11, dirty: tc.present}
 			if got := c.lines[tc.victim]; got != want {
-				t.Errorf("%s (fill=%v): way %d = %+v, want %+v", tc.name, fill, tc.victim, got, want)
+				t.Errorf("%s (miss first %v): way %d = %+v, want %+v", tc.name, missFirst, tc.victim, got, want)
 			}
 			for w := range c.lines {
 				if w != tc.victim && c.lines[w] != before[w] {
-					t.Errorf("%s (fill=%v): way %d changed to %+v", tc.name, fill, w, c.lines[w])
+					t.Errorf("%s (miss first %v): way %d changed to %+v", tc.name, missFirst, w, c.lines[w])
 				}
 			}
 			wantEvict := !tc.present && tc.lastUse[tc.victim] != inv
 			if evicted != wantEvict {
-				t.Errorf("%s (fill=%v): evicted = %v, want %v", tc.name, fill, evicted, wantEvict)
+				t.Errorf("%s (miss first %v): evicted = %v, want %v", tc.name, missFirst, evicted, wantEvict)
 			}
 			if wantEvict && (ev.Addr != uint64(tc.victim)*64 || !ev.Dirty) {
-				t.Errorf("%s (fill=%v): eviction = %+v, want dirty addr %d", tc.name, fill, ev, tc.victim*64)
+				t.Errorf("%s (miss first %v): eviction = %+v, want dirty addr %d", tc.name, missFirst, ev, tc.victim*64)
 			}
 		}
 	}
 }
 
-// TestInsertDifferential drives three caches with the same random
-// access stream: one fills absent blocks with Fill, one always calls
-// Insert, one always calls the two-pass refInsert. Every return value,
-// line and counter must agree after every access.
+// TestInsertMemo runs the sequences where the memo a miss leaves must
+// not be used, or must be used for the right block only, against the
+// memo-free reference, and checks the way the last Insert fills. The
+// cache has two 4-way sets: block b maps to set b%2 with tag b/2.
+// Set 0 holds blocks 0, 2, 4, 6 in ways 0-3 with lastUse 4, 2, 3, 5;
+// set 1 holds blocks 1, 3, 5, 7 in ways 4-7 with lastUse 6, 8, 1, 7.
+// A miss in set 0 picks way 1 and one in set 1 picks way 6.
+func TestInsertMemo(t *testing.T) {
+	lookup := func(blk uint64) access { return access{kind: opLookup, addr: blk * 64} }
+	cases := []struct {
+		name string
+		ops  []access
+		way  int // where the last op's block must land
+	}{
+		{"invalidate another way between the miss and the Insert", []access{
+			lookup(8),
+			{kind: opInvalidate, addr: 4 * 64}, // way 2 is freed and must win
+			{kind: opInsert, addr: 8 * 64},
+		}, 2},
+		{"miss in set 0, Insert into set 1", []access{
+			lookup(8),
+			{kind: opInsert, addr: 9 * 64},
+		}, 6},
+		{"hit in the same set between the miss and the Insert", []access{
+			lookup(8),
+			lookup(2), // the victim, way 1, is now the most recent
+			{kind: opInsert, addr: 8 * 64},
+		}, 2},
+		{"two misses, then an Insert of the first", []access{
+			lookup(8),
+			{kind: opWrite, addr: 9 * 64},
+			{kind: opInsert, addr: 8 * 64},
+		}, 1},
+		{"Insert of the missed block twice", []access{
+			lookup(8),
+			{kind: opInsert, addr: 8 * 64},
+			{kind: opInsert, addr: 8 * 64, dirty: true},
+		}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var caches [2]*Cache
+			for i := range caches {
+				c := mustNew(t, 8*64, 64, 4)
+				for w, u := range []uint64{4, 2, 3, 5, 6, 8, 1, 7} {
+					c.lines[w] = line{tag: uint64(w % 4), lastUse: u, dirty: w%2 == 0}
+				}
+				c.useClock = 10
+				caches[i] = c
+			}
+			memC, refC := caches[0], caches[1]
+			for step, a := range tc.ops {
+				runBoth(t, step, memC, refC, a)
+			}
+			last := tc.ops[len(tc.ops)-1]
+			if got := refFind(memC, last.addr); got != tc.way {
+				t.Errorf("block %d landed in way %d, want %d", last.addr/64, got, tc.way)
+			}
+		})
+	}
+}
+
+// TestInsertDifferential drives a cache and its memo-free reference
+// with the same random interleaving of Lookup, Write, Contains,
+// Invalidate and Insert. Half the Inserts and Invalidates reuse the
+// last probed block, so Inserts meet live memos, stale ones and none.
+// Every return value, line and counter must agree after every step.
 func TestInsertDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
+	kinds := []opKind{opLookup, opLookup, opLookup, opWrite, opWrite, opContains, opInvalidate, opInsert, opInsert, opInsert}
 	for _, geo := range []struct {
 		size uint64
 		ways int
 	}{{4 * 4 * 64, 4}, {8 * 2 * 64, 2}, {1 * 8 * 64, 8}} {
-		fillC := mustNew(t, geo.size, 64, geo.ways)
-		insC := mustNew(t, geo.size, 64, geo.ways)
+		memC := mustNew(t, geo.size, 64, geo.ways)
 		refC := mustNew(t, geo.size, 64, geo.ways)
 		blocks := 3 * int(geo.size/64) // a working set that conflicts
+		var last uint64
+		var live, stale int
 		for step := 0; step < 20000; step++ {
-			addr := uint64(rng.Intn(blocks)) * 64
-			now := int64(rng.Intn(1000))
-			dirty := rng.Intn(3) == 0
-			switch op := rng.Intn(10); {
-			case op < 4: // demand read: Lookup, fill on a miss
-				h1, r1 := fillC.Lookup(addr, now)
-				h2, r2 := insC.Lookup(addr, now)
-				h3, r3 := refC.Lookup(addr, now)
-				if h1 != h3 || h2 != h3 || r1 != r3 || r2 != r3 {
-					t.Fatalf("step %d: Lookup(%d) = %v/%d, %v/%d, ref %v/%d", step, addr, h1, r1, h2, r2, h3, r3)
+			a := access{
+				kind:  kinds[rng.Intn(len(kinds))],
+				addr:  uint64(rng.Intn(blocks)) * 64,
+				now:   int64(rng.Intn(1000)),
+				dirty: rng.Intn(3) == 0,
+			}
+			switch a.kind {
+			case opInsert, opInvalidate:
+				if rng.Intn(2) == 0 {
+					a.addr = last
 				}
-				if !h3 {
-					checkInsert(t, step, addr, now, dirty, fillC.Fill, insC, refC)
+				if l, s := memoMatches(memC, a.addr); a.kind == opInsert && l {
+					live++
+				} else if a.kind == opInsert && s {
+					stale++
 				}
-			case op < 6: // demand write
-				h1, _ := fillC.Write(addr, now)
-				h2, _ := insC.Write(addr, now)
-				h3, _ := refC.Write(addr, now)
-				if h1 != h3 || h2 != h3 {
-					t.Fatalf("step %d: Write(%d) hit %v/%v, ref %v", step, addr, h1, h2, h3)
-				}
-				if !h3 {
-					checkInsert(t, step, addr, now, true, fillC.Fill, insC, refC)
-				}
-			case op < 9: // a fill whose block may be present (a victim moving down)
-				fill := fillC.Insert
-				if !refC.Contains(addr) {
-					fill = fillC.Fill
-				}
-				checkInsert(t, step, addr, now, dirty, fill, insC, refC)
 			default:
-				fillC.Invalidate(addr)
-				insC.Invalidate(addr)
-				refC.Invalidate(addr)
+				last = a.addr
 			}
-			for name, c := range map[string]*Cache{"fill": fillC, "insert": insC} {
-				if !slices.Equal(c.lines, refC.lines) || c.useClock != refC.useClock || c.Stats() != refC.Stats() {
-					t.Fatalf("step %d: %s cache diverged from the two-pass reference", step, name)
-				}
-			}
+			runBoth(t, step, memC, refC, a)
 		}
 		if s := refC.Stats(); s.Evictions == 0 || s.Writebacks == 0 {
 			t.Errorf("geometry %+v: stream never evicted (%+v)", geo, s)
 		}
-	}
-}
-
-func checkInsert(t *testing.T, step int, addr uint64, now int64, dirty bool,
-	fill func(uint64, int64, bool) (Eviction, bool), insC, refC *Cache) {
-	t.Helper()
-	e1, ok1 := fill(addr, now, dirty)
-	e2, ok2 := insC.Insert(addr, now, dirty)
-	e3, ok3 := refInsert(refC, addr, now, dirty)
-	if e1 != e3 || e2 != e3 || ok1 != ok3 || ok2 != ok3 {
-		t.Fatalf("step %d: fill(%d) = %+v/%v, Insert = %+v/%v, ref %+v/%v", step, addr, e1, ok1, e2, ok2, e3, ok3)
+		if live < 200 || stale < 200 {
+			t.Errorf("geometry %+v: %d Inserts met a live memo and %d a stale one, want 200 of each", geo, live, stale)
+		}
 	}
 }

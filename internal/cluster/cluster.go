@@ -357,7 +357,7 @@ func dropNewestRecords(plogs [][]byte) [][]byte {
 		}
 		var buf []byte
 		for _, e := range entries[:max(0, len(entries)-1)] {
-			buf = mcpool.AppendEntry(buf, e)
+			buf = mcpool.AppendEntry(buf, &e)
 		}
 		out[i] = buf
 	}

@@ -459,7 +459,7 @@ func TestVerifyCatchesTamperedEntry(t *testing.T) {
 					tc.tamper(&e)
 					seq = e.Seq
 				}
-				plog = mcpool.AppendEntry(plog, e)
+				plog = mcpool.AppendEntry(plog, &e)
 			}
 			seg.Plogs = [][]byte{plog}
 			defer func() { seg.Plogs = clean }()

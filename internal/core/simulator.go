@@ -505,23 +505,23 @@ func (s *simulator) access(c int, addr uint64, write bool, pc uint64, t int64) i
 	// L2.
 	t2 := t1 + cfg.L2Lat
 	if hit, ready := s.l2[c].Lookup(addr, t2); hit {
-		s.fillL1(c, addr, ready, write) // L1 missed above; prefetch fills only L2/L3
+		s.fillL1(c, addr, ready, write)
 		return ready
 	}
 
 	// L3.
 	t3 := t2 + cfg.L3Lat
 	if hit, ready := s.l3.Lookup(addr, t3); hit {
-		s.fillL2(c, addr, ready)        // L2 missed above; nothing filled L2 since
-		s.fillL1(c, addr, ready, write) // L1 missed above; L2's victim goes to L3
+		s.fillL2(c, addr, ready)
+		s.fillL1(c, addr, ready, write)
 		return ready
 	}
 
 	// Demand LLC miss -> memory controller.
 	ready := s.mcRead(addr, t3, true)
-	s.fillL3(addr, ready)           // L3 missed above; the MC read fills only the counter cache
-	s.fillL2(c, addr, ready)        // L2 missed above; L3's victim is posted, not filled
-	s.fillL1(c, addr, ready, write) // L1 missed above; L2's victim goes to L3
+	s.fillL3(addr, ready)
+	s.fillL2(c, addr, ready)
+	s.fillL1(c, addr, ready, write)
 	return ready
 }
 
@@ -532,29 +532,27 @@ func (s *simulator) prefetch(c int, addr uint64, t int64) {
 		return
 	}
 	ready := s.mcRead(addr, t+s.cfg.L2Lat, false)
-	s.fillL3(addr, ready)    // absent from L3 per Contains; the MC read fills only the counter cache
-	s.fillL2(c, addr, ready) // absent from L2 per Contains; fillL3 touched only L3
+	s.fillL3(addr, ready)
+	s.fillL2(c, addr, ready)
 }
 
-// fillL1, fillL2 and fillL3 use cache.Fill, which skips the tag check:
-// each call comes right after addr missed at that level, as noted at
-// the call. Victims move down with Insert, because the level below may
-// already hold them.
+// fillL1, fillL2 and fillL3 insert a block that has just missed at
+// that level, so each Insert takes the victim its miss picked.
 func (s *simulator) fillL1(c int, addr uint64, ready int64, dirty bool) {
-	if ev, ok := s.l1[c].Fill(addr, ready, dirty); ok && ev.Dirty {
+	if ev, ok := s.l1[c].Insert(addr, ready, dirty); ok && ev.Dirty {
 		// Dirty L1 victim moves to L2 (mark or allocate dirty there).
 		s.l2[c].Insert(ev.Addr, ready, true)
 	}
 }
 
 func (s *simulator) fillL2(c int, addr uint64, ready int64) {
-	if ev, ok := s.l2[c].Fill(addr, ready, false); ok && ev.Dirty {
+	if ev, ok := s.l2[c].Insert(addr, ready, false); ok && ev.Dirty {
 		s.l3.Insert(ev.Addr, ready, true)
 	}
 }
 
 func (s *simulator) fillL3(addr uint64, ready int64) {
-	if ev, ok := s.l3.Fill(addr, ready, false); ok && ev.Dirty {
+	if ev, ok := s.l3.Insert(addr, ready, false); ok && ev.Dirty {
 		// Post the writeback; it reaches the MC at the fill time and
 		// is processed in global time order.
 		s.q.Push(ready, event{kind: evWriteback, addr: ev.Addr})

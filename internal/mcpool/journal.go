@@ -89,7 +89,7 @@ const (
 // pool computes it at apply time through the shard engine's cipher; a
 // verifier recomputes it from re-executed responses through any
 // cipher with the same keys.
-func ResponseSum(cm *cipher.CounterMode, req Request, resp Response) uint64 {
+func ResponseSum(cm *cipher.CounterMode, req *Request, resp *Response) uint64 {
 	if req.Kind == OpWrite {
 		return cm.Digest(req.Data, uint64(OpWrite)|uint64(resp.Mode)<<8)
 	}
@@ -109,7 +109,7 @@ func flagBit(v bool) uint64 {
 // extended slice. Layout: uint32 body length, uint32 CRC32(body),
 // body. The body length and CRC let recovery distinguish a torn tail
 // (incomplete bytes) from corruption (bad CRC).
-func AppendEntry(buf []byte, e Entry) []byte {
+func AppendEntry(buf []byte, e *Entry) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // header backfilled below
 	buf = binary.AppendUvarint(buf, e.Seq)

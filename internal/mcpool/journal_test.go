@@ -44,7 +44,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	entries := sampleEntries()
 	var buf []byte
 	for _, e := range entries {
-		buf = AppendEntry(buf, e)
+		buf = AppendEntry(buf, &e)
 	}
 	got, n, err := DecodeJournal(buf)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	var again []byte
 	for _, e := range got {
-		again = AppendEntry(again, e)
+		again = AppendEntry(again, &e)
 	}
 	if !bytes.Equal(again, buf) {
 		t.Error("re-encoding decoded entries is not byte-identical")
@@ -75,7 +75,7 @@ func TestJournalRoundTrip(t *testing.T) {
 func TestJournalTornTail(t *testing.T) {
 	var buf []byte
 	for _, e := range sampleEntries() {
-		buf = AppendEntry(buf, e)
+		buf = AppendEntry(buf, &e)
 	}
 	whole, _, err := DecodeJournal(buf)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestJournalTornTail(t *testing.T) {
 // Malformed journals — bad CRC, bad kind, bad mode, oversized length,
 // unknown flags, trailing garbage — error cleanly, never panic.
 func TestJournalMalformed(t *testing.T) {
-	good := AppendEntry(nil, sampleEntries()[1])
+	good := AppendEntry(nil, &sampleEntries()[1])
 
 	flip := func(off int) []byte {
 		b := append([]byte(nil), good...)
@@ -229,7 +229,7 @@ func TestPoolPersistLifecycle(t *testing.T) {
 			if e.Err != (resp.Err != nil) {
 				t.Fatalf("shard %d seq %d: error bit %v, response err %v", s, e.Seq, e.Err, resp.Err)
 			}
-			if want := ResponseSum(rebuilt.CounterCipher(), sched[e.Tag], resp); !e.HasSum || e.Sum != want {
+			if want := ResponseSum(rebuilt.CounterCipher(), &sched[e.Tag], &resp); !e.HasSum || e.Sum != want {
 				t.Fatalf("shard %d seq %d: Sum %#x (present %v), response digests to %#x", s, e.Seq, e.Sum, e.HasSum, want)
 			}
 			if err := e.Apply(rebuilt); err != nil {
@@ -289,10 +289,10 @@ func TestResponseSumKeyedByEngine(t *testing.T) {
 				continue
 			}
 			req, resp := sched[e.Tag], futs[e.Tag].Wait()
-			if want := ResponseSum(ref, req, resp); e.Sum != want {
+			if want := ResponseSum(ref, &req, &resp); e.Sum != want {
 				t.Fatalf("shard %d seq %d: Sum %#x, reference twin digests %#x", s, e.Seq, e.Sum, want)
 			}
-			if ResponseSum(other.CounterCipher(), req, resp) == e.Sum {
+			if ResponseSum(other.CounterCipher(), &req, &resp) == e.Sum {
 				t.Fatalf("shard %d seq %d: a 32-byte counter-mode key gives the same Sum %#x", s, e.Seq, e.Sum)
 			}
 			sums++
@@ -303,7 +303,7 @@ func TestResponseSumKeyedByEngine(t *testing.T) {
 	}
 	cm := twin.CounterCipher()
 	req := Request{Kind: OpWrite, Data: [64]byte{1, 2, 3}}
-	if n := testing.AllocsPerRun(100, func() { ResponseSum(cm, req, Response{}) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { ResponseSum(cm, &req, &Response{}) }); n != 0 {
 		t.Errorf("ResponseSum: %v allocs/op, want 0", n)
 	}
 }
@@ -314,7 +314,7 @@ func TestResponseSumKeyedByEngine(t *testing.T) {
 func FuzzJournalDecode(f *testing.F) {
 	var whole []byte
 	for _, e := range sampleEntries() {
-		whole = AppendEntry(whole, e)
+		whole = AppendEntry(whole, &e)
 		f.Add(append([]byte(nil), whole...))
 	}
 	f.Add(whole[:len(whole)-3]) // torn tail
@@ -334,7 +334,7 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 		var again []byte
 		for _, e := range entries {
-			again = AppendEntry(again, e)
+			again = AppendEntry(again, &e)
 		}
 		if !bytes.Equal(again, data[:n]) {
 			t.Fatalf("decoded prefix does not re-encode byte-identically")

@@ -471,7 +471,7 @@ func (p *Pool) worker(s *shard) {
 		}
 		work := 0 // non-barrier requests; FlushBarrier fences don't count
 		for i := range batch {
-			batch[i].fut.resp = p.apply(s, batch[i].req, auto)
+			p.apply(s, &batch[i].req, auto, &batch[i].fut.resp)
 			batch[i].span.Mark(stageService)
 			if batch[i].req.Kind != opBarrier {
 				work++
@@ -495,14 +495,15 @@ func (p *Pool) worker(s *shard) {
 	}
 }
 
-// apply executes one request against the shard engine; an Auto write
-// takes the shard monitor's verdict auto. Caller holds the shard lock.
-func (p *Pool) apply(s *shard, req Request, auto epoch.Mode) Response {
-	var resp Response
+// apply executes one request against the shard engine and stores its
+// outcome in resp, which it overwrites whole; an Auto write takes the
+// shard monitor's verdict auto. Caller holds the shard lock.
+func (p *Pool) apply(s *shard, req *Request, auto epoch.Mode, resp *Response) {
+	*resp = Response{}
 	switch req.Kind {
 	case OpRead:
-		plain, info, err := s.eng.Read(req.Addr)
-		resp = Response{Plain: plain, Info: info, Mode: info.Mode, Err: err}
+		resp.Plain, resp.Info, resp.Err = s.eng.Read(req.Addr)
+		resp.Mode = resp.Info.Mode
 	case OpWrite:
 		mode := req.Mode
 		if req.Auto {
@@ -531,35 +532,35 @@ func (p *Pool) apply(s *shard, req Request, auto epoch.Mode) Response {
 			s.lastMode[req.Addr] = applied
 		}
 	case OpFault:
-		resp = Response{Err: s.eng.InjectFault(req.Addr, req.Chip, req.Pattern)}
+		resp.Err = s.eng.InjectFault(req.Addr, req.Chip, req.Pattern)
 		p.rec.Record(flight.KindFault, int32(s.id), req.Addr, int64(req.Chip), int64(req.Pattern))
 	case opBarrier:
-		return resp
+		return
 	default:
 		// Never reaches an engine, so there is nothing to journal.
-		return Response{Err: fmt.Errorf("mcpool: unknown op kind %d", req.Kind)}
+		resp.Err = fmt.Errorf("mcpool: unknown op kind %d", req.Kind)
+		return
 	}
 	if p.cfg.Persist {
 		s.seq++
-		s.plog = AppendEntry(s.plog, persistEntry(s, req, resp))
+		var e Entry
+		persistEntry(s, req, resp, &e)
+		s.plog = AppendEntry(s.plog, &e)
 	}
-	return resp
 }
 
-// persistEntry captures the resolved state of one applied op for the
-// persistent journal. Caller holds the shard lock, so the engine
-// probes see exactly the post-op state.
-func persistEntry(s *shard, req Request, resp Response) Entry {
-	e := Entry{
-		Seq:     s.seq,
-		Kind:    req.Kind,
-		Addr:    req.Addr,
-		VM:      req.VM,
-		Mode:    resp.Mode,
-		Chip:    req.Chip,
-		Pattern: req.Pattern,
-		Err:     resp.Err != nil,
-	}
+// persistEntry fills the zero Entry e with the resolved state of one
+// applied op for the persistent journal. Caller holds the shard lock,
+// so the engine probes see exactly the post-op state.
+func persistEntry(s *shard, req *Request, resp *Response, e *Entry) {
+	e.Seq = s.seq
+	e.Kind = req.Kind
+	e.Addr = req.Addr
+	e.VM = req.VM
+	e.Mode = resp.Mode
+	e.Chip = req.Chip
+	e.Pattern = req.Pattern
+	e.Err = resp.Err != nil
 	if req.Kind != OpFault {
 		e.Sum, e.HasSum = ResponseSum(s.eng.CounterCipher(), req, resp), true
 	}
@@ -576,7 +577,6 @@ func persistEntry(s *shard, req Request, resp Response) Entry {
 		e.Ctr = s.eng.Counters().Counter(req.Addr)
 		e.PermCL = s.eng.IsPermanentCounterless(req.Addr)
 	}
-	return e
 }
 
 // PersistedJournal returns a copy of shard i's encoded persistent

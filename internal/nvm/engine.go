@@ -183,7 +183,7 @@ func (n *Engine) logEntry(tag int64, e mcpool.Entry) error {
 	if tag > n.lastTag {
 		n.lastTag = tag
 	}
-	n.encBuf = mcpool.AppendEntry(n.encBuf[:0], e)
+	n.encBuf = mcpool.AppendEntry(n.encBuf[:0], &e)
 	n.dom.appendJournal(n.encBuf, n.seq)
 	n.dom.persistData(e.Addr, cw, n.seq)
 	n.pending[e.Addr] = struct{}{}
