@@ -80,11 +80,11 @@ bench:
 # Execute the hot-path micro-benchmarks (MAC64, GF multiply and dot
 # product with sparse and dense keys, one counter-mode write's cipher
 # work, counter-tree increment/verify, engine read/write, pool
-# throughput with and without the persistent journal, a cache miss
-# and its fill) for a fixed 100 iterations each: a smoke run that they
+# throughput with and without the persistent journal, the simulator's
+# EncryptionMetadata lookup, a cache miss and its fill) for a fixed 100 iterations each: a smoke run that they
 # still build, run and pass their own checks, not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'MAC64|Mul|DotProduct|CounterModeWriteOp|Increment|VerifyCounter|Engine|PoolThroughput|PoolSubmit|LookupInsertChurn|MissInsert' -benchtime 100x ./internal/crypto/... ./internal/cipher ./internal/ctrblock ./internal/core ./internal/mcpool ./internal/cache
+	$(GO) test -run '^$$' -bench 'MAC64|Mul|DotProduct|CounterModeWriteOp|Increment|VerifyCounter|Engine|MetaStore|PoolThroughput|PoolSubmit|LookupInsertChurn|MissInsert' -benchtime 100x ./internal/crypto/... ./internal/cipher ./internal/ctrblock ./internal/core ./internal/mcpool ./internal/cache
 
 # Append the next BENCH_<n>.json perf-trajectory snapshot: runs the
 # pinned suite (cmd/clbench -bench-json) at full measurement windows

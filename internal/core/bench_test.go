@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"counterlight/internal/cipher"
@@ -89,3 +90,37 @@ func BenchmarkMemoHitRate(b *testing.B) {
 	}
 	b.ReportMetric(hit, "hit-rate")
 }
+
+// BenchmarkMetaStore measures the simulator's per-read
+// EncryptionMetadata lookup over a store of 150k blocks (about what
+// canneal's Counter-light cell writes): absent blocks, which most
+// reads hit and the presence bitmap answers, and present ones, which
+// probe the map.
+func BenchmarkMetaStore(b *testing.B) {
+	const entries, probes = 150_000, 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	s := newMetaStore()
+	var present, absent []uint64
+	for len(present) < entries {
+		blk := uint64(rng.Int63n(1 << 31))
+		s.set(blk, uint32(len(present)))
+		present = append(present, blk)
+	}
+	for len(absent) < probes {
+		// No index at or above 2^31 was set.
+		absent = append(absent, uint64(rng.Int63n(1<<31))|1<<31)
+	}
+	for _, c := range []struct {
+		name string
+		blks []uint64
+	}{{"absent", absent}, {"present", present[:probes]}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				metaSink += s.get(c.blks[i%probes])
+			}
+		})
+	}
+}
+
+// metaSink keeps BenchmarkMetaStore's lookups live.
+var metaSink uint32

@@ -181,6 +181,9 @@ func (c Config) Validate() error {
 	if c.BandwidthGBs <= 0 || c.MemorySize == 0 {
 		return fmt.Errorf("core: invalid memory config")
 	}
+	if c.MemorySize/c.BlockSize > 1<<32 {
+		return fmt.Errorf("core: memory of %d blocks exceeds the 2^32-block metadata key", c.MemorySize/c.BlockSize)
+	}
 	if c.Threshold <= 0 || c.Threshold > 1 {
 		return fmt.Errorf("core: threshold %v out of (0,1]", c.Threshold)
 	}

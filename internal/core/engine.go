@@ -144,6 +144,16 @@ func (s *EngineStats) Add(o EngineStats) {
 // comparable to the paper's on-chip table budgets).
 const padCacheSize = 256
 
+// padSlot is addr's pad-cache slot. It folds the block index's next
+// eight bits into its low eight, so the blocks of one mcpool shard
+// (every Shards-th block) reach every slot rather than 256/Shards of
+// them, while 256 consecutive blocks from a multiple of 256 still take
+// 256 distinct slots.
+func padSlot(addr uint64) int {
+	b := addr >> 6
+	return int((b ^ b>>8) & (padCacheSize - 1))
+}
+
 type padCacheEntry struct {
 	ctr, addr uint64
 	pad       cipher.Block
@@ -332,7 +342,7 @@ func (e *Engine) ReferenceCounterlessCipher(vm int) *cipher.Counterless {
 // check or decrypt already derived it. On a miss it derives both with
 // one six-block batched AES and fills the slot.
 func (e *Engine) padFor(ctr, addr uint64) (cipher.Block, mix.Word) {
-	slot := &e.padCache[(addr>>6)&(padCacheSize-1)]
+	slot := &e.padCache[padSlot(addr)]
 	if slot.valid && slot.addr == addr && slot.ctr == ctr {
 		return slot.pad, slot.otp
 	}

@@ -439,6 +439,49 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// slotSharers returns addr followed by the n lowest block addresses
+// above it that share its pad-cache slot.
+func slotSharers(addr uint64, n int) []uint64 {
+	out := []uint64{addr}
+	for a := addr + 64; len(out) <= n; a += 64 {
+		if padSlot(a) == padSlot(addr) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestPadSlotsReachEveryShard checks the pad cache's index function.
+// mcpool routes block b to shard b mod Shards, so the blocks one
+// shard's engine sees must reach all padCacheSize slots at every
+// shard count; and the first padCacheSize blocks must take distinct
+// slots, so a read loop over them (BenchmarkEngineRead) always hits.
+func TestPadSlotsReachEveryShard(t *testing.T) {
+	for _, shards := range []uint64{1, 2, 4, 8} {
+		for s := uint64(0); s < shards; s++ {
+			var seen [padCacheSize]bool
+			n := 0
+			for b := s; b < 1<<16; b += shards {
+				if i := padSlot(b * 64); !seen[i] {
+					seen[i] = true
+					n++
+				}
+			}
+			if n != padCacheSize {
+				t.Errorf("%d shards, shard %d: blocks reach %d of %d pad-cache slots", shards, s, n, padCacheSize)
+			}
+		}
+	}
+	var seen [padCacheSize]bool
+	for b := uint64(0); b < padCacheSize; b++ {
+		i := padSlot(b * 64)
+		if seen[i] {
+			t.Fatalf("block %d shares slot %d with a lower block", b, i)
+		}
+		seen[i] = true
+	}
+}
+
 // TestCounterWritesMatchReference checks the counter-mode write path
 // against the engine's textbook-AES twin. Over random writes that
 // rewrite the same blocks and land blocks on a shared pad-cache slot,
@@ -455,8 +498,7 @@ func TestCounterWritesMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := e.ReferenceCounterCipher()
-	const stride = padCacheSize * 64 // blocks this far apart share a slot
-	addrs := []uint64{0, stride, 2 * stride, 64, 64 + stride, 5 * 64}
+	addrs := append(append(slotSharers(0, 2), slotSharers(64, 1)...), 5*64)
 	rng := rand.New(rand.NewSource(28))
 	for i := 0; i < 2000; i++ {
 		addr := addrs[rng.Intn(len(addrs))]

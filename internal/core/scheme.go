@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"counterlight/internal/cache"
 	"counterlight/internal/ctrblock"
@@ -74,7 +75,9 @@ type MCContext interface {
 // shared substrate through MCContext.
 //
 // A pipeline instance belongs to exactly one run and is never shared,
-// so implementations may keep per-block state in plain maps.
+// so implementations keep per-block state without locks; the
+// counter-carrying ones keep each block's EncryptionMetadata in a
+// metaStore.
 type SchemePipeline interface {
 	// ReadMiss is the LLC-read-miss decrypt path: given the miss's MC
 	// arrival time tm and the DRAM completion time of the data block,
@@ -157,33 +160,83 @@ func newSchemePipeline(cfg *Config, ctx MCContext) (SchemePipeline, error) {
 }
 
 // counterTraffic is the counter-block machinery shared by every
-// counter-carrying pipeline: the per-block EncryptionMetadata map, the
-// memoization-aware OTP latency model, deferred counter-block updates,
-// and integrity-tree walks.
+// counter-carrying pipeline: the per-block EncryptionMetadata store,
+// the memoization-aware OTP latency model, deferred counter-block
+// updates, and integrity-tree walks.
 type counterTraffic struct {
 	ctx  MCContext
-	meta map[uint64]uint32 // data block index -> counter (or metaFlag)
+	meta metaStore // data block index -> counter (or metaFlag)
 }
 
 func newCounterTraffic(ctx MCContext) counterTraffic {
-	return counterTraffic{ctx: ctx, meta: make(map[uint64]uint32)}
+	return counterTraffic{ctx: ctx, meta: newMetaStore()}
 }
 
 // blockMeta returns the block's current EncryptionMetadata value.
-func (ct *counterTraffic) blockMeta(blk uint64) uint32 { return ct.meta[blk] }
+func (ct *counterTraffic) blockMeta(blk uint64) uint32 { return ct.meta.get(blk) }
 
 // bumpCounter advances a block's counter with the memoization-friendly
 // policy (or a plain increment when memoization is disabled).
 func (ct *counterTraffic) bumpCounter(blk uint64) {
-	old := ct.meta[blk]
+	old := ct.meta.get(blk)
 	if old == metaFlag {
 		old = 0 // re-entering counter mode; real HW reads the counter block
 	}
 	if ct.ctx.Config().MemoizeEnabled {
-		ct.meta[blk] = ct.ctx.NextWriteCounter(old)
+		ct.meta.set(blk, ct.ctx.NextWriteCounter(old))
 	} else {
-		ct.meta[blk] = old + 1
+		ct.meta.set(blk, old+1)
 	}
+}
+
+// metaBitsLog is log2 of the metaStore presence bitmap's size in bits
+// (2^20 bits = 128 KiB).
+const metaBitsLog = 20
+
+// metaStore is a pipeline's sparse per-block EncryptionMetadata: a map
+// keyed by the 32-bit block index, behind a presence bitmap indexed by
+// a multiplicative hash of that index. set marks the block's bit before
+// writing the map, and nothing is ever deleted, so a clear bit proves
+// the block absent and get answers 0 (what the map answers for an
+// absent key) without probing the map. Most blocks a run reads were
+// never written, and the bitmap is small enough to stay in the host
+// cache while the map is not.
+type metaStore struct {
+	present *[1 << (metaBitsLog - 6)]uint64
+	m       map[uint32]uint32
+}
+
+func newMetaStore() metaStore {
+	return metaStore{present: new([1 << (metaBitsLog - 6)]uint64), m: make(map[uint32]uint32)}
+}
+
+// metaKey narrows a block index to the store's 32-bit key, panicking
+// rather than aliasing another block (Config.Validate bounds memory to
+// 2^32 blocks).
+func metaKey(blk uint64) uint32 {
+	if blk > math.MaxUint32 {
+		panic(fmt.Sprintf("core: block index %#x does not fit the 32-bit metadata key", blk))
+	}
+	return uint32(blk)
+}
+
+// metaBit is the presence bit of key k.
+func metaBit(k uint32) uint32 { return (k * 0x9e3779b1) >> (32 - metaBitsLog) }
+
+func (s metaStore) get(blk uint64) uint32 {
+	k := metaKey(blk)
+	b := metaBit(k)
+	if s.present[b/64]&(1<<(b%64)) == 0 {
+		return 0
+	}
+	return s.m[k]
+}
+
+func (s metaStore) set(blk uint64, v uint32) {
+	k := metaKey(blk)
+	b := metaBit(k)
+	s.present[b/64] |= 1 << (b % 64)
+	s.m[k] = v
 }
 
 // memoOTP charges the memoization table (hit: hitLat) or a full AES

@@ -37,7 +37,7 @@ func (p *counterLightPipeline) Writeback(addr uint64, tw int64) {
 	}
 	ctx.CountWriteback(mode == epoch.Counterless)
 	if mode == epoch.Counterless {
-		p.meta[addr/cfg.BlockSize] = metaFlag
+		p.meta.set(addr/cfg.BlockSize, metaFlag)
 		return
 	}
 	// A block that went counterless re-enters counter mode on its

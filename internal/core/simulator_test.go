@@ -52,6 +52,15 @@ func TestRunValidatesConfig(t *testing.T) {
 	if _, err := Run(bad, w); err == nil {
 		t.Error("want error for zero threshold")
 	}
+	bad = fastCfg(NoEnc)
+	bad.MemorySize = (1<<32 + 1) * 64
+	if _, err := Run(bad, w); err == nil {
+		t.Error("want error for a memory of more than 2^32 blocks")
+	}
+	bad.MemorySize = 64 << 32
+	if err := bad.Validate(); err != nil {
+		t.Errorf("a memory of exactly 2^32 blocks: %v", err)
+	}
 }
 
 func TestDeterminism(t *testing.T) {
