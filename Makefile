@@ -12,7 +12,8 @@ test:
 	$(GO) test ./...
 
 # The race detector roughly 10x-es the simulator tests; -short keeps
-# the slow probes out.
+# the slow probes out. It includes core's TestLiveMetricsDuringRun,
+# which scrapes the registry while a simulation runs.
 race:
 	$(GO) test -race -short ./...
 
@@ -81,10 +82,11 @@ bench:
 # product with sparse and dense keys, one counter-mode write's cipher
 # work, counter-tree increment/verify, engine read/write, pool
 # throughput with and without the persistent journal, the simulator's
-# EncryptionMetadata lookup, a cache miss and its fill) for a fixed 100 iterations each: a smoke run that they
-# still build, run and pass their own checks, not a measurement.
+# EncryptionMetadata lookup, a cache miss and its fill, a miss probe of
+# an L3-sized cache) for a fixed 100 iterations each: a smoke run that
+# they still build, run and pass their own checks, not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'MAC64|Mul|DotProduct|CounterModeWriteOp|Increment|VerifyCounter|Engine|MetaStore|PoolThroughput|PoolSubmit|LookupInsertChurn|MissInsert' -benchtime 100x ./internal/crypto/... ./internal/cipher ./internal/ctrblock ./internal/core ./internal/mcpool ./internal/cache
+	$(GO) test -run '^$$' -bench 'MAC64|Mul|DotProduct|CounterModeWriteOp|Increment|VerifyCounter|Engine|MetaStore|PoolThroughput|PoolSubmit|LookupInsertChurn|MissInsert|CacheMissProbe' -benchtime 100x ./internal/crypto/... ./internal/cipher ./internal/ctrblock ./internal/core ./internal/mcpool ./internal/cache
 
 # Append the next BENCH_<n>.json perf-trajectory snapshot: runs the
 # pinned suite (cmd/clbench -bench-json) at full measurement windows

@@ -363,3 +363,26 @@ func BenchmarkMissInsert(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCacheMissProbe probes an L3-sized cache (8 MiB, 16 ways),
+// every set full, for random absent blocks: the prefetch filter's
+// common case, where each probe's first load of a set misses the host
+// cache.
+func BenchmarkCacheMissProbe(b *testing.B) {
+	c, _ := New(8<<20, 64, 16)
+	lines := uint64(c.Sets() * c.Ways())
+	for blk := uint64(0); blk < lines; blk++ {
+		c.Insert(blk*64, 0, false)
+	}
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, 1<<16)
+	for i := range addrs {
+		addrs[i] = (lines + uint64(rng.Int63n(int64(63*lines)))) * 64
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Contains(addrs[i&(len(addrs)-1)]) {
+			b.Fatal("absent block found")
+		}
+	}
+}

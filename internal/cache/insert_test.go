@@ -1,61 +1,195 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// refInsert is the two-pass Insert with no memo: one scan for the tag,
-// then one for the victim (the first invalid way, else the first way
-// with the least lastUse). The differential test holds Insert to it.
-func refInsert(c *Cache, addr uint64, readyAt int64, dirty bool) (ev Eviction, evicted bool) {
-	base, tag := c.setFor(addr)
-	c.useClock++
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == tag {
-			c.lines[i].dirty = c.lines[i].dirty || dirty
-			if readyAt < c.lines[i].readyAt {
-				c.lines[i].readyAt = readyAt
-			}
-			c.lines[i].lastUse = c.useClock
-			return Eviction{}, false
-		}
-	}
-	victim := base
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == invalidTag {
-			victim = i
-			break
-		}
-		if c.lines[i].lastUse < c.lines[victim].lastUse {
-			victim = i
-		}
-	}
-	if c.lines[victim].tag != invalidTag {
-		c.evictions.Inc()
-		if c.lines[victim].dirty {
-			c.writebacks.Inc()
-		}
-		ev = Eviction{
-			Addr:  c.addrOf(victim, c.lines[victim].tag),
-			Dirty: c.lines[victim].dirty,
-		}
-		evicted = true
-	}
-	c.lines[victim] = line{tag: tag, dirty: dirty, readyAt: readyAt, lastUse: c.useClock}
-	return ev, evicted
+// line is one way of refCache, and the view of a Cache way that the
+// tests compare with it.
+type line struct {
+	tag     uint64
+	dirty   bool
+	readyAt int64
+	lastUse uint64
 }
 
-// refFind is the memo-free tag scan behind the reference probes.
-func refFind(c *Cache, addr uint64) int {
-	base, tag := c.setFor(addr)
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == tag {
+const refInvalidTag = ^uint64(0)
+
+// refCache is the oracle the Cache answers to: the 32-byte-line tag
+// store the Cache replaced, with 64-bit tags, division-based set
+// indexing and an unbounded use clock, and without the miss memo, so
+// every probe and every Insert scans. The differential tests hold the
+// Cache's returns, lines and counters to it.
+type refCache struct {
+	sets      int
+	ways      int
+	blockSize uint64
+	lines     []line
+	useClock  uint64
+	stats     Stats
+}
+
+func newRef(size, blockSize uint64, ways int) *refCache {
+	r := &refCache{
+		sets:      int(size / blockSize / uint64(ways)),
+		ways:      ways,
+		blockSize: blockSize,
+		lines:     make([]line, size/blockSize),
+	}
+	for i := range r.lines {
+		r.lines[i].tag = refInvalidTag
+	}
+	return r
+}
+
+func (r *refCache) setFor(addr uint64) (setBase int, tag uint64) {
+	blk := addr / r.blockSize
+	return int(blk%uint64(r.sets)) * r.ways, blk / uint64(r.sets)
+}
+
+func (r *refCache) find(addr uint64) int {
+	base, tag := r.setFor(addr)
+	for i := base; i < base+r.ways; i++ {
+		if r.lines[i].tag == tag {
 			return i
 		}
 	}
 	return -1
+}
+
+func (r *refCache) Stats() Stats { return r.stats }
+
+func (r *refCache) Contains(addr uint64) bool { return r.find(addr) >= 0 }
+
+func (r *refCache) Lookup(addr uint64, now int64) (bool, int64) {
+	return r.touch(addr, now, false)
+}
+
+func (r *refCache) Write(addr uint64, now int64) (bool, int64) {
+	return r.touch(addr, now, true)
+}
+
+func (r *refCache) touch(addr uint64, now int64, write bool) (bool, int64) {
+	i := r.find(addr)
+	if i < 0 {
+		r.stats.Misses++
+		return false, 0
+	}
+	r.stats.Hits++
+	r.useClock++
+	l := &r.lines[i]
+	l.lastUse = r.useClock
+	l.dirty = l.dirty || write
+	return true, max(l.readyAt, now)
+}
+
+func (r *refCache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
+	i := r.find(addr)
+	if i < 0 {
+		return false, false
+	}
+	wasDirty = r.lines[i].dirty
+	r.lines[i] = line{tag: refInvalidTag}
+	return wasDirty, true
+}
+
+// Insert is the two-pass fill: one scan for the tag, then one for the
+// victim (the first invalid way, else the first way with the least
+// lastUse).
+func (r *refCache) Insert(addr uint64, readyAt int64, dirty bool) (ev Eviction, evicted bool) {
+	r.useClock++
+	if i := r.find(addr); i >= 0 {
+		l := &r.lines[i]
+		l.dirty = l.dirty || dirty
+		l.readyAt = min(l.readyAt, readyAt)
+		l.lastUse = r.useClock
+		return Eviction{}, false
+	}
+	base, tag := r.setFor(addr)
+	victim := base
+	for i := base; i < base+r.ways; i++ {
+		if r.lines[i].tag == refInvalidTag {
+			victim = i
+			break
+		}
+		if r.lines[i].lastUse < r.lines[victim].lastUse {
+			victim = i
+		}
+	}
+	if old := r.lines[victim]; old.tag != refInvalidTag {
+		r.stats.Evictions++
+		if old.dirty {
+			r.stats.Writebacks++
+		}
+		set := uint64(victim / r.ways)
+		ev = Eviction{Addr: (old.tag*uint64(r.sets) + set) * r.blockSize, Dirty: old.dirty}
+		evicted = true
+	}
+	r.lines[victim] = line{tag: tag, dirty: dirty, readyAt: readyAt, lastUse: r.useClock}
+	return ev, evicted
+}
+
+// view returns way i of c as a line.
+func view(c *Cache, i int) line {
+	l := line{tag: uint64(c.tags[i]), dirty: c.stamp[i]&dirtyBit != 0, readyAt: c.readyAt[i], lastUse: uint64(c.stamp[i] & stampMask)}
+	if c.tags[i] == invalidTag {
+		l.tag = refInvalidTag
+	}
+	return l
+}
+
+// setLine overwrites way i of c with l.
+func setLine(c *Cache, i int, l line) {
+	c.tags[i], c.stamp[i], c.readyAt[i] = uint32(l.tag), uint32(l.lastUse)|dirtyIf(l.dirty), l.readyAt
+}
+
+// wayOf is a memo-free tag scan of c: the way holding addr, or -1.
+func wayOf(c *Cache, addr uint64) int {
+	base, tag := c.setFor(addr)
+	if i := slices.Index(c.tags[base:base+c.ways], tag); i >= 0 {
+		return base + i
+	}
+	return -1
+}
+
+// diverged describes how c differs from r, or returns "". Tags, dirty
+// bits, ready times and counters must be equal. While the two clocks
+// agree, so must every lastUse; once c has renumbered, every pair of
+// valid ways in a set must keep its lastUse order.
+func diverged(c *Cache, r *refCache) string {
+	if c.Stats() != r.Stats() {
+		return fmt.Sprintf("stats %+v, reference %+v", c.Stats(), r.Stats())
+	}
+	exact := uint64(c.useClock) == r.useClock
+	for i, want := range r.lines {
+		got := view(c, i)
+		if got.lastUse > uint64(c.useClock) {
+			return fmt.Sprintf("way %d lastUse %d is past the clock %d", i, got.lastUse, c.useClock)
+		}
+		if !exact && want.tag != refInvalidTag {
+			got.lastUse = want.lastUse // compared by order below
+		}
+		if got != want {
+			return fmt.Sprintf("way %d = %+v, reference %+v", i, got, want)
+		}
+		if exact || want.tag == refInvalidTag {
+			continue
+		}
+		for j := i - i%r.ways; j < i; j++ {
+			if r.lines[j].tag == refInvalidTag {
+				continue
+			}
+			cu, ru := c.stamp[i]&stampMask, r.lines[i].lastUse
+			cv, rv := c.stamp[j]&stampMask, r.lines[j].lastUse
+			if (cu < cv) != (ru < rv) || (cu == cv) != (ru == rv) {
+				return fmt.Sprintf("ways %d and %d: lastUse %d and %d, reference %d and %d", i, j, cu, cv, ru, rv)
+			}
+		}
+	}
+	return ""
 }
 
 type opKind int
@@ -83,7 +217,16 @@ type outcome struct {
 	evicted bool
 }
 
-func (a access) run(c *Cache) (o outcome) {
+// tagStore is the API Cache and refCache share.
+type tagStore interface {
+	Lookup(addr uint64, now int64) (bool, int64)
+	Write(addr uint64, now int64) (bool, int64)
+	Contains(addr uint64) bool
+	Invalidate(addr uint64) (wasDirty, wasPresent bool)
+	Insert(addr uint64, readyAt int64, dirty bool) (Eviction, bool)
+}
+
+func (a access) run(c tagStore) (o outcome) {
 	switch a.kind {
 	case opLookup:
 		o.hit, o.readyAt = c.Lookup(a.addr, a.now)
@@ -99,45 +242,15 @@ func (a access) run(c *Cache) (o outcome) {
 	return o
 }
 
-// runRef is run on the memo-free reference: every probe and every
-// Insert scans.
-func (a access) runRef(c *Cache) (o outcome) {
-	if a.kind == opInsert {
-		o.ev, o.evicted = refInsert(c, a.addr, a.now, a.dirty)
-		return o
-	}
-	i := refFind(c, a.addr)
-	o.hit = i >= 0
-	switch {
-	case a.kind == opContains: // changes nothing
-	case a.kind == opInvalidate:
-		if o.hit {
-			o.evicted = c.lines[i].dirty
-			c.lines[i] = line{tag: invalidTag}
-		}
-	case !o.hit:
-		c.misses.Inc()
-	default:
-		c.hits.Inc()
-		c.useClock++
-		c.lines[i].lastUse = c.useClock
-		c.lines[i].dirty = c.lines[i].dirty || a.kind == opWrite
-		o.readyAt = max(c.lines[i].readyAt, a.now)
-	}
-	return o
-}
-
-// runBoth applies a to the memo cache and to the reference, and fails
-// unless both return the same and hold the same lines, clock and
-// counters afterwards.
-func runBoth(t *testing.T, step int, memC, refC *Cache, a access) {
+// runBoth applies a to the cache and to the oracle, and fails unless
+// both return the same and hold the same lines and counters afterwards.
+func runBoth(t *testing.T, step int, c *Cache, r *refCache, a access) {
 	t.Helper()
-	got, want := a.run(memC), a.runRef(refC)
-	if got != want {
+	if got, want := a.run(c), a.run(r); got != want {
 		t.Fatalf("step %d: %+v returned %+v, reference %+v", step, a, got, want)
 	}
-	if !slices.Equal(memC.lines, refC.lines) || memC.useClock != refC.useClock || memC.Stats() != refC.Stats() {
-		t.Fatalf("step %d: %+v left the cache diverged from the reference\n got %+v\nwant %+v", step, a, memC.lines, refC.lines)
+	if d := diverged(c, r); d != "" {
+		t.Fatalf("step %d: %+v left the cache diverged from the reference: %s", step, a, d)
 	}
 }
 
@@ -183,11 +296,11 @@ func TestInsertVictimChoice(t *testing.T) {
 			c := mustNew(t, 4*64, 64, 4) // one set
 			for w, u := range tc.lastUse {
 				if u != inv {
-					c.lines[w] = line{tag: uint64(w), lastUse: uint64(u), readyAt: 500, dirty: w == tc.victim}
+					setLine(c, w, line{tag: uint64(w), lastUse: uint64(u), readyAt: 500, dirty: w == tc.victim})
 				}
 			}
 			if tc.present {
-				c.lines[tc.victim].tag = 7
+				c.tags[tc.victim] = 7
 			}
 			c.useClock = 10
 			if missFirst {
@@ -198,15 +311,18 @@ func TestInsertVictimChoice(t *testing.T) {
 					t.Errorf("%s: the miss left memo victim %d (live %v), want way %d", tc.name, c.memoVictim, live, tc.victim)
 				}
 			}
-			before := slices.Clone(c.lines)
+			before := make([]line, 4)
+			for w := range before {
+				before[w] = view(c, w)
+			}
 			ev, evicted := c.Insert(addr, 99, false)
 			want := line{tag: 7, readyAt: 99, lastUse: 11, dirty: tc.present}
-			if got := c.lines[tc.victim]; got != want {
+			if got := view(c, tc.victim); got != want {
 				t.Errorf("%s (miss first %v): way %d = %+v, want %+v", tc.name, missFirst, tc.victim, got, want)
 			}
-			for w := range c.lines {
-				if w != tc.victim && c.lines[w] != before[w] {
-					t.Errorf("%s (miss first %v): way %d changed to %+v", tc.name, missFirst, w, c.lines[w])
+			for w := range before {
+				if got := view(c, w); w != tc.victim && got != before[w] {
+					t.Errorf("%s (miss first %v): way %d changed to %+v", tc.name, missFirst, w, got)
 				}
 			}
 			wantEvict := !tc.present && tc.lastUse[tc.victim] != inv
@@ -222,7 +338,7 @@ func TestInsertVictimChoice(t *testing.T) {
 
 // TestInsertMemo runs the sequences where the memo a miss leaves must
 // not be used, or must be used for the right block only, against the
-// memo-free reference, and checks the way the last Insert fills. The
+// memo-free oracle, and checks the way the last Insert fills. The
 // cache has two 4-way sets: block b maps to set b%2 with tag b/2.
 // Set 0 holds blocks 0, 2, 4, 6 in ways 0-3 with lastUse 4, 2, 3, 5;
 // set 1 holds blocks 1, 3, 5, 7 in ways 4-7 with lastUse 6, 8, 1, 7.
@@ -261,71 +377,107 @@ func TestInsertMemo(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var caches [2]*Cache
-			for i := range caches {
-				c := mustNew(t, 8*64, 64, 4)
-				for w, u := range []uint64{4, 2, 3, 5, 6, 8, 1, 7} {
-					c.lines[w] = line{tag: uint64(w % 4), lastUse: u, dirty: w%2 == 0}
-				}
-				c.useClock = 10
-				caches[i] = c
+			c, r := mustNew(t, 8*64, 64, 4), newRef(8*64, 64, 4)
+			for w, u := range []uint64{4, 2, 3, 5, 6, 8, 1, 7} {
+				l := line{tag: uint64(w % 4), lastUse: u, dirty: w%2 == 0}
+				setLine(c, w, l)
+				r.lines[w] = l
 			}
-			memC, refC := caches[0], caches[1]
+			c.useClock, r.useClock = 10, 10
 			for step, a := range tc.ops {
-				runBoth(t, step, memC, refC, a)
+				runBoth(t, step, c, r, a)
 			}
 			last := tc.ops[len(tc.ops)-1]
-			if got := refFind(memC, last.addr); got != tc.way {
+			if got := wayOf(c, last.addr); got != tc.way {
 				t.Errorf("block %d landed in way %d, want %d", last.addr/64, got, tc.way)
 			}
 		})
 	}
 }
 
-// TestInsertDifferential drives a cache and its memo-free reference
-// with the same random interleaving of Lookup, Write, Contains,
-// Invalidate and Insert. Half the Inserts and Invalidates reuse the
-// last probed block, so Inserts meet live memos, stale ones and none.
-// Every return value, line and counter must agree after every step.
-func TestInsertDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
+// differential drives a cache and the oracle with the same random
+// interleaving of Lookup, Write, Contains, Invalidate and Insert on a
+// sets×ways geometry, both clocks starting at clock. Half the Inserts
+// and Invalidates reuse the last probed block, so Inserts meet live
+// memos, stale ones and none. Every return value, line and counter
+// must agree after every step. It returns the cache.
+func differential(t *testing.T, seed int64, sets, ways int, clock uint32, steps int) *Cache {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	kinds := []opKind{opLookup, opLookup, opLookup, opWrite, opWrite, opContains, opInvalidate, opInsert, opInsert, opInsert}
-	for _, geo := range []struct {
-		size uint64
-		ways int
-	}{{4 * 4 * 64, 4}, {8 * 2 * 64, 2}, {1 * 8 * 64, 8}} {
-		memC := mustNew(t, geo.size, 64, geo.ways)
-		refC := mustNew(t, geo.size, 64, geo.ways)
-		blocks := 3 * int(geo.size/64) // a working set that conflicts
-		var last uint64
-		var live, stale int
-		for step := 0; step < 20000; step++ {
-			a := access{
-				kind:  kinds[rng.Intn(len(kinds))],
-				addr:  uint64(rng.Intn(blocks)) * 64,
-				now:   int64(rng.Intn(1000)),
-				dirty: rng.Intn(3) == 0,
+	size := uint64(sets*ways) * 64
+	c, r := mustNew(t, size, 64, ways), newRef(size, 64, ways)
+	c.useClock, r.useClock = clock, uint64(clock)
+	blocks := 3 * sets * ways // a working set that conflicts
+	var last uint64
+	var live, stale int
+	for step := 0; step < steps; step++ {
+		a := access{
+			kind:  kinds[rng.Intn(len(kinds))],
+			addr:  uint64(rng.Intn(blocks)) * 64,
+			now:   int64(rng.Intn(1000)),
+			dirty: rng.Intn(3) == 0,
+		}
+		switch a.kind {
+		case opInsert, opInvalidate:
+			if rng.Intn(2) == 0 {
+				a.addr = last
 			}
-			switch a.kind {
-			case opInsert, opInvalidate:
-				if rng.Intn(2) == 0 {
-					a.addr = last
-				}
-				if l, s := memoMatches(memC, a.addr); a.kind == opInsert && l {
-					live++
-				} else if a.kind == opInsert && s {
-					stale++
-				}
-			default:
-				last = a.addr
+			if l, s := memoMatches(c, a.addr); a.kind == opInsert && l {
+				live++
+			} else if a.kind == opInsert && s {
+				stale++
 			}
-			runBoth(t, step, memC, refC, a)
+		default:
+			last = a.addr
 		}
-		if s := refC.Stats(); s.Evictions == 0 || s.Writebacks == 0 {
-			t.Errorf("geometry %+v: stream never evicted (%+v)", geo, s)
+		runBoth(t, step, c, r, a)
+	}
+	if s := r.Stats(); s.Evictions == 0 || s.Writebacks == 0 {
+		t.Errorf("%dx%d: stream never evicted (%+v)", sets, ways, s)
+	}
+	if live < steps/100 || stale < steps/100 {
+		t.Errorf("%dx%d: %d Inserts met a live memo and %d a stale one, want %d of each", sets, ways, live, stale, steps/100)
+	}
+	return c
+}
+
+// TestInsertDifferential holds the cache to the oracle on 2- to 32-way
+// geometries, one of them a single set.
+func TestInsertDifferential(t *testing.T) {
+	for i, geo := range []struct{ sets, ways int }{{8, 2}, {4, 4}, {1, 8}, {4, 8}, {2, 16}, {2, 32}} {
+		differential(t, 53+int64(i), geo.sets, geo.ways, 0, 20000)
+	}
+}
+
+// TestRenumberDifferential starts both clocks a few thousand touches
+// short of the stamp's 31 bits, so the cache renumbers its stamps
+// mid-stream while the oracle's clock runs on: every victim choice
+// after the renumbering must still be the oracle's.
+func TestRenumberDifferential(t *testing.T) {
+	for i, geo := range []struct{ sets, ways int }{{4, 8}, {2, 16}, {2, 32}} {
+		c := differential(t, 61+int64(i), geo.sets, geo.ways, stampMask-3000, 20000)
+		if c.useClock > stampMask-3000 {
+			t.Errorf("%dx%d: clock at %d, never renumbered", geo.sets, geo.ways, c.useClock)
 		}
-		if live < 200 || stale < 200 {
-			t.Errorf("geometry %+v: %d Inserts met a live memo and %d a stale one, want 200 of each", geo, live, stale)
-		}
+	}
+}
+
+// TestWideTagPanics: a block whose tag does not fit in 32 bits must
+// panic rather than alias another block's tag.
+func TestWideTagPanics(t *testing.T) {
+	c := mustNew(t, 2*64, 64, 2) // one set: the tag is the block number
+	if c.Contains(uint64(invalidTag-1) * 64) {
+		t.Fatal("cold cache holds the widest tag")
+	}
+	for _, blk := range []uint64{uint64(invalidTag), 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Lookup of block %#x did not panic", blk)
+				}
+			}()
+			c.Lookup(blk*64, 0)
+		}()
 	}
 }

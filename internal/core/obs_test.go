@@ -108,6 +108,56 @@ func TestMetricsMatchLegacyStats(t *testing.T) {
 	}
 }
 
+// TestLiveMetricsDuringRun snapshots the registry in a loop while a
+// short Run is in progress, as a live /metrics scrape does. The
+// simulator counts in plain fields and publishes them at sync points,
+// so under -race (make race) this checks that a reader only ever meets
+// the published copies. With no warmup the count never resets: each
+// live reading must be at most the next and at most the exact value
+// the registry holds when Run returns.
+func TestLiveMetricsDuringRun(t *testing.T) {
+	o := obs.NewObserver(0)
+	cfg := reentrancyCfg(CounterLight, 1)
+	cfg.WarmupTime = 0
+	cfg.Obs = o
+	w, ok := trace.ByName("mcf")
+	if !ok {
+		t.Fatal("mcf workload missing")
+	}
+	lbl := obs.L("scheme", cfg.Scheme.String())
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	var readings []float64
+	go func() {
+		defer close(stopped)
+		for {
+			readings = append(readings, o.Metrics.Snapshot().Value("sim_instructions_total", lbl))
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	res, err := Run(cfg, w)
+	close(stop)
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := float64(res.Instructions)
+	if got := o.Metrics.Snapshot().Value("sim_instructions_total", lbl); got != final {
+		t.Errorf("sim_instructions_total = %v after Run, Result.Instructions = %v", got, final)
+	}
+	prev := 0.0
+	for i, v := range readings {
+		if v < prev || v > final {
+			t.Fatalf("live reading %d = %v after %v (final %v)", i, v, prev, final)
+		}
+		prev = v
+	}
+	t.Logf("%d live readings, last %v of %v", len(readings), prev, final)
+}
+
 // TestTraceProducesPerfettoLoadableJSON runs with tracing on and
 // checks the export is valid trace_event JSON with pipeline events.
 func TestTraceProducesPerfettoLoadableJSON(t *testing.T) {
@@ -259,6 +309,7 @@ func TestStartWindowResetsCounterHist(t *testing.T) {
 	cfg := fastCfg(CounterMode)
 	s := &simulator{cfg: cfg}
 	s.o = obs.NewObserver(0)
+	s.mirror = obs.NewMirror(s.o.Metrics)
 
 	var err error
 	if s.dram, err = dram.New(dram.DefaultConfig(cfg.BandwidthGBs)); err != nil {
@@ -277,19 +328,19 @@ func TestStartWindowResetsCounterHist(t *testing.T) {
 
 	// Warmup-phase samples.
 	for i := range s.ctrLate {
-		s.ctrLate[i].Inc()
+		s.ctrLate[i]++
 	}
-	s.instr.Add(5)
+	s.instr += 5
 	s.mon.Record(0, 1)
 
 	s.startWindow()
 
 	for i, bin := range counterLateBins {
-		if got := s.ctrLate[i].Value(); got != 0 {
+		if got := s.ctrLate[i]; got != 0 {
 			t.Errorf("counter-arrival bin %s kept %d warmup samples across startWindow", bin, got)
 		}
 	}
-	if got := s.instr.Value(); got != 0 {
+	if got := s.instr; got != 0 {
 		t.Errorf("instruction counter kept %d across startWindow", got)
 	}
 	if !s.measuring {

@@ -44,7 +44,8 @@ type Result struct {
 	CounterLateHist *stats.Histogram
 	CounterLateFrac float64 // fraction of misses where the counter arrived after the data
 
-	// Writeback mode mix (Fig. 21), Counter-light only.
+	// Writeback mode mix (Fig. 21): counted by Counter-light and the
+	// counter-mode schemes (see CounterlessWBFraction).
 	WBCounterless uint64
 	WBTotal       uint64
 
@@ -54,8 +55,12 @@ type Result struct {
 	EpochHistory []epoch.Record
 }
 
-// CounterlessWBFraction returns the share of writebacks that used
-// counterless mode.
+// CounterlessWBFraction returns the share of writebacks that
+// Counter-light's epoch policy sent counterless. Only Counter-light
+// writes in both modes; the counter-mode schemes count their
+// writebacks as counter-mode ones, and Counterless and NoEnc count
+// none. So a Counterless run reports 0 here, although every one of its
+// writebacks is counterless.
 func (r Result) CounterlessWBFraction() float64 {
 	if r.WBTotal == 0 {
 		return 0
@@ -131,16 +136,20 @@ type simulator struct {
 	measuring bool
 	missLat   stats.Accumulator
 
-	// Window-scoped counters, registered in the observer's registry
-	// (result() and the legacy accessors are views over them).
-	instr     obs.Counter
-	ctrLate   [len(counterLateBins)]obs.Counter // Fig. 8 arrival-delta bins
-	llcMiss   obs.Counter
-	llcWB     obs.Counter
-	wbCls     obs.Counter
-	wbTotal   obs.Counter
-	memoHitsW obs.Counter // window-scoped memo lookups on the read path
-	memoRefsW obs.Counter
+	// Window-scoped counters. Like the caches' and the channel's, they
+	// are plain fields bound to registry series through mirror, which
+	// publish copies in at every closed epoch, after startWindow and at
+	// the end of Run: live readers lag by at most one epoch, and the
+	// registry is exact when Run returns.
+	instr     uint64
+	ctrLate   [len(counterLateBins)]uint64 // Fig. 8 arrival-delta bins
+	llcMiss   uint64
+	llcWB     uint64
+	wbCls     uint64
+	wbTotal   uint64
+	memoHitsW uint64 // window-scoped memo lookups on the read path
+	memoRefsW uint64
+	mirror    *obs.Mirror
 
 	// Observability plumbing (never affects timing).
 	o          *obs.Observer
@@ -155,8 +164,8 @@ type simulator struct {
 	// integrity-tree DRAM traffic over the whole run — run-scoped,
 	// like the epoch timeline, so adjacent samples difference cleanly.
 	pub          obs.Publisher
-	metaReads    obs.Counter
-	metaWrites   obs.Counter
+	metaReads    uint64
+	metaWrites   uint64
 	modeSwitches uint64     // cumulative mode transitions (boundary + mid-epoch)
 	lastEndMode  epoch.Mode // mode in effect when the previous epoch closed
 
@@ -282,7 +291,7 @@ func Run(cfg Config, w trace.Workload) (Result, error) {
 			s.pipe.TreeWalkStep(e.addr, e.level, e.dirty, t)
 		case evDRAMWrite:
 			s.mon.Record(t, 1)
-			s.metaWrites.Inc()
+			s.metaWrites++
 			s.dram.Access(e.addr, t, true)
 		case evSample:
 			s.sample(t)
@@ -292,6 +301,7 @@ func Run(cfg Config, w trace.Workload) (Result, error) {
 		}
 	}
 
+	s.mirror.Publish()
 	return s.result(w.Name), nil
 }
 
@@ -301,33 +311,35 @@ func Run(cfg Config, w trace.Workload) (Result, error) {
 // tracer into the components that emit events from inside.
 func (s *simulator) registerMetrics() {
 	reg := s.o.Metrics
+	m := obs.NewMirror(reg)
+	s.mirror = m
 	lbl := obs.L("scheme", s.cfg.Scheme.String())
-	reg.RegisterCounter("sim_instructions_total", &s.instr, lbl)
-	reg.RegisterCounter("sim_llc_misses_total", &s.llcMiss, lbl)
-	reg.RegisterCounter("sim_llc_writebacks_total", &s.llcWB, lbl)
-	reg.RegisterCounter("sim_wb_total", &s.wbTotal, lbl)
-	reg.RegisterCounter("sim_wb_counterless_total", &s.wbCls, lbl)
-	reg.RegisterCounter("sim_memo_read_hits_total", &s.memoHitsW, lbl)
-	reg.RegisterCounter("sim_memo_read_refs_total", &s.memoRefsW, lbl)
+	m.Counter("sim_instructions_total", &s.instr, lbl)
+	m.Counter("sim_llc_misses_total", &s.llcMiss, lbl)
+	m.Counter("sim_llc_writebacks_total", &s.llcWB, lbl)
+	m.Counter("sim_wb_total", &s.wbTotal, lbl)
+	m.Counter("sim_wb_counterless_total", &s.wbCls, lbl)
+	m.Counter("sim_memo_read_hits_total", &s.memoHitsW, lbl)
+	m.Counter("sim_memo_read_refs_total", &s.memoRefsW, lbl)
 	for i, bin := range counterLateBins {
-		reg.RegisterCounter("sim_counter_late_total", &s.ctrLate[i], lbl, obs.L("bin", bin))
+		m.Counter("sim_counter_late_total", &s.ctrLate[i], lbl, obs.L("bin", bin))
 	}
 	s.qDepth = reg.Gauge("sim_event_queue_depth", lbl)
 	s.busBacklog = reg.Gauge("sim_dram_bus_backlog_ps", lbl)
 
-	s.dram.RegisterMetrics(reg, lbl)
+	s.dram.RegisterMetrics(m, lbl)
 	s.mon.RegisterMetrics(reg, lbl)
 	s.memo.RegisterMetrics(reg, lbl)
-	s.l3.RegisterMetrics(reg, lbl, obs.L("level", "l3"))
-	s.ctrC.RegisterMetrics(reg, lbl, obs.L("level", "counter"))
+	s.l3.RegisterMetrics(m, lbl, obs.L("level", "l3"))
+	s.ctrC.RegisterMetrics(m, lbl, obs.L("level", "counter"))
 	for c := range s.l1 {
 		core := obs.L("core", strconv.Itoa(c))
-		s.l1[c].RegisterMetrics(reg, lbl, obs.L("level", "l1"), core)
-		s.l2[c].RegisterMetrics(reg, lbl, obs.L("level", "l2"), core)
+		s.l1[c].RegisterMetrics(m, lbl, obs.L("level", "l1"), core)
+		s.l2[c].RegisterMetrics(m, lbl, obs.L("level", "l2"), core)
 	}
 
-	reg.RegisterCounter("sim_meta_reads_total", &s.metaReads, lbl)
-	reg.RegisterCounter("sim_meta_writes_total", &s.metaWrites, lbl)
+	m.Counter("sim_meta_reads_total", &s.metaReads, lbl)
+	m.Counter("sim_meta_writes_total", &s.metaWrites, lbl)
 	s.tr.RegisterMetrics(reg)
 
 	s.mon.SetTracer(s.tr)
@@ -343,10 +355,11 @@ func (s *simulator) registerMetrics() {
 // maxEpochHistory bounds Result.EpochHistory.
 const maxEpochHistory = 1 << 16
 
-// closeEpoch is the monitor's boundary hook: it keeps the closed epoch
-// in the run's timeline and publishes its telemetry sample when a
-// publisher is attached.
+// closeEpoch is the monitor's boundary hook: it copies the counts into
+// the registry, keeps the closed epoch in the run's timeline and
+// publishes its telemetry sample when a publisher is attached.
 func (s *simulator) closeEpoch(boundary int64, index uint64, rec epoch.Record) {
+	s.mirror.Publish()
 	if len(s.history) < maxEpochHistory {
 		s.history = append(s.history, rec)
 	}
@@ -376,15 +389,15 @@ func (s *simulator) publishEpoch(boundary int64, index uint64, rec epoch.Record)
 		Mode:         rec.StartMode.String(),
 		SwitchedMid:  rec.SwitchedMid,
 		ModeSwitches: s.modeSwitches,
-		MetaReads:    s.metaReads.Value(),
-		MetaWrites:   s.metaWrites.Value(),
+		MetaReads:    s.metaReads,
+		MetaWrites:   s.metaWrites,
 		QueueDepth:   int64(s.q.Len()),
 		BusBacklogPS: s.dram.BusBacklog(boundary),
-		Instructions: s.instr.Value(),
+		Instructions: s.instr,
 		Measuring:    s.measuring,
 	}
-	if refs := s.memoRefsW.Value(); refs > 0 {
-		es.MemoHitRate = float64(s.memoHitsW.Value()) / float64(refs)
+	if s.memoRefsW > 0 {
+		es.MemoHitRate = float64(s.memoHitsW) / float64(s.memoRefsW)
 	}
 	if s.measuring {
 		if cycles := float64(boundary-s.cfg.WarmupTime) / 312.0; cycles > 0 {
@@ -418,19 +431,15 @@ func (s *simulator) startWindow() {
 		s.l1[c].ResetStats()
 		s.l2[c].ResetStats()
 	}
-	s.instr.Reset()
+	s.instr = 0
 	s.missLat = stats.Accumulator{}
 	// Warmup samples must not pollute the Fig. 8 counter-arrival
 	// histogram.
-	for i := range s.ctrLate {
-		s.ctrLate[i].Reset()
-	}
-	s.llcMiss.Reset()
-	s.llcWB.Reset()
-	s.wbCls.Reset()
-	s.wbTotal.Reset()
-	s.memoHitsW.Reset()
-	s.memoRefsW.Reset()
+	s.ctrLate = [len(counterLateBins)]uint64{}
+	s.llcMiss, s.llcWB = 0, 0
+	s.wbCls, s.wbTotal = 0, 0
+	s.memoHitsW, s.memoRefsW = 0, 0
+	s.mirror.Publish()
 }
 
 // step executes one op on core c and returns the core's next-ready time.
@@ -462,7 +471,7 @@ func (s *simulator) step(c int) int64 {
 		core.lastLoadDone = done
 	}
 	if s.measuring {
-		s.instr.Add(op.Instr)
+		s.instr += op.Instr
 	}
 	// One issue slot per op (3.2 GHz cycle).
 	core.time = t + 312
@@ -566,7 +575,7 @@ func (s *simulator) mcRead(addr uint64, tm int64, demand bool) int64 {
 	dataDone := s.dram.Access(addr, tm, false)
 	ready := s.pipe.ReadMiss(addr, tm, dataDone, demand)
 	if demand && s.measuring {
-		s.llcMiss.Inc()
+		s.llcMiss++
 		s.missLat.Add(ready - tm)
 	}
 	return ready
@@ -579,7 +588,7 @@ func (s *simulator) mcWrite(addr uint64, tw int64) {
 	s.mon.Record(tw, 1)
 	s.dram.Access(addr, tw, true)
 	if s.measuring {
-		s.llcWB.Inc()
+		s.llcWB++
 	}
 	s.pipe.Writeback(addr, tw)
 }
@@ -603,7 +612,7 @@ func (s *simulator) Measuring() bool { return s.measuring }
 
 func (s *simulator) DRAMRead(addr uint64, t int64) int64 {
 	s.mon.Record(t, 1)
-	s.metaReads.Inc()
+	s.metaReads++
 	return s.dram.Access(addr, t, false)
 }
 
@@ -626,9 +635,9 @@ func (s *simulator) MemoLookup(ctr uint32) bool {
 	_, hit := s.memo.Lookup(ctr)
 	s.traceMemo(ctr, hit)
 	if s.measuring {
-		s.memoRefsW.Inc()
+		s.memoRefsW++
 		if hit {
-			s.memoHitsW.Inc()
+			s.memoHitsW++
 		}
 	}
 	return hit
@@ -650,16 +659,16 @@ func (s *simulator) CounterArrival(delta int64) {
 	for i < len(counterLateEdges) && delta >= counterLateEdges[i] {
 		i++
 	}
-	s.ctrLate[i].Inc()
+	s.ctrLate[i]++
 }
 
 func (s *simulator) CountWriteback(counterless bool) {
 	if !s.measuring {
 		return
 	}
-	s.wbTotal.Inc()
+	s.wbTotal++
 	if counterless {
-		s.wbCls.Inc()
+		s.wbCls++
 	}
 }
 
@@ -679,32 +688,28 @@ func (s *simulator) result(workload string) Result {
 	}
 	totalPJ := meter.TotalPJ(cfg.WindowTime)
 
-	bins := make([]uint64, len(s.ctrLate))
-	for i := range s.ctrLate {
-		bins[i] = s.ctrLate[i].Value()
-	}
-	ctrHist, _ := stats.FromBins(counterLateEdges, bins)
+	ctrHist, _ := stats.FromBins(counterLateEdges, s.ctrLate[:])
 	r := Result{
 		Scheme:          cfg.Scheme,
 		Workload:        workload,
 		WindowPS:        cfg.WindowTime,
-		Instructions:    s.instr.Value(),
-		IPC:             float64(s.instr.Value()) / float64(cfg.Cores) / (float64(cfg.WindowTime) / 312.0),
-		LLCMisses:       s.llcMiss.Value(),
-		LLCWritebacks:   s.llcWB.Value(),
+		Instructions:    s.instr,
+		IPC:             float64(s.instr) / float64(cfg.Cores) / (float64(cfg.WindowTime) / 312.0),
+		LLCMisses:       s.llcMiss,
+		LLCWritebacks:   s.llcWB,
 		AvgMissLatNS:    s.missLat.Mean() / 1000.0,
 		DRAM:            d,
 		BusUtilization:  float64(d.BusBusyPS) / float64(cfg.WindowTime),
 		EnergyPJ:        totalPJ,
 		CounterLateHist: ctrHist,
-		WBCounterless:   s.wbCls.Value(),
-		WBTotal:         s.wbTotal.Value(),
+		WBCounterless:   s.wbCls,
+		WBTotal:         s.wbTotal,
 	}
 	if r.Instructions > 0 {
 		r.EnergyPerInst = totalPJ / float64(r.Instructions)
 	}
-	if s.memoRefsW.Value() > 0 {
-		r.MemoHitRate = float64(s.memoHitsW.Value()) / float64(s.memoRefsW.Value())
+	if s.memoRefsW > 0 {
+		r.MemoHitRate = float64(s.memoHitsW) / float64(s.memoRefsW)
 	}
 	if ctrHist.Total() > 0 {
 		r.CounterLateFrac = ctrHist.FractionAbove(0)

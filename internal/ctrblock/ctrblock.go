@@ -115,6 +115,10 @@ type Store struct {
 	// on-chip copy; its DRAM MAC is stale while it is dirty.
 	tags      *cache.Cache
 	cacheSets int
+	// The cache's event counts as registry series, bumped where the
+	// store sees each hit, miss and eviction: a Store serves a pool
+	// shard whose metrics are read live, so they stay atomic.
+	hits, misses, writebacks, evictions obs.Counter
 	// wbq holds the addresses of dirty nodes the cache displaced whose
 	// writeback is still pending. They are still on chip (a writeback
 	// buffer); drain empties it before every exported call returns.
@@ -293,7 +297,10 @@ func (s *Store) CacheSets() int { return s.cacheSets }
 // RegisterMetrics exposes the metadata cache's hit, miss, writeback
 // and eviction counters through a registry under the given labels.
 func (s *Store) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	s.tagStore().RegisterMetrics(reg, labels...)
+	reg.RegisterCounter("cache_hits_total", &s.hits, labels...)
+	reg.RegisterCounter("cache_misses_total", &s.misses, labels...)
+	reg.RegisterCounter("cache_writebacks_total", &s.writebacks, labels...)
+	reg.RegisterCounter("cache_evictions_total", &s.evictions, labels...)
 }
 
 // tagStore returns the metadata cache, building it on first use.
@@ -338,7 +345,12 @@ func (s *Store) computeMAC(level int, idx uint64) uint64 {
 // false on tampering or replay. Displaced dirty nodes queue on wbq.
 func (s *Store) fetch(level int, idx uint64) bool {
 	addr := s.nodeAddr(level, idx)
-	if hit, _ := s.tagStore().Lookup(addr, 0); hit || s.pending(addr) {
+	if hit, _ := s.tagStore().Lookup(addr, 0); hit {
+		s.hits.Inc()
+		return true
+	}
+	s.misses.Inc()
+	if s.pending(addr) {
 		return true
 	}
 	if level+1 < len(s.levelBlocks) && !s.fetch(level+1, idx/TreeArity) {
@@ -364,7 +376,13 @@ func (s *Store) pending(addr uint64) bool {
 // insert places the node at addr in the cache, queueing a displaced
 // dirty node for writeback.
 func (s *Store) insert(addr uint64, dirty bool) {
-	if ev, ok := s.tags.Insert(addr, 0, dirty); ok && ev.Dirty {
+	ev, ok := s.tags.Insert(addr, 0, dirty)
+	if !ok {
+		return
+	}
+	s.evictions.Inc()
+	if ev.Dirty {
+		s.writebacks.Inc()
 		s.wbq = append(s.wbq, ev.Addr)
 	}
 }

@@ -71,20 +71,21 @@ type bank struct {
 	refreshedAt int64 // start of the last refresh window applied
 }
 
-// Channel is one DRAM channel. Its event counts live in obs
-// instruments so a registry can export them mid-run; Stats() stays
-// the legacy view over the same storage.
+// Channel is one DRAM channel. Like a cache, it belongs to one
+// goroutine: its event counts are plain fields, which RegisterMetrics
+// binds to registry series that the owner publishes at its own sync
+// points.
 type Channel struct {
 	cfg     Config
 	banks   []bank
 	busFree int64 // earliest time the shared data bus is free
 
-	reads, writes obs.Counter
-	rowHits       obs.Counter
-	rowMisses     obs.Counter
-	rowConflicts  obs.Counter
-	refreshes     obs.Counter
-	busBusyPS     obs.Counter
+	reads, writes uint64
+	rowHits       uint64
+	rowMisses     uint64
+	rowConflicts  uint64
+	refreshes     uint64
+	busBusyPS     uint64
 }
 
 // New builds a channel from the config.
@@ -101,41 +102,36 @@ func New(cfg Config) (*Channel, error) {
 	return ch, nil
 }
 
-// Stats returns a copy of the counters (a thin view over the obs
-// instruments).
+// Stats returns a copy of the counters.
 func (c *Channel) Stats() Stats {
 	return Stats{
-		Reads:        c.reads.Value(),
-		Writes:       c.writes.Value(),
-		RowHits:      c.rowHits.Value(),
-		RowMisses:    c.rowMisses.Value(),
-		RowConflicts: c.rowConflicts.Value(),
-		Refreshes:    c.refreshes.Value(),
-		BusBusyPS:    int64(c.busBusyPS.Value()),
+		Reads:        c.reads,
+		Writes:       c.writes,
+		RowHits:      c.rowHits,
+		RowMisses:    c.rowMisses,
+		RowConflicts: c.rowConflicts,
+		Refreshes:    c.refreshes,
+		BusBusyPS:    int64(c.busBusyPS),
 	}
 }
 
 // ResetStats zeroes the counters (per measurement window).
 func (c *Channel) ResetStats() {
-	c.reads.Reset()
-	c.writes.Reset()
-	c.rowHits.Reset()
-	c.rowMisses.Reset()
-	c.rowConflicts.Reset()
-	c.refreshes.Reset()
-	c.busBusyPS.Reset()
+	c.reads, c.writes = 0, 0
+	c.rowHits, c.rowMisses, c.rowConflicts = 0, 0, 0
+	c.refreshes, c.busBusyPS = 0, 0
 }
 
-// RegisterMetrics exposes the channel's counters through a registry
-// under the given labels.
-func (c *Channel) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	reg.RegisterCounter("dram_reads_total", &c.reads, labels...)
-	reg.RegisterCounter("dram_writes_total", &c.writes, labels...)
-	reg.RegisterCounter("dram_row_hits_total", &c.rowHits, labels...)
-	reg.RegisterCounter("dram_row_misses_total", &c.rowMisses, labels...)
-	reg.RegisterCounter("dram_row_conflicts_total", &c.rowConflicts, labels...)
-	reg.RegisterCounter("dram_refreshes_total", &c.refreshes, labels...)
-	reg.RegisterCounter("dram_bus_busy_ps_total", &c.busBusyPS, labels...)
+// RegisterMetrics binds the channel's counters to series under the
+// given labels; m.Publish copies them in.
+func (c *Channel) RegisterMetrics(m *obs.Mirror, labels ...obs.Label) {
+	m.Counter("dram_reads_total", &c.reads, labels...)
+	m.Counter("dram_writes_total", &c.writes, labels...)
+	m.Counter("dram_row_hits_total", &c.rowHits, labels...)
+	m.Counter("dram_row_misses_total", &c.rowMisses, labels...)
+	m.Counter("dram_row_conflicts_total", &c.rowConflicts, labels...)
+	m.Counter("dram_refreshes_total", &c.refreshes, labels...)
+	m.Counter("dram_bus_busy_ps_total", &c.busBusyPS, labels...)
 }
 
 // BusBacklog reports how far ahead of now the shared data bus is
@@ -189,7 +185,7 @@ func (c *Channel) Access(addr uint64, now int64, write bool) int64 {
 			if start < refStart+c.cfg.TRFC {
 				start = refStart + c.cfg.TRFC
 				b.openRow = -1
-				c.refreshes.Inc()
+				c.refreshes++
 			}
 		}
 	}
@@ -197,13 +193,13 @@ func (c *Channel) Access(addr uint64, now int64, write bool) int64 {
 	var coreLatency int64
 	switch {
 	case b.openRow == row:
-		c.rowHits.Inc()
+		c.rowHits++
 		coreLatency = c.cfg.TCL
 	case b.openRow == -1:
-		c.rowMisses.Inc()
+		c.rowMisses++
 		coreLatency = c.cfg.TRCD + c.cfg.TCL
 	default:
-		c.rowConflicts.Inc()
+		c.rowConflicts++
 		coreLatency = c.cfg.TRP + c.cfg.TRCD + c.cfg.TCL
 	}
 	b.openRow = row
@@ -226,16 +222,16 @@ func (c *Channel) Access(addr uint64, now int64, write bool) int64 {
 	if slot > done {
 		done = slot
 	}
-	c.busBusyPS.Add(uint64(c.cfg.BurstTime))
+	c.busBusyPS += uint64(c.cfg.BurstTime)
 
 	// The bank stays busy until the burst completes; writes add a
 	// write-recovery hold modeled as one extra burst time.
 	b.readyAt = done
 	if write {
 		b.readyAt += c.cfg.BurstTime
-		c.writes.Inc()
+		c.writes++
 	} else {
-		c.reads.Inc()
+		c.reads++
 	}
 	return done
 }
@@ -260,7 +256,7 @@ func (c *Channel) BusUtilization(now int64) float64 {
 	if now <= 0 {
 		return 0
 	}
-	u := float64(c.busBusyPS.Value()) / float64(now)
+	u := float64(c.busBusyPS) / float64(now)
 	if u > 1 {
 		u = 1
 	}

@@ -53,7 +53,7 @@ func runJournaled(t *testing.T, attribution bool, sched []Request) [][]byte {
 // digests (plaintexts, ReadInfo, modes) and error bits. Attribution
 // observes the pipeline; it must never steer it.
 func TestAttributionJournalBitIdentical(t *testing.T) {
-	sched := Schedule(ScheduleConfig{Ops: 4000, Blocks: 512, Seed: 99})
+	sched := Schedule(ScheduleConfig{Ops: 4000, Blocks: 512, ReadFraction: 0.5, Seed: 99})
 	off := runJournaled(t, false, sched)
 	on := runJournaled(t, true, sched)
 	if len(off) != len(on) {
@@ -96,7 +96,7 @@ func TestAttributionStageTotalsRace(t *testing.T) {
 			defer wg.Done()
 			// Submitter g owns blocks ≡ g (mod submitters): single
 			// writer per address, like the check harness.
-			sched := Schedule(ScheduleConfig{Ops: 1500, Blocks: 256, Seed: int64(g + 1)})
+			sched := Schedule(ScheduleConfig{Ops: 1500, Blocks: 256, ReadFraction: 0.5, Seed: int64(g + 1)})
 			var futs []*Future
 			for _, req := range sched {
 				req.Addr = (req.Addr/64*uint64(submitters) + uint64(g)) * 64

@@ -319,7 +319,7 @@ func TestConcurrentHammerAggregates(t *testing.T) {
 			defer wg.Done()
 			// Submitter g owns blocks ≡ g (mod submitters); with
 			// Shards == submitters it feeds exactly one shard.
-			sched := Schedule(ScheduleConfig{Ops: perWorker, Blocks: blocks / submitters, Seed: int64(g)})
+			sched := Schedule(ScheduleConfig{Ops: perWorker, Blocks: blocks / submitters, ReadFraction: 0.5, Seed: int64(g)})
 			for i := range sched {
 				sched[i].Addr = sched[i].Addr*uint64(submitters) + uint64(g)*64
 			}

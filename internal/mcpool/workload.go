@@ -13,7 +13,7 @@ import (
 type ScheduleConfig struct {
 	Ops          int     // total requests (default 10 000)
 	Blocks       int     // working-set size in 64-byte blocks (default 1024)
-	ReadFraction float64 // fraction of ops that are reads (default 0.5)
+	ReadFraction float64 // fraction of ops that are reads: 0 gives none, a value outside [0,1] gives 0.5
 	VMs          int     // writes round-robin VM IDs in [0, VMs) (default 1)
 	Seed         int64
 }

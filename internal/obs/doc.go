@@ -15,7 +15,10 @@
 // registry (RegisterCounter et al.), keeping their legacy Stats()
 // accessors as thin views over the same storage; ad-hoc series can be
 // created in place with the get-or-create accessors (Counter, Gauge,
-// Histogram).
+// Histogram). A single-goroutine hot path that cannot afford a locked
+// add per event counts in plain fields and binds them through a
+// Mirror, whose Publish copies them into their series at the owner's
+// sync points.
 //
 // Snapshot() produces a deterministic, sorted copy of every series,
 // which WritePrometheus renders in the Prometheus text exposition

@@ -39,6 +39,44 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // simulator's windows reset, unlike long-lived Prometheus counters).
 func (c *Counter) Reset() { c.v.Store(0) }
 
+// Mirror publishes counts that one goroutine keeps in plain uint64
+// fields, where an atomic Counter's locked add per event would fence
+// the hot path. Each bound count gets its own Counter in the registry,
+// and Publish copies every count into its series, so a concurrent
+// reader sees the counts as of the last Publish. A Mirror belongs to
+// the goroutine that owns the counts.
+type Mirror struct {
+	reg   *Registry
+	binds []mirrored
+}
+
+type mirrored struct {
+	src *uint64
+	dst *Counter
+}
+
+// NewMirror returns a Mirror that registers its series in reg.
+func NewMirror(reg *Registry) *Mirror { return &Mirror{reg: reg} }
+
+// Counter registers a series for the count at src, replacing any
+// series with the same name and labels like RegisterCounter.
+func (m *Mirror) Counter(name string, src *uint64, labels ...Label) {
+	c := &Counter{}
+	m.reg.RegisterCounter(name, c, labels...)
+	m.binds = append(m.binds, mirrored{src: src, dst: c})
+}
+
+// Publish copies every bound count into its series. A series whose
+// value has not changed is not stored, so an idle interval costs loads
+// only.
+func (m *Mirror) Publish() {
+	for _, b := range m.binds {
+		if v := *b.src; b.dst.Value() != v {
+			b.dst.v.Store(v)
+		}
+	}
+}
+
 // Gauge is an instantaneous level (queue depth, backlog) with atomic
 // updates. The zero value is ready to use. A Gauge must not be copied
 // after first use.

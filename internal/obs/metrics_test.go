@@ -253,6 +253,40 @@ func TestRegistryRegisterReplaces(t *testing.T) {
 
 // TestConcurrentIncrements exercises the lock-free hot path from many
 // goroutines; run under `go test -race` (the standard check gate does).
+// TestMirrorPublish: a mirrored count reaches its series only at
+// Publish, and a re-registered series replaces the old one.
+func TestMirrorPublish(t *testing.T) {
+	reg := NewRegistry()
+	m := NewMirror(reg)
+	var hits, misses uint64
+	m.Counter("hits_total", &hits, L("level", "l1"))
+	m.Counter("misses_total", &misses)
+	hits, misses = 7, 2
+	if v := reg.Snapshot().Value("hits_total", L("level", "l1")); v != 0 {
+		t.Errorf("hits_total = %v before Publish, want 0", v)
+	}
+	m.Publish()
+	snap := reg.Snapshot()
+	if v := snap.Value("hits_total", L("level", "l1")); v != 7 {
+		t.Errorf("hits_total = %v, want 7", v)
+	}
+	if v := snap.Value("misses_total"); v != 2 {
+		t.Errorf("misses_total = %v, want 2", v)
+	}
+	hits = 0 // a window reset publishes as a drop
+	m.Publish()
+	if v := reg.Snapshot().Value("hits_total", L("level", "l1")); v != 0 {
+		t.Errorf("hits_total = %v after a reset, want 0", v)
+	}
+
+	var again uint64 = 3
+	NewMirror(reg).Counter("hits_total", &again, L("level", "l1"))
+	m.Publish() // the replaced binding no longer reaches the series
+	if v := reg.Snapshot().Value("hits_total", L("level", "l1")); v != 0 {
+		t.Errorf("hits_total = %v after re-registration, want the new series' 0", v)
+	}
+}
+
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("concurrent_total")
